@@ -1,12 +1,15 @@
 //! Criterion micro-benchmarks for the combinatorial substrates: minimal
 //! transversal enumeration, maximal-independent-set enumeration, schema
-//! synthesis from MVD sets, and acyclic join-size counting.
+//! synthesis from MVD sets, acyclic join-size counting, and one quality pass.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use maimon::hypergraph::{maximal_independent_sets, minimal_transversals, Graph};
-use maimon::relation::{acyclic_join_size, AttrSet};
-use maimon::{build_acyclic_schema, incompatibility_graph, JoinTree};
-use maimon_datasets::{nursery_with_rows, running_example_with_red_tuple};
+use maimon::relation::{acyclic_join_size, AttrSet, JoinCounter};
+use maimon::{
+    build_acyclic_schema, evaluate_schema, evaluate_schema_with, incompatibility_graph, JoinTree,
+    MaimonConfig, MaimonSession,
+};
+use maimon_datasets::{dataset_by_name, nursery_with_rows, running_example_with_red_tuple};
 use std::hint::black_box;
 
 fn transversals(c: &mut Criterion) {
@@ -79,5 +82,32 @@ fn join_counting(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, transversals, schema_synthesis, join_counting);
+/// One quality pass: every schema of Abalone at ε = 0.1 (the 10,000-schema
+/// cap) measured through one shared `JoinCounter`, as `session.quality`
+/// does, against a fresh counter per schema.
+fn quality_pass(c: &mut Criterion) {
+    let abalone = dataset_by_name("Abalone").expect("Abalone is in the catalog").generate(1.0);
+    let session = MaimonSession::new(&abalone, MaimonConfig::default()).unwrap();
+    let schemas = session.schemas(0.1).unwrap();
+    let mut group = c.benchmark_group("quality_pass");
+    group.sample_size(10);
+    group.bench_function("abalone_eps_0.1_shared_counter", |b| {
+        b.iter(|| {
+            let mut counter = JoinCounter::new(&abalone);
+            for discovered in &schemas.schemas {
+                black_box(evaluate_schema_with(&mut counter, &discovered.schema).unwrap());
+            }
+        })
+    });
+    group.bench_function("abalone_eps_0.1_per_schema", |b| {
+        b.iter(|| {
+            for discovered in &schemas.schemas {
+                black_box(evaluate_schema(&abalone, &discovered.schema).unwrap());
+            }
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, transversals, schema_synthesis, join_counting, quality_pass);
 criterion_main!(benches);

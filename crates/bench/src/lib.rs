@@ -1,9 +1,11 @@
 //! Shared support code for the experiment harness binaries.
 //!
 //! Every binary in this crate regenerates one table or figure of the paper's
-//! evaluation (see DESIGN.md §4 for the full index). Because the original
-//! experiments ran for hours on server hardware against multi-million-row
-//! datasets, each harness accepts environment variables that scale the run:
+//! evaluation (see the reproduction map in PAPER.md and "Benchmarks and
+//! experiment harnesses" in README.md for the full index). Because the
+//! original experiments ran for hours on server hardware against
+//! multi-million-row datasets, each harness accepts environment variables
+//! that scale the run:
 //!
 //! * `MAIMON_SCALE` — fraction of the original row count to generate
 //!   (default `0.002`, i.e. a few thousand rows for the largest datasets).

@@ -20,7 +20,9 @@
 //!    incompatibility graph) and synthesize an acyclic schema from each with
 //!    [`build_acyclic_schema`].
 //! 4. **Quality** ([`evaluate_schema`], §8): storage savings, spurious-tuple
-//!    rate, width, intersection width, pareto front.
+//!    rate, width, intersection width, pareto front. A session's quality
+//!    pass shares one `relation::JoinCounter` across its schemas
+//!    ([`evaluate_schema_with`]).
 //! 5. **Decomposed store** ([`AcyclicSchema::decompose`], §8.1): materialize
 //!    the per-bag projections, run the Yannakakis full reducer, stream the
 //!    reconstruction and answer selection/projection queries without ever
@@ -97,8 +99,8 @@ pub use minsep::{mine_min_seps, minimal_separators_bruteforce, reduce_min_sep, M
 pub use mvd::Mvd;
 pub use progress::{CancelToken, CountingSink, ProgressEvent, ProgressSink, RunControl};
 pub use quality::{
-    evaluate_schema, evaluate_schema_checked, pareto_front, spurious_tuples_pct,
-    storage_savings_pct, SchemaQuality,
+    evaluate_schema, evaluate_schema_checked, evaluate_schema_with, pareto_front,
+    spurious_tuples_pct, storage_savings_pct, SchemaQuality,
 };
 pub use schema::AcyclicSchema;
 pub use session::{DeltaRevalidation, DeltaSweepPoint, MaimonSession, SweepPoint};

@@ -14,7 +14,7 @@
 
 use crate::error::MaimonError;
 use crate::schema::AcyclicSchema;
-use relation::{acyclic_join_size, Relation};
+use relation::{JoinCounter, Relation};
 
 /// Quality metrics of one schema against one relation instance.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -43,10 +43,11 @@ pub struct SchemaQuality {
 /// # Errors
 /// Returns an error if a projection is invalid for the relation.
 pub fn storage_savings_pct(rel: &Relation, schema: &AcyclicSchema) -> Result<f64, MaimonError> {
-    let original = (rel.distinct_count(rel.schema().all_attrs())? * rel.arity()) as u128;
+    let mut counter = JoinCounter::new(rel);
+    let original = (counter.distinct_count(rel.schema().all_attrs())? * rel.arity()) as u128;
     let mut decomposed: u128 = 0;
     for &bag in schema.bags() {
-        let count = rel.distinct_count(bag)? as u128;
+        let count = counter.distinct_count(bag)? as u128;
         decomposed += count * bag.len() as u128;
     }
     if original == 0 {
@@ -63,15 +64,18 @@ pub fn spurious_tuples_pct(rel: &Relation, schema: &AcyclicSchema) -> Result<f64
     let tree = schema
         .join_tree()
         .ok_or_else(|| MaimonError::InvalidSchema("cyclic schema has no join tree".into()))?;
-    let join_size = acyclic_join_size(rel, &tree.to_spec())?;
-    let original = rel.distinct_count(rel.schema().all_attrs())? as u128;
+    let mut counter = JoinCounter::new(rel);
+    let original = counter.distinct_count(rel.schema().all_attrs())? as u128;
+    let join_size = counter.join_size(&tree.to_spec())?;
     if original == 0 {
         return Ok(0.0);
     }
     Ok(100.0 * (join_size.saturating_sub(original)) as f64 / original as f64)
 }
 
-/// Computes the full quality report for one schema.
+/// Computes the full quality report for one schema with a one-shot
+/// [`JoinCounter`]; a pass over many schemas should share one counter
+/// through [`evaluate_schema_with`].
 ///
 /// # Errors
 /// Returns an error if the schema is cyclic, does not cover the relation's
@@ -80,6 +84,20 @@ pub fn evaluate_schema(
     rel: &Relation,
     schema: &AcyclicSchema,
 ) -> Result<SchemaQuality, MaimonError> {
+    evaluate_schema_with(&mut JoinCounter::new(rel), schema)
+}
+
+/// [`evaluate_schema`] against the counter's relation, reusing the
+/// projection labels the counter already holds. The result is the same
+/// bits either way.
+///
+/// # Errors
+/// As [`evaluate_schema`].
+pub fn evaluate_schema_with(
+    counter: &mut JoinCounter<'_>,
+    schema: &AcyclicSchema,
+) -> Result<SchemaQuality, MaimonError> {
+    let rel = counter.relation();
     if !schema.covers(rel.schema().all_attrs()) {
         return Err(MaimonError::InvalidSchema(
             "schema does not cover the relation signature".into(),
@@ -88,14 +106,16 @@ pub fn evaluate_schema(
     let tree = schema
         .join_tree()
         .ok_or_else(|| MaimonError::InvalidSchema("cyclic schema has no join tree".into()))?;
-    let original_distinct = rel.distinct_count(rel.schema().all_attrs())? as u128;
+    // The full set first: the join admits the bags and separators after it,
+    // so the per-bag counts below are memo hits even under a tight budget.
+    let original_distinct = counter.distinct_count(rel.schema().all_attrs())? as u128;
     let original_cells = original_distinct * rel.arity() as u128;
+    let join_size = counter.join_size(&tree.to_spec())?;
     let mut decomposed_cells: u128 = 0;
     for &bag in schema.bags() {
-        let count = rel.distinct_count(bag)? as u128;
+        let count = counter.distinct_count(bag)? as u128;
         decomposed_cells += count * bag.len() as u128;
     }
-    let join_size = acyclic_join_size(rel, &tree.to_spec())?;
     let storage_savings_pct = if original_cells == 0 {
         0.0
     } else {

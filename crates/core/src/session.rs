@@ -80,13 +80,13 @@ use crate::maimon::{MaimonResult, RankedSchema};
 use crate::measure::{j_mvd, within_epsilon};
 use crate::miner::{mine_mvds_with, MvdMiningResult};
 use crate::progress::{CancelToken, ProgressSink, RunControl};
-use crate::quality::{evaluate_schema, pareto_front};
+use crate::quality::{evaluate_schema_with, pareto_front};
 use crate::schema::AcyclicSchema;
 use crate::wire::ToJson;
 use decompose::DecomposedInstance;
 use entropy::{EntropyOracle, OracleStats, PliEntropyOracle};
 use obs::{Span, Stage, StageCollector};
-use relation::{AppendSummary, AttrSet, Relation};
+use relation::{AppendSummary, AttrSet, JoinCounter, Relation};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -917,8 +917,13 @@ impl MaimonSession {
                 let mut schemas = Vec::with_capacity(schemas_raw.schemas.len());
                 let pareto = {
                     let _span = Span::enter(Stage::Measure, measure_target);
+                    // One counter per pass: the schemas share most of their
+                    // bags and separators, so a projection is labelled once
+                    // while it stays in the counter's memo rather than
+                    // rescanned per schema.
+                    let mut counter = JoinCounter::new(relation);
                     for discovered in &schemas_raw.schemas {
-                        let quality = evaluate_schema(relation, &discovered.schema)?;
+                        let quality = evaluate_schema_with(&mut counter, &discovered.schema)?;
                         schemas.push(RankedSchema { discovered: discovered.clone(), quality });
                     }
                     let points: Vec<(f64, f64)> = schemas

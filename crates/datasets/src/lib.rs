@@ -12,8 +12,9 @@
 //!   row/column dimensions with a planted approximate acyclic schema
 //!   ([`SyntheticSpec`]).
 //!
-//! See DESIGN.md ("Substitutions") for why these stand-ins preserve the
-//! behaviour the evaluation measures.
+//! The reproduction map in PAPER.md ties each stand-in to the paper
+//! artifact it replaces; [`SyntheticSpec`] documents the planted structure
+//! that keeps the behaviour the evaluation measures.
 
 #![warn(missing_docs)]
 

@@ -10,9 +10,10 @@
 //!   grouping.
 //! * [`natural_join`] / [`natural_join_all`] — materialized joins used to
 //!   validate decompositions on small inputs.
-//! * [`acyclic_join_size`] / [`spurious_tuple_count`] — Yannakakis-style count
-//!   propagation over a join tree, used to measure the paper's spurious-tuple
-//!   metric `E` without materializing the (possibly huge) re-join.
+//! * [`JoinCounter`] / [`acyclic_join_size`] / [`spurious_tuple_count`] —
+//!   Yannakakis-style count propagation over a join tree, used to measure the
+//!   paper's spurious-tuple metric `E` without materializing the (possibly
+//!   huge) re-join; one counter shares projection labels across a pass.
 //! * [`relation_from_csv`] — a small RFC-4180-ish CSV reader for loading
 //!   profiling datasets.
 //! * Random relation generators used by tests, benchmarks and the synthetic
@@ -30,7 +31,8 @@ mod relation;
 mod schema;
 
 pub use acyclic_join::{
-    acyclic_join_size, satisfies_join_dependency, spurious_tuple_count, JoinTreeSpec,
+    acyclic_join_size, satisfies_join_dependency, spurious_tuple_count, JoinCounter, JoinTreeSpec,
+    LABEL_MEMO_BUDGET_BYTES,
 };
 pub use attrset::{AttrIter, AttrSet, SubsetIter};
 pub use csv::{relation_from_csv, relation_to_csv, CsvOptions};

@@ -545,8 +545,7 @@ struct FoldFactor {
 /// consumed by [`Relation::fold_key`]. Because the encoding is positional,
 /// individual codes can be recovered ([`KeyFold::extract`]) and a key can be
 /// re-folded onto a sub-fold over a subset of the attributes
-/// ([`KeyFold::project`]) without touching the relation again — which is how
-/// the acyclic-join counting engine derives separator keys from bag keys.
+/// ([`KeyFold::project`]) without touching the relation again.
 #[derive(Clone, Debug)]
 pub struct KeyFold {
     /// Per-column factors in ascending attribute order.

@@ -172,6 +172,10 @@ fn accept_loop(
     while !shared.shutdown.is_cancelled() {
         match listener.accept() {
             Ok((stream, _peer)) => {
+                // Responses are whole lines written at once; with Nagle on,
+                // a line that spans segments waits out the client's
+                // delayed ACK (~40 ms) before its tail is sent.
+                let _ = stream.set_nodelay(true);
                 let mut pending =
                     queue.pending.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
                 if pending.len() >= max_queue_depth {
@@ -194,8 +198,7 @@ fn accept_loop(
 /// Tells an over-queue client it was shed, without occupying a worker.
 fn shed_connection(mut stream: TcpStream) {
     let response = error_response(ErrorKind::Overloaded, "connection queue is full; retry later");
-    let _ = writeln!(stream, "{}", response);
-    let _ = stream.flush();
+    let _ = write_line(&mut stream, &response);
     // Half-close and briefly drain: dropping the socket with unread request
     // bytes in its receive buffer sends an RST that can discard the
     // response before the client reads it. The drain is bounded, so a
@@ -216,6 +219,15 @@ fn shed_connection(mut stream: TcpStream) {
             Err(_) => break,
         }
     }
+}
+
+/// Sends one response line — the serialized JSON plus `\n` — in a single
+/// write, so it leaves as one segment rather than a body and a trailing
+/// newline segment.
+fn write_line(stream: &mut TcpStream, response: &Json) -> std::io::Result<()> {
+    let mut line = response.to_string();
+    line.push('\n');
+    stream.write_all(line.as_bytes())
 }
 
 fn worker_loop(shared: &Arc<Shared>, queue: &Arc<ConnQueue>) {
@@ -275,7 +287,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                 // written, as a crashed peer or a cut network would.
                 return;
             }
-            if writeln!(stream, "{}", response).and_then(|()| stream.flush()).is_err() {
+            if write_line(&mut stream, &response).is_err() {
                 return;
             }
         }

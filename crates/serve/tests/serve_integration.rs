@@ -395,6 +395,33 @@ fn append_then_mine_matches_direct_library_and_never_serves_stale() {
 }
 
 #[test]
+fn cache_hit_mines_round_trip_without_a_delayed_ack_stall() {
+    // A response leaving in more than one segment waits for the client's
+    // delayed ACK under Nagle (~40 ms per round trip). The client here sends
+    // each request in one write with TCP_NODELAY, so any stall is the
+    // server's.
+    let handle = start_server(AdmissionConfig::default(), &[("running", running_example())]);
+    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let request = "{\"op\":\"mine\",\"dataset\":\"running\",\"epsilon\":0.1}\n";
+    let mut mine = || {
+        let start = std::time::Instant::now();
+        stream.write_all(request.as_bytes()).unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert_ok(&Json::parse(line.trim()).unwrap(), "mine");
+        start.elapsed()
+    };
+    mine(); // the cold mine fills the cache
+    let mut hits: Vec<_> = (0..20).map(|_| mine()).collect();
+    hits.sort();
+    let median = hits[hits.len() / 2];
+    assert!(median < std::time::Duration::from_millis(20), "median cache-hit mine {median:?}");
+    handle.shutdown();
+}
+
+#[test]
 fn requests_pipeline_on_one_connection_and_shutdown_converges() {
     let handle = start_server(AdmissionConfig::default(), &[("running", running_example())]);
     let mut stream = TcpStream::connect(handle.local_addr()).unwrap();

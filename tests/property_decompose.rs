@@ -8,24 +8,108 @@
 //! * the store's count propagation agrees with `acyclic_join_size` and with
 //!   actually enumerating the streaming reconstruction,
 //! * the query executor agrees with a flat scan of the reconstruction for
-//!   random selection/projection queries.
+//!   random selection/projection queries,
+//! * a shared `JoinCounter` — under the real memo budget and under one that
+//!   evicts before every schema — counts random acyclic joins exactly as
+//!   materializing them and as the store's count propagation do.
 
-use maimon::decompose::{flat_scan, Query};
-use maimon::relation::{acyclic_join_size, AttrSet, Relation, Schema};
+use maimon::decompose::{flat_scan, DecomposedInstance, Query};
+use maimon::relation::{
+    acyclic_join_size, natural_join_all, AttrSet, JoinCounter, JoinTreeSpec, Relation, Schema,
+};
 use maimon::{Maimon, MaimonConfig, MiningLimits};
 use proptest::prelude::*;
+
+/// xorshift64 stream for the hand-rolled generators below.
+fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed | 1;
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    }
+}
+
+/// A random join tree over all attributes of an `arity`-column relation
+/// whose bags satisfy the running intersection property: each new bag hangs
+/// off a random earlier bag and holds a random subset of it (possibly empty,
+/// i.e. an empty separator) plus attributes no earlier bag holds. Leftover
+/// attributes join the last bag, so the tree covers the relation.
+fn random_join_tree(arity: usize, n_bags: usize, seed: u64) -> JoinTreeSpec {
+    let mut next = xorshift(seed);
+    let mut unused: Vec<usize> = (0..arity).collect();
+    let mut take_fresh = |next: &mut dyn FnMut() -> u64, at_least: usize| -> AttrSet {
+        let k = (at_least + next() as usize % 3).min(unused.len());
+        (0..k).map(|_| unused.remove(next() as usize % unused.len())).collect()
+    };
+    let mut bags = vec![take_fresh(&mut next, 1)];
+    let mut edges = Vec::new();
+    for i in 1..n_bags {
+        let parent = next() as usize % i;
+        let shared: AttrSet = bags[parent].iter().filter(|_| next().is_multiple_of(2)).collect();
+        let mut bag = shared.union(take_fresh(&mut next, 0));
+        if bag.is_empty() {
+            bag = bags[parent];
+        }
+        bags.push(bag);
+        edges.push((parent, i));
+    }
+    let last = bags.len() - 1;
+    bags[last] = bags[last].union(take_fresh(&mut next, arity));
+    JoinTreeSpec::new(bags, edges).unwrap()
+}
+
+/// The 12-column, cardinality-64 shape whose full-width fold overflows a
+/// `u64` (64¹² = 2⁷²), plus a few random rows so joins are lossy.
+fn wide_relation(seed: u64) -> Relation {
+    let mut next = xorshift(seed);
+    let extra: Vec<u32> = (0..16).map(|_| next() as u32 % 64).collect();
+    let columns: Vec<Vec<u32>> = (0..12u32)
+        .map(|c| {
+            let planted = (0..128u32).map(|r| (r * 7 + c * 13) % 64);
+            planted.chain(extra.iter().map(|&e| (e + c * (next() as u32 % 3)) % 64)).collect()
+        })
+        .collect();
+    Relation::from_code_columns(Schema::with_arity(12).unwrap(), columns).unwrap()
+}
+
+/// Counts `specs` in order through one counter per budget — the real one and
+/// one labelling's worth, which evicts before every schema — and checks each
+/// count against the store's count propagation, against the materialized
+/// join when that is small, and each bag's `distinct_count` against the
+/// relation's.
+fn check_counter(rel: &Relation, specs: &[JoinTreeSpec]) -> Result<(), TestCaseError> {
+    let all = rel.schema().all_attrs();
+    for mut counter in [JoinCounter::new(rel), JoinCounter::with_memo_budget(rel, 4 * rel.n_rows())]
+    {
+        prop_assert_eq!(counter.distinct_count(all).unwrap(), rel.distinct_count(all).unwrap());
+        for spec in specs {
+            let counted = counter.join_size(spec).unwrap();
+            let store = DecomposedInstance::build(rel, spec).unwrap();
+            prop_assert_eq!(counted, store.reconstruction_count(), "{:?}", spec.bags);
+            if counted <= 20_000 {
+                let projections: Vec<Relation> =
+                    spec.bags.iter().map(|&b| rel.project_distinct(b).unwrap()).collect();
+                let joined = natural_join_all(&projections).unwrap();
+                prop_assert_eq!(counted, joined.n_rows() as u128, "{:?}", spec.bags);
+            }
+            for &bag in &spec.bags {
+                prop_assert_eq!(
+                    counter.distinct_count(bag).unwrap(),
+                    rel.distinct_count(bag).unwrap()
+                );
+            }
+        }
+    }
+    Ok(())
+}
 
 /// Strategy: a random small relation (2–6 columns, 5–60 rows, tiny per-column
 /// domains so duplicate groups and spurious join combinations are common).
 fn relation_strategy() -> impl Strategy<Value = Relation> {
     (2usize..=6, 5usize..=60, 1u64..10_000).prop_map(|(cols, rows, seed)| {
-        let mut state = seed | 1;
-        let mut next = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut next = xorshift(seed);
         let schema = Schema::with_arity(cols).unwrap();
         let columns: Vec<Vec<u32>> = (0..cols)
             .map(|c| {
@@ -107,6 +191,29 @@ proptest! {
                 ranked.discovered.schema.bags()
             );
         }
+    }
+
+    #[test]
+    fn join_counter_matches_materialized_joins_and_the_store(
+        rel in relation_strategy(),
+        seed in 1u64..10_000,
+    ) {
+        // Several schemas through one counter, so later ones hit (or, under
+        // the tiny budget, have evicted) the labels of earlier ones. One
+        // bag is the single-bag schema; disjoint bags give empty separators.
+        let specs: Vec<JoinTreeSpec> = (0..4)
+            .map(|i| random_join_tree(rel.arity(), 1 + (seed as usize + i) % 4, seed * 31 + i as u64))
+            .collect();
+        check_counter(&rel, &specs)?;
+    }
+
+    #[test]
+    fn join_counter_is_exact_past_a_u64_fold(seed in 1u64..10_000) {
+        let rel = wide_relation(seed);
+        prop_assert!(rel.key_fold(rel.schema().all_attrs()).is_none(), "the full fold must overflow");
+        let specs: Vec<JoinTreeSpec> =
+            (0..3).map(|i| random_join_tree(12, 1 + i, seed * 7 + i as u64)).collect();
+        check_counter(&rel, &specs)?;
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! the per-pair separator map, the deterministic mining counters, the ranked
 //! schemas (including every quality metric) and the pareto front must be
 //! **bit-identical** — while the PLI oracle is constructed exactly once per
-//! sweep instead of once per threshold.
+//! sweep instead of once per threshold. Every quality metric must also equal
+//! a fresh per-schema `evaluate_schema`, although the session measures a
+//! whole pass through one shared label memo.
 //!
 //! Thread counts ride the `MAIMON_THREADS` CI matrix: the suite runs with
 //! `threads: None` (resolved from the environment) like the rest of the
@@ -16,7 +18,8 @@
 use maimon::entropy::{EntropyOracle, PliEntropyOracle};
 use maimon::relation::Relation;
 use maimon::{
-    mine_mvds, mine_schemas, Maimon, MaimonConfig, MaimonResult, MaimonSession, MiningLimits,
+    evaluate_schema, mine_mvds, mine_schemas, Maimon, MaimonConfig, MaimonResult, MaimonSession,
+    MiningLimits,
 };
 use maimon_datasets::{metanome_catalog, running_example, running_example_with_red_tuple};
 use std::sync::Arc;
@@ -102,6 +105,17 @@ fn assert_sweep_equivalent(
             &fresh,
             &format!("{label} (ε = {})", point.epsilon),
         );
+        // The pass measured every schema through one shared label memo; a
+        // fresh one-shot evaluation must give the same bits.
+        for ranked in &point.result.schemas {
+            assert_eq!(
+                ranked.quality,
+                evaluate_schema(rel, &ranked.discovered.schema).unwrap(),
+                "{label} (ε = {}): shared-counter quality of {:?}",
+                point.epsilon,
+                ranked.discovered.schema.bags()
+            );
+        }
     }
 
     // (c) Exactly-once oracle construction for the *whole* sweep: replay the
