@@ -59,37 +59,39 @@ pub struct SchemaMiningResult {
 /// the unique relation of the current schema containing its key (redundant
 /// MVDs, which would not split anything, are skipped).
 pub fn build_acyclic_schema(universe: AttrSet, mvds: &[Mvd]) -> AcyclicSchema {
-    let mut bags: Vec<AttrSet> = vec![universe];
     let mut queue: Vec<&Mvd> = mvds.iter().collect();
     queue.sort_by_key(|m| (m.key().len(), m.key()));
+    build_in_order(universe, queue)
+}
+
+/// [`build_acyclic_schema`] over MVDs already in application order.
+fn build_in_order<'a>(
+    universe: AttrSet,
+    queue: impl IntoIterator<Item = &'a Mvd>,
+) -> AcyclicSchema {
+    let mut bags: Vec<AttrSet> = vec![universe];
     for mvd in queue {
         let key = mvd.key();
-        // Find a relation containing the key that the MVD actually splits.
+        // An MVD applied to a relation containing its key splits it into
+        // `key ∪ (dep ∩ target)` for each dependent meeting it; dependents
+        // are disjoint from the key and from each other, so those pieces
+        // are distinct and the MVD is non-redundant on `target` iff at least
+        // two dependents meet it.
+        let meeting =
+            |target: AttrSet| mvd.dependents().iter().filter(move |d| d.intersects(target));
         // The paper argues the containing relation is unique because MVDs are
         // processed in ascending key-cardinality order; when several MVDs
         // share the same key, earlier splits can leave the key inside more
         // than one relation, so we apply the MVD to the first relation where
         // it is non-redundant (produces at least two pieces).
-        let mut application: Option<(usize, BTreeSet<AttrSet>)> = None;
-        for (position, &target) in bags.iter().enumerate() {
-            if !key.is_subset_of(target) {
-                continue;
-            }
-            let mut pieces: BTreeSet<AttrSet> = BTreeSet::new();
-            for &dep in mvd.dependents() {
-                let piece = dep.union(key).intersect(target);
-                if piece != key && !piece.is_empty() {
-                    pieces.insert(piece);
-                }
-            }
-            if pieces.len() >= 2 {
-                application = Some((position, pieces));
-                break;
-            }
-        }
-        if let Some((position, pieces)) = application {
-            bags.remove(position);
-            bags.extend(pieces);
+        let split = bags
+            .iter()
+            .position(|&target| key.is_subset_of(target) && meeting(target).nth(1).is_some());
+        if let Some(position) = split {
+            let target = bags.remove(position);
+            let first_piece = bags.len();
+            bags.extend(meeting(target).map(|&dep| key.union(dep.intersect(target))));
+            bags[first_piece..].sort_unstable();
         }
     }
     AcyclicSchema::new(bags).expect("decomposition of a non-empty universe is non-empty")
@@ -159,6 +161,17 @@ pub fn mine_schemas_with<O: EntropyOracle + ?Sized>(
 
     let enumeration_span = Span::enter(Stage::Transversal, ctl.stages());
     let graph = incompatibility_graph(mvds);
+    // `build_acyclic_schema` applies a set's MVDs by a stable sort on
+    // (key size, key); over sets listed in ascending index order that is
+    // the order of (key size, key, index), ranked here once so each visit
+    // sorts plain integers and builds from borrowed MVDs.
+    let mut by_rank: Vec<usize> = (0..mvds.len()).collect();
+    by_rank.sort_by_key(|&i| (mvds[i].key().len(), mvds[i].key(), i));
+    let mut rank = vec![0; mvds.len()];
+    for (r, &i) in by_rank.iter().enumerate() {
+        rank[i] = r;
+    }
+    let mut queue: Vec<usize> = Vec::new();
     let started = Instant::now();
     let mut seen: BTreeSet<AcyclicSchema> = BTreeSet::new();
     let mut schemas: Vec<DiscoveredSchema> = Vec::new();
@@ -166,13 +179,17 @@ pub fn mine_schemas_with<O: EntropyOracle + ?Sized>(
     let mut enumerated = 0usize;
     for_each_maximal_independent_set(&graph, |independent| {
         enumerated += 1;
-        let selected: Vec<Mvd> = independent.iter().map(|&i| mvds[i].clone()).collect();
-        let schema = build_acyclic_schema(universe, &selected);
-        if seen.insert(schema.clone()) {
+        queue.clear();
+        queue.extend(independent.iter().map(|&i| rank[i]));
+        queue.sort_unstable();
+        let schema = build_in_order(universe, queue.iter().map(|&r| &mvds[by_rank[r]]));
+        if !seen.contains(&schema) {
+            seen.insert(schema.clone());
             let j = {
                 let _span = Span::enter(Stage::Measure, ctl.stages());
                 j_schema(oracle, &schema)
             };
+            let selected = independent.iter().map(|&i| mvds[i].clone()).collect();
             schemas.push(DiscoveredSchema { schema, mvds: selected, j });
             ctl.emit(ProgressEvent::SchemaFound { discovered: schemas.len() });
         }
@@ -276,6 +293,27 @@ mod tests {
         let schema = build_acyclic_schema(AttrSet::full(6), &[a_mvd.clone(), spanning]);
         let only_first = build_acyclic_schema(AttrSet::full(6), &[a_mvd]);
         assert_eq!(schema, only_first);
+    }
+
+    #[test]
+    fn pieces_join_the_bag_list_in_ascending_order() {
+        // The first MVD leaves {0,1,2,3} in one bag; the second splits it
+        // into {0,3} and {1,2}, which enter the bag list as {1,2}, {0,3}
+        // (ascending), so the third, redundant nowhere else, splits {1,2}.
+        let mvd = |deps: &[&[usize]]| {
+            Mvd::new(AttrSet::empty(), deps.iter().map(|d| attrs(d)).collect()).unwrap()
+        };
+        let mvds = [
+            mvd(&[&[0, 1, 2, 3], &[4], &[5]]),
+            mvd(&[&[0, 3], &[1, 2, 4], &[5]]),
+            mvd(&[&[2], &[0, 1, 4], &[3, 5]]),
+        ];
+        let schema = build_acyclic_schema(AttrSet::full(6), &mvds);
+        let expected = AcyclicSchema::new(
+            [&[1][..], &[2], &[0, 3], &[4], &[5]].iter().map(|b| attrs(b)).collect(),
+        )
+        .unwrap();
+        assert_eq!(schema, expected);
     }
 
     #[test]

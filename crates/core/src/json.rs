@@ -58,10 +58,28 @@ pub enum Json {
     Object(Vec<(String, Json)>),
 }
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts.
+///
+/// The parser recurses once per level, so without a cap a line of a few
+/// hundred thousand `[` overflows the thread's stack and aborts the whole
+/// process. Protocol documents nest a handful of levels deep.
+pub const MAX_DEPTH: usize = 128;
+
+/// What kind of input [`Json::parse`] rejected.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum JsonErrorKind {
+    /// Not well-formed JSON.
+    Syntax,
+    /// Arrays and objects nested deeper than [`MAX_DEPTH`].
+    TooDeep,
+}
+
 /// An error produced by [`Json::parse`], with the byte offset of the
 /// offending input position.
 #[derive(Clone, Debug, PartialEq)]
 pub struct JsonError {
+    /// Why the input was rejected.
+    pub kind: JsonErrorKind,
     /// What went wrong.
     pub message: String,
     /// Byte offset into the input where the error was detected.
@@ -163,9 +181,9 @@ impl Json {
     ///
     /// # Errors
     /// Returns a [`JsonError`] with the offending byte offset on malformed
-    /// input or trailing garbage.
+    /// input, trailing garbage, or nesting deeper than [`MAX_DEPTH`].
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut parser = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut parser = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
         parser.skip_ws();
         let value = parser.value()?;
         parser.skip_ws();
@@ -292,11 +310,13 @@ impl fmt::Display for Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
     fn error(&self, message: &str) -> JsonError {
-        JsonError { message: message.to_string(), offset: self.pos }
+        JsonError { kind: JsonErrorKind::Syntax, message: message.to_string(), offset: self.pos }
     }
 
     fn peek(&self) -> Option<u8> {
@@ -333,11 +353,29 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Parses a container one level deeper, refusing to pass [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError {
+                kind: JsonErrorKind::TooDeep,
+                message: format!("nesting deeper than {MAX_DEPTH} levels"),
+                offset: self.pos,
+            });
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -620,6 +658,27 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        // A million levels, unterminated or closed: a typed error at the
+        // first container past the cap.
+        let levels = 1_000_000;
+        for (open, close) in [("[", ""), ("[", "]"), ("{\"k\":", "}")] {
+            let deep = format!("{}1{}", open.repeat(levels), close.repeat(levels));
+            let err = Json::parse(&deep).unwrap_err();
+            assert_eq!(err.kind, JsonErrorKind::TooDeep, "{open}");
+            assert_eq!(err.offset, MAX_DEPTH * open.len(), "{open}");
+        }
+        // Exactly MAX_DEPTH levels still parse, mixing both containers.
+        let text =
+            format!("{}null{}", "[{\"k\":".repeat(MAX_DEPTH / 2), "}]".repeat(MAX_DEPTH / 2));
+        assert!(Json::parse(&text).is_ok());
+        let err = Json::parse(&format!("[{text}]")).unwrap_err();
+        assert_eq!(err.kind, JsonErrorKind::TooDeep);
+        // Other errors are syntax errors.
+        assert_eq!(Json::parse("[1,").unwrap_err().kind, JsonErrorKind::Syntax);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! experiments cap enumeration with a time budget; our harness caps by count
 //! and/or wall clock).
 
-use crate::graph::Graph;
+use crate::graph::{bits, Graph};
 
 /// What the visitor wants the enumeration to do after receiving a set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -24,6 +24,19 @@ pub enum Control {
 /// Enumerates all maximal independent sets of `g`, invoking `visit` for each
 /// (vertices in ascending order). Enumeration stops early if the visitor
 /// returns [`Control::Stop`]. Returns the number of sets visited.
+///
+/// The visit order is part of the contract, because a caller that stops
+/// after `k` sets keeps exactly the first `k`: Bron–Kerbosch over the
+/// complement of `g`, with `P` kept in ascending vertex order and `X` in
+/// insertion order. The pivot is the *last* vertex of `P` (ascending) then
+/// `X` (insertion order) with the most non-neighbours in `P`, and the
+/// candidates (the pivot and its neighbours in `P`) are branched on in
+/// ascending order. While `|P ∪ X| > 64` a node works on vertex lists and
+/// reads adjacency from the bit rows of `g`. Once `P ∪ X` has at most 64
+/// vertices it is renumbered locally — `P` first, ascending, then `X` in
+/// insertion order — and the whole subtree runs on single-word masks with a
+/// fixed-size `X` list, allocating nothing beyond the reused buffers that
+/// hand sets to the visitor.
 pub fn for_each_maximal_independent_set<F>(g: &Graph, mut visit: F) -> usize
 where
     F: FnMut(&[usize]) -> Control,
@@ -34,67 +47,186 @@ where
         let _ = visit(&[]);
         return 1;
     }
-    // Bron–Kerbosch over the complement graph: "adjacent" below means
-    // non-adjacent in g (and distinct).
-    let compl_adjacent = |u: usize, v: usize| u != v && !g.has_edge(u, v);
+    let mut enumerator = Enumerator {
+        g,
+        visit: &mut visit,
+        r: Vec::new(),
+        sorted: Vec::new(),
+        count: 0,
+        stopped: false,
+    };
+    enumerator.global((0..n).collect(), Vec::new());
+    enumerator.count
+}
 
-    struct State<'a, F> {
-        g: &'a Graph,
-        visit: &'a mut F,
-        count: usize,
-        stopped: bool,
+/// Bron–Kerbosch state shared by both phases.
+struct Enumerator<'a, F> {
+    g: &'a Graph,
+    visit: &'a mut F,
+    /// The independent set under construction, in the order it was grown.
+    r: Vec<usize>,
+    /// Reused buffer that hands `r` to the visitor in ascending order.
+    sorted: Vec<usize>,
+    count: usize,
+    stopped: bool,
+}
+
+/// A subproblem with `|P ∪ X| ≤ 64`, renumbered to local indices `0..k`.
+struct LocalGraph {
+    /// Global vertex of each local index.
+    ids: [usize; 64],
+    /// Bit `j` of `non_adjacent[i]` is set iff local vertices `i ≠ j` are
+    /// not adjacent in `g`: the complement graph the enumeration runs on.
+    non_adjacent: [u64; 64],
+}
+
+/// The `X` set of a local node: at most 64 local indices, in insertion order.
+#[derive(Clone, Copy)]
+struct LocalX {
+    len: usize,
+    items: [u8; 64],
+}
+
+impl LocalX {
+    const EMPTY: LocalX = LocalX { len: 0, items: [0; 64] };
+
+    fn as_slice(&self) -> &[u8] {
+        &self.items[..self.len]
     }
 
-    fn recurse<F>(
-        state: &mut State<'_, F>,
-        r: &mut Vec<usize>,
-        mut p: Vec<usize>,
-        mut x: Vec<usize>,
-        compl_adjacent: &dyn Fn(usize, usize) -> bool,
-    ) where
-        F: FnMut(&[usize]) -> Control,
-    {
-        if state.stopped {
-            return;
-        }
-        if p.is_empty() && x.is_empty() {
-            let mut sorted = r.clone();
-            sorted.sort_unstable();
-            state.count += 1;
-            if (state.visit)(&sorted) == Control::Stop {
-                state.stopped = true;
+    fn push(&mut self, v: usize) {
+        self.items[self.len] = v as u8;
+        self.len += 1;
+    }
+
+    /// The members in `mask`, in the same order.
+    fn retain_in(&self, mask: u64) -> LocalX {
+        let mut kept = LocalX::EMPTY;
+        for &u in self.as_slice() {
+            if mask >> u & 1 == 1 {
+                kept.push(u as usize);
             }
+        }
+        kept
+    }
+}
+
+impl<F> Enumerator<'_, F>
+where
+    F: FnMut(&[usize]) -> Control,
+{
+    fn report(&mut self) {
+        self.sorted.clear();
+        self.sorted.extend_from_slice(&self.r);
+        self.sorted.sort_unstable();
+        self.count += 1;
+        if (self.visit)(&self.sorted) == Control::Stop {
+            self.stopped = true;
+        }
+    }
+
+    /// A node with `P` ascending and `X` in insertion order, both global.
+    fn global(&mut self, mut p: Vec<usize>, mut x: Vec<usize>) {
+        if self.stopped {
             return;
         }
-        // Pivot: vertex of P ∪ X with most complement-neighbors in P.
+        if p.len() + x.len() <= 64 {
+            return self.enter_local(&p, &x);
+        }
+        if p.is_empty() {
+            // R is not maximal: a vertex of X extends it.
+            return;
+        }
+        let g = self.g;
+        let mut in_p = vec![0u64; g.n().div_ceil(64)];
+        for &v in &p {
+            in_p[v / 64] |= 1 << (v % 64);
+        }
+        // Pivot: vertex of P ∪ X with the most non-neighbours in P.
         let pivot = p
             .iter()
-            .chain(x.iter())
+            .chain(&x)
             .copied()
-            .max_by_key(|&u| p.iter().filter(|&&v| compl_adjacent(u, v)).count())
-            .expect("P ∪ X is non-empty here");
+            .max_by_key(|&u| {
+                let neighbours_in_p: u32 =
+                    g.row(u).iter().zip(&in_p).map(|(a, b)| (a & b).count_ones()).sum();
+                let self_in_p = (in_p[u / 64] >> (u % 64) & 1) as usize;
+                p.len() - neighbours_in_p as usize - self_in_p
+            })
+            .expect("P is non-empty here");
         let candidates: Vec<usize> =
-            p.iter().copied().filter(|&v| !compl_adjacent(pivot, v)).collect();
+            p.iter().copied().filter(|&v| v == pivot || g.has_edge(pivot, v)).collect();
         for v in candidates {
-            if state.stopped {
+            if self.stopped {
                 return;
             }
-            let new_p: Vec<usize> = p.iter().copied().filter(|&u| compl_adjacent(v, u)).collect();
-            let new_x: Vec<usize> = x.iter().copied().filter(|&u| compl_adjacent(v, u)).collect();
-            r.push(v);
-            recurse(state, r, new_p, new_x, compl_adjacent);
-            r.pop();
+            let new_p = p.iter().copied().filter(|&u| u != v && !g.has_edge(v, u)).collect();
+            let new_x = x.iter().copied().filter(|&u| !g.has_edge(v, u)).collect();
+            self.r.push(v);
+            self.global(new_p, new_x);
+            self.r.pop();
             p.retain(|&u| u != v);
             x.push(v);
         }
     }
 
-    let mut state = State { g, visit: &mut visit, count: 0, stopped: false };
-    let _ = &state.g; // field retained for symmetry/debugging
-    let mut r = Vec::new();
-    let p: Vec<usize> = (0..n).collect();
-    recurse(&mut state, &mut r, p, Vec::new(), &compl_adjacent);
-    state.count
+    /// Renumbers `P ∪ X` (at most 64 vertices) and enumerates its subtree.
+    fn enter_local(&mut self, p: &[usize], x: &[usize]) {
+        let mut local = LocalGraph { ids: [0; 64], non_adjacent: [0; 64] };
+        let k = p.len() + x.len();
+        for (slot, &v) in local.ids.iter_mut().zip(p.iter().chain(x)) {
+            *slot = v;
+        }
+        for i in 0..k {
+            let row = self.g.row(local.ids[i]);
+            for j in i + 1..k {
+                let v = local.ids[j];
+                if row[v / 64] >> (v % 64) & 1 == 0 {
+                    local.non_adjacent[i] |= 1 << j;
+                    local.non_adjacent[j] |= 1 << i;
+                }
+            }
+        }
+        let p_mask = if p.len() == 64 { u64::MAX } else { (1 << p.len()) - 1 };
+        let mut local_x = LocalX::EMPTY;
+        for j in p.len()..k {
+            local_x.push(j);
+        }
+        self.local(&local, p_mask, local_x);
+    }
+
+    /// [`Enumerator::global`] on one-word masks: the same pivot, candidate
+    /// order and `X` order, so the sets come out in the same sequence.
+    fn local(&mut self, l: &LocalGraph, mut p: u64, mut x: LocalX) {
+        if self.stopped {
+            return;
+        }
+        if p == 0 {
+            if x.len == 0 {
+                self.report();
+            }
+            return;
+        }
+        let mut pivot = 0;
+        let mut most = 0;
+        for u in bits(p).chain(x.as_slice().iter().map(|&u| u as usize)) {
+            let count = (l.non_adjacent[u] & p).count_ones();
+            if count >= most {
+                most = count;
+                pivot = u;
+            }
+        }
+        for v in bits(p & !l.non_adjacent[pivot]) {
+            if self.stopped {
+                return;
+            }
+            self.r.push(l.ids[v]);
+            self.local(l, p & l.non_adjacent[v], x.retain_in(l.non_adjacent[v]));
+            self.r.pop();
+            p &= !(1 << v);
+            x.push(v);
+        }
+    }
 }
 
 /// Collects at most `limit` maximal independent sets (all of them if `limit`

@@ -444,6 +444,31 @@ fn requests_pipeline_on_one_connection_and_shutdown_converges() {
 }
 
 #[test]
+fn deeply_nested_line_is_a_bad_request_not_a_crash() {
+    let handle = start_server(AdmissionConfig::default(), &[("running", running_example())]);
+    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut read = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        Json::parse(line.trim()).unwrap_or_else(|e| panic!("bad response {line:?}: {e}"))
+    };
+
+    // 200 KB of `[` used to recurse the parser off the end of the stack,
+    // aborting the process with every connection on it.
+    writeln!(stream, "{}", "[".repeat(200_000)).unwrap();
+    let response = read();
+    assert_eq!(response.get("ok").and_then(Json::as_bool), Some(false), "{response}");
+    assert_eq!(response.get("kind").and_then(Json::as_str), Some("bad_request"), "{response}");
+
+    // The same connection keeps serving, and so does a new one.
+    writeln!(stream, r#"{{"op":"ping"}}"#).unwrap();
+    assert_ok(&read(), "ping");
+    assert_ok(&roundtrip(handle.local_addr(), r#"{"op":"ping"}"#), "ping");
+    handle.shutdown();
+}
+
+#[test]
 fn paged_backend_serves_schemas_only_and_rejects_mutation() {
     use maimon::storage::{PagedColumnarRelation, PagedOptions};
     use maimon::SchemaMiningResult;
