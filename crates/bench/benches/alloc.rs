@@ -12,7 +12,7 @@
 //!
 //! The headline rows: `alloc/entropy_cached_hit` and `alloc/csr_count_only`
 //! must report **0** — the steady-state contract of the flat-arena engine —
-//! while `alloc/csr_materialize` pays exactly its two output vectors (plus a
+//! while `alloc/csr_materialize` pays exactly its three output vectors (plus a
 //! possible staging growth early on) and `alloc/legacy_style_intersect`
 //! shows what a cold scratch per call costs. The `track_alloc` test suite
 //! (`crates/entropy/tests/alloc_free.rs`) asserts the zero rows; this bench

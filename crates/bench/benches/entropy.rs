@@ -2,7 +2,9 @@
 //! naive group-by entropy vs the PLI-cache oracle, with and without block
 //! precomputation, plus raw partition intersection — including the CSR
 //! engine's scratch-reuse and count-only paths and the cached-hit query
-//! cost (`entropy_oracle/csr_*`). Allocation counts have their own bench
+//! cost (`entropy_oracle/csr_*`), and a cold build-and-query pass over a
+//! planted relation with far more rows than distinct tuples
+//! (`entropy_planted200k/*`). Allocation counts have their own bench
 //! target (`alloc.rs`) so its counting global allocator cannot skew these
 //! wall-clock numbers.
 
@@ -11,7 +13,7 @@ use maimon::entropy::{
     EntropyConfig, EntropyOracle, IntersectScratch, NaiveEntropyOracle, Pli, PliEntropyOracle,
 };
 use maimon::relation::AttrSet;
-use maimon_datasets::dataset_by_name;
+use maimon_datasets::{dataset_by_name, planted_acyclic_relation, SyntheticSpec};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -103,5 +105,26 @@ fn partition_intersection(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, entropy_workload, partition_intersection);
+fn planted_cold_queries(c: &mut Criterion) {
+    // The 1M-row benchmark's planted distribution at 200k rows: about 6.5k
+    // distinct tuples, so the oracle's partitions group weighted tuples
+    // rather than rows. One iteration builds the oracle and misses on every
+    // attribute subset once.
+    let spec = SyntheticSpec { rows: 200_000, ..SyntheticSpec::default() };
+    let rel = Arc::new(planted_acyclic_relation(&spec).unwrap());
+    let subsets: Vec<AttrSet> =
+        AttrSet::full(rel.arity()).subsets().filter(|s| !s.is_empty()).collect();
+    let mut group = c.benchmark_group("entropy_planted200k");
+    group.sample_size(10);
+    group.bench_function(BenchmarkId::new("build_and_query_all_cold", subsets.len()), |b| {
+        b.iter(|| {
+            let oracle = PliEntropyOracle::with_defaults(Arc::clone(&rel));
+            let sum: f64 = subsets.iter().map(|&s| oracle.entropy(s)).sum();
+            black_box(sum)
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, entropy_workload, partition_intersection, planted_cold_queries);
 criterion_main!(benches);

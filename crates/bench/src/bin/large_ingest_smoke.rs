@@ -11,6 +11,8 @@
 //!    pair-attribute entropy are **bit-identical** to an in-memory run over
 //!    the same bytes.
 //!
+//! It also prints the oracle's distinct-tuple count and build time.
+//!
 //! The peak-RSS reading is taken *before* the in-memory twin is loaded, so
 //! the budget genuinely bounds the paged path. Knobs via environment:
 //! `MAIMON_SMOKE_ROWS` (default 1_000_000), `MAIMON_SMOKE_RSS_MB` (default
@@ -83,7 +85,14 @@ fn main() {
 
     let backend: Arc<dyn RelationBackend> = Arc::new(store);
     let config = MaimonConfig::default();
+    let build_started = Instant::now();
     let paged_oracle = PliEntropyOracle::from_backend(Arc::clone(&backend), config.entropy);
+    println!(
+        "oracle build: {} distinct tuples of {} rows in {:.2}s",
+        paged_oracle.distinct_tuples(),
+        backend.n_rows(),
+        build_started.elapsed().as_secs_f64()
+    );
     let arity = backend.arity();
     let paged_entropies: Vec<(AttrSet, f64)> = AttrSet::full(arity)
         .subsets()

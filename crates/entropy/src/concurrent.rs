@@ -224,7 +224,7 @@ impl AtomicOracleStats {
     }
 
     /// Counts one cached partition carried across an append by the delta
-    /// path (`Pli::extended`).
+    /// path (`PliEntropyOracle::extend_to`).
     #[inline]
     pub fn record_delta_refresh(&self) {
         self.delta_refreshes.fetch_add(1, Ordering::Relaxed);

@@ -44,7 +44,8 @@ pub struct OracleStats {
     /// Full group-by scans over the relation (naive oracle, or PLI fallback).
     pub full_scans: u64,
     /// Cached partitions carried across an append by the delta path
-    /// (`Pli::extended`) instead of being regrouped from scratch.
+    /// (`PliEntropyOracle::extend_to`) instead of being regrouped from
+    /// scratch.
     pub delta_refreshes: u64,
     /// Cached partitions that an append forced back through a full rebuild
     /// (`u64` fold overflow on the grown relation).

@@ -1,28 +1,41 @@
 //! Stripped partitions (position list indices) in a flat CSR layout.
 //!
-//! A *stripped partition* over an attribute set `X` groups the tuple
-//! identifiers of a relation by their `X`-value and discards groups of size
-//! one. This is the PLI structure of TANE/HyFD that §6.3 of the paper adapts:
-//! singleton groups contribute `1·log 1 = 0` to the entropy sum of Eq. (5),
-//! so dropping them loses nothing, and as attribute sets grow the partitions
+//! A *stripped partition* over an attribute set `X` groups the elements of a
+//! relation by their `X`-value and discards groups of weight one. This is
+//! the PLI structure of TANE/HyFD that §6.3 of the paper adapts: singleton
+//! groups contribute `1·log 1 = 0` to the entropy sum of Eq. (5), so
+//! dropping them loses nothing, and as attribute sets grow the partitions
 //! shrink rapidly, which is what makes repeated entropy computation feasible.
+//!
+//! # Elements and weights
+//!
+//! The elements are numbered `0..n` and each carries a *weight*, its
+//! multiplicity. The entropy oracle partitions the relation's distinct
+//! tuples, weighted by how many rows repeat each one (`tuples` module);
+//! the public constructors ([`Pli::from_column`], [`Pli::from_attrs`],
+//! [`Pli::trivial`]) partition rows, every weight 1. Three rules make the
+//! two views give bit-identical entropies:
+//!
+//! * a group's size is the sum of its elements' weights;
+//! * a group is stripped only when that sum is 1;
+//! * element ids rise with first row, so the canonical group order below
+//!   is the same in both views.
 //!
 //! # Memory layout
 //!
 //! A [`Pli`] is **two flat vectors**, not a `Vec<Vec<u32>>`:
 //!
-//! * `rows` — one `u32` arena holding every covered row id, cluster by
+//! * `ids` — one `u32` arena holding every covered element id, cluster by
 //!   cluster;
-//! * `offsets` — `cluster_count() + 1` boundaries into `rows`, CSR-style:
-//!   cluster `i` is `rows[offsets[i] .. offsets[i + 1]]`.
+//! * `offsets` — `cluster_count() + 1` boundaries into `ids`, CSR-style:
+//!   cluster `i` is `ids[offsets[i] .. offsets[i + 1]]`.
 //!
-//! One partition therefore costs exactly two allocations however many
-//! clusters it has, the clusters are contiguous in memory (sequential scans
-//! during probing touch no pointer indirections), and `covered_rows` is
-//! `rows.len()` instead of a per-cluster sum. Cluster order is canonical —
-//! ascending by first (= smallest) row id, with rows ascending inside each
-//! cluster — which keeps the floating-point summation order of
-//! [`Pli::entropy`] identical across construction paths and runs.
+//! The per-element weights are one `Arc<[u32]>` shared by every partition
+//! over the same elements. The clusters are contiguous in memory (sequential
+//! scans during probing touch no pointer indirections). Cluster order is
+//! canonical — ascending by first (= smallest) element id, with ids
+//! ascending inside each cluster — which keeps the floating-point summation
+//! order of [`Pli::entropy`] identical across construction paths and runs.
 //!
 //! # Intersection and the scratch-reuse contract
 //!
@@ -32,339 +45,344 @@
 //! caller-owned [`IntersectScratch`] whose arrays are *epoch-stamped*: a
 //! stamp array entry is valid only if it equals the current epoch, so
 //! between calls nothing is cleared — the epoch is bumped instead. A scratch
-//! reaches a steady state after the first call at a given relation size and
+//! reaches a steady state after the first call at a given element count and
 //! performs **zero heap allocations** from then on; one scratch can be
 //! reused across arbitrary partitions and even across relations (it resizes
 //! on demand). Two entry points share it:
 //!
 //! * [`Pli::intersect_with`] materializes the refined partition (used when
 //!   the result is worth caching);
-//! * [`Pli::intersect_counts`] computes only the non-singleton group sizes
-//!   of the refinement ([`GroupSizes`], enough to evaluate Eq. (5)) without
-//!   writing a single TID — the §6.3 count-only fast path for partitions
-//!   that would be thrown away right after their entropy is read.
+//! * [`Pli::intersect_counts`] computes only the group sizes of the
+//!   refinement ([`GroupSizes`], enough to evaluate Eq. (5)) without
+//!   writing a single element id — the §6.3 count-only fast path for
+//!   partitions that would be thrown away right after their entropy is read.
 //!
 //! [`Pli::intersect`] remains as a convenience wrapper that allocates a
 //! fresh scratch per call.
 
-use relation::{AttrSet, FoldKeyMap, KeyFold, Relation};
-use std::collections::HashMap;
+use crate::tuples::Keyer;
+use relation::{AttrSet, FoldKeyMap, Relation};
+use std::sync::Arc;
 use storage::{RelationBackend, StorageError};
 
-/// A stripped partition: clusters of row indices, each of size ≥ 2, grouping
-/// rows with equal values on some attribute set. Stored as a flat CSR arena
-/// (see the module docs for the layout and ordering invariants).
+/// A stripped partition: clusters of element ids, each of weight ≥ 2,
+/// grouping elements with equal values on some attribute set. Stored as a
+/// flat CSR arena (see the module docs for the layout, the weights and the
+/// ordering invariants).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Pli {
-    /// Row-id arena: every covered row, cluster by cluster.
-    rows: Vec<u32>,
-    /// Cluster boundaries into `rows`; `offsets[0] == 0` and
+    /// Element-id arena: every covered element, cluster by cluster.
+    ids: Vec<u32>,
+    /// Cluster boundaries into `ids`; `offsets[0] == 0` and
     /// `offsets.len() == cluster_count() + 1`.
     offsets: Vec<u32>,
+    /// Size of each cluster: the summed weight of its elements.
+    sizes: Vec<u32>,
+    /// Weight of every element, indexed by id.
+    weights: Arc<[u32]>,
+    /// Total weight of all elements: the relation's row count.
     n_rows: usize,
+    /// Total weight of the covered elements.
+    covered: usize,
+}
+
+/// Weight 1 for each of `n` rows.
+fn unit_weights(n: usize) -> Arc<[u32]> {
+    vec![1; n].into()
 }
 
 impl Pli {
-    /// Builds the stripped partition of a single attribute directly from its
-    /// dictionary codes, via a counting pass plus a CSR scatter: two passes
-    /// over the code column and four exact-size allocations, independent of
-    /// the column's cardinality (the previous representation allocated one
-    /// bucket `Vec` per dictionary code, painful on high-cardinality columns
-    /// where almost every value is a singleton).
-    ///
-    /// Consumes the column as a chunk stream ([`RelationBackend::scan_column`])
-    /// so the same code serves the in-memory store (one whole-column chunk,
-    /// inner loops unchanged) and the paged store. Both passes accumulate
-    /// across chunk boundaries, so the result is chunk-size invariant —
-    /// bit-identical whatever the backend's page size.
+    /// Builds the stripped partition of the rows of a single attribute from
+    /// its dictionary codes. Dictionaries assign codes by first appearance,
+    /// so code order is ascending-first-row order and the codes serve as
+    /// group labels directly.
     ///
     /// # Errors
     /// Propagates the backend's [`StorageError`] when a scan chunk cannot be
     /// produced (failed page read, checksum mismatch).
     pub fn from_column(source: &dyn RelationBackend, attr: usize) -> Result<Pli, StorageError> {
-        let cardinality = source.column_cardinality(attr);
-        let mut counts = vec![0u32; cardinality];
-        source.scan_column(attr, &mut |_, codes| {
-            for &code in codes {
-                counts[code as usize] += 1;
-            }
-        })?;
-        // Directory pass: reserve an arena range per non-singleton code, in
-        // code order (= first-occurrence order, since dictionaries assign
-        // codes by first appearance — so this is ascending-first-row order).
-        let mut starts = vec![u32::MAX; cardinality];
-        let mut offsets = Vec::new();
-        offsets.push(0u32);
-        let mut total = 0u32;
-        for (code, &count) in counts.iter().enumerate() {
-            if count >= 2 {
-                starts[code] = total;
-                total += count;
-                offsets.push(total);
-            }
-        }
-        let mut rows = vec![0u32; total as usize];
-        source.scan_column(attr, &mut |start, codes| {
-            for (i, &code) in codes.iter().enumerate() {
-                let cursor = starts[code as usize];
-                if cursor != u32::MAX {
-                    rows[cursor as usize] = (start + i) as u32;
-                    starts[code as usize] = cursor + 1;
-                }
-            }
-        })?;
-        Ok(Pli { rows, offsets, n_rows: source.n_rows() })
+        let mut codes = Vec::with_capacity(source.n_rows());
+        source.scan_column(attr, &mut |_, chunk| codes.extend_from_slice(chunk))?;
+        let n = codes.len();
+        Ok(Pli::from_labels(&codes, source.column_cardinality(attr), unit_weights(n), n))
     }
 
-    /// Builds the stripped partition of an arbitrary attribute set by
-    /// grouping every row's key. When the cardinality product of `attrs`
-    /// fits in a `u64`, each row's dictionary codes are folded into a single
-    /// exact mixed-radix key ([`Relation::fold_key`]) — one integer hash per
-    /// row instead of hashing (and allocating) a per-row `Vec<u32>`; wider
-    /// sets fall back to vector keys. Used as the reference implementation
-    /// and as a fallback when no cached partition is available.
+    /// Builds the stripped partition of the rows of an arbitrary attribute
+    /// set. Each row's codes are folded into an exact key — a single
+    /// mixed-radix `u64` when the cardinality product fits, refolded through
+    /// dense labels when it does not — and rows are grouped by key in
+    /// first-occurrence order, the canonical cluster order.
     ///
     /// Rows arrive through an aligned multi-column chunk stream
     /// ([`RelationBackend::scan_columns`]); since chunks tile the row range
-    /// in ascending order, group ids still assign in first-occurrence order
-    /// and the result is chunk-size invariant.
+    /// in ascending order, the result is chunk-size invariant.
     ///
     /// # Errors
     /// Propagates the backend's [`StorageError`] when a scan chunk cannot be
     /// produced (failed page read, checksum mismatch).
     pub fn from_attrs(source: &dyn RelationBackend, attrs: AttrSet) -> Result<Pli, StorageError> {
-        let n = source.n_rows();
-        let cols: Vec<usize> = attrs.iter().collect();
-        // Group ids are assigned in first-occurrence order over an ascending
-        // row scan, so groups come out ordered by their smallest row — the
-        // same canonical order every other constructor produces.
-        let mut row_gids: Vec<u32> = Vec::with_capacity(n);
-        let mut counts: Vec<u32> = Vec::new();
-        if let Some(fold) = KeyFold::from_cardinalities(attrs, |c| source.column_cardinality(c)) {
-            let mut gids: FoldKeyMap<u32> =
-                FoldKeyMap::with_capacity_and_hasher(n, Default::default());
-            source.scan_columns(&cols, &mut |_, slices| {
-                let len = slices.first().map_or(0, |s| s.len());
-                for i in 0..len {
-                    let next = counts.len() as u32;
-                    let gid = *gids.entry(fold.fold_slices(slices, i)).or_insert(next);
-                    if gid == next {
-                        counts.push(0);
-                    }
-                    counts[gid as usize] += 1;
-                    row_gids.push(gid);
-                }
-            })?;
-        } else {
-            let mut gids: HashMap<Vec<u32>, u32> = HashMap::with_capacity(n);
-            source.scan_columns(&cols, &mut |_, slices| {
-                let len = slices.first().map_or(0, |s| s.len());
-                for i in 0..len {
-                    let key: Vec<u32> = slices.iter().map(|s| s[i]).collect();
-                    let next = counts.len() as u32;
-                    let gid = *gids.entry(key).or_insert(next);
-                    if gid == next {
-                        counts.push(0);
-                    }
-                    counts[gid as usize] += 1;
-                    row_gids.push(gid);
-                }
-            })?;
-        }
-        // CSR scatter of the non-singleton groups, in group-id order.
-        let mut starts = vec![u32::MAX; counts.len()];
-        let mut offsets = Vec::new();
-        offsets.push(0u32);
-        let mut total = 0u32;
-        for (gid, &count) in counts.iter().enumerate() {
-            if count >= 2 {
-                starts[gid] = total;
-                total += count;
-                offsets.push(total);
-            }
-        }
-        let mut rows = vec![0u32; total as usize];
-        for (r, &gid) in row_gids.iter().enumerate() {
-            let cursor = starts[gid as usize];
-            if cursor != u32::MAX {
-                rows[cursor as usize] = r as u32;
-                starts[gid as usize] = cursor + 1;
-            }
-        }
-        Ok(Pli { rows, offsets, n_rows: n })
+        let cols = attrs.to_vec();
+        let mut keyer = Keyer::new(cols.iter().map(|&c| source.column_cardinality(c)));
+        let mut labels: Vec<u32> = Vec::with_capacity(source.n_rows());
+        source.scan_columns(&cols, &mut |_, slices| {
+            let len = slices.first().map_or(0, |s| s.len());
+            labels.extend((0..len).map(|i| keyer.insert(|p| slices[p][i]).0));
+        })?;
+        let n = labels.len();
+        Ok(Pli::from_labels(&labels, keyer.len(), unit_weights(n), n))
     }
 
-    /// Delta-maintains this partition across an append: given that `new` is
-    /// `old` plus a batch of appended rows (and `self` is the partition of
-    /// `attrs` over `old`), builds the partition of `attrs` over `new`
-    /// without regrouping the old rows. Batch rows are scattered into the
-    /// existing CSR clusters they extend, promote old singletons into fresh
-    /// clusters when they match one, or open batch-only clusters.
+    /// Groups elements by label: `labels[e] < n_labels` is element `e`'s
+    /// group, and labels must be numbered in order of first element. A
+    /// counting pass plus a CSR scatter; groups of weight 1 are stripped.
+    pub(crate) fn from_labels(
+        labels: &[u32],
+        n_labels: usize,
+        weights: Arc<[u32]>,
+        n_rows: usize,
+    ) -> Pli {
+        debug_assert_eq!(labels.len(), weights.len());
+        let mut group_weight = vec![0u32; n_labels];
+        let mut group_len = vec![0u32; n_labels];
+        for (&label, &w) in labels.iter().zip(weights.iter()) {
+            group_weight[label as usize] += w;
+            group_len[label as usize] += 1;
+        }
+        // Directory pass: reserve an arena range per kept group, in label
+        // order; `group_len` becomes each group's write cursor.
+        let mut offsets = vec![0u32];
+        let mut sizes = Vec::new();
+        let mut total = 0u32;
+        for (cursor, &weight) in group_len.iter_mut().zip(&group_weight) {
+            if weight >= 2 {
+                let len = *cursor;
+                *cursor = total;
+                total += len;
+                offsets.push(total);
+                sizes.push(weight);
+            } else {
+                *cursor = u32::MAX;
+            }
+        }
+        let mut ids = vec![0u32; total as usize];
+        for (e, &label) in labels.iter().enumerate() {
+            let cursor = &mut group_len[label as usize];
+            if *cursor != u32::MAX {
+                ids[*cursor as usize] = e as u32;
+                *cursor += 1;
+            }
+        }
+        let covered = sizes.iter().map(|&s| s as usize).sum();
+        Pli { ids, offsets, sizes, weights, n_rows, covered }
+    }
+
+    /// Delta-maintains this partition of the rows across an append: given
+    /// that `new` is `old` plus a batch of appended rows (and `self` is the
+    /// partition of `attrs` over `old`), builds the partition of `attrs`
+    /// over `new` without regrouping the old rows; see [`Pli::grown`].
     ///
     /// Returns `None` when the cardinality product of `attrs` on `new`
-    /// overflows the `u64` fold ([`Relation::key_fold`]) — the only case
-    /// where the delta path cannot key rows exactly; callers then rebuild
-    /// from scratch with [`Pli::from_attrs`]. The result is **bit-identical**
-    /// to `Pli::from_attrs(new, attrs)`: appends never renumber existing
-    /// dictionary codes, so the new fold is exact on old rows too, and the
-    /// merge below emits clusters in the same canonical ascending-first-row
-    /// order with ascending interiors.
+    /// overflows the `u64` fold ([`Relation::key_fold`]); callers then
+    /// rebuild from scratch with [`Pli::from_attrs`]. The result is
+    /// **bit-identical** to `Pli::from_attrs(new, attrs)`.
     ///
     /// # Panics
     /// Panics if `self` is not a partition over `old` (row-count mismatch)
     /// or `new` has fewer rows than `old`.
     pub fn extended(&self, old: &Relation, new: &Relation, attrs: AttrSet) -> Option<Pli> {
-        let old_n = old.n_rows();
-        let new_n = new.n_rows();
-        assert_eq!(self.n_rows, old_n, "partition must belong to the pre-append relation");
-        assert!(new_n >= old_n, "extended() only handles appends");
-        if new_n == old_n {
-            return Some(self.clone());
-        }
+        assert_eq!(self.n_rows, old.n_rows(), "partition must belong to the pre-append relation");
+        assert!(new.n_rows() >= old.n_rows(), "extended() only handles appends");
+        self.grown(attrs, old, new, |r| r as usize, unit_weights(new.n_rows()), new.n_rows(), &[])
+    }
+
+    /// The delta path shared by row and tuple partitions. `new` is `old`
+    /// plus appended rows; `weights` are the grown element weights (old
+    /// elements keep their ids, new ones follow), `first_row` maps an
+    /// element to a row of `new` holding its values, and `repeated` lists,
+    /// in ascending order, the old elements whose weight rose.
+    ///
+    /// New elements are scattered into the existing clusters they extend,
+    /// promote an old stripped element into a fresh cluster when they match
+    /// one, or open new-only clusters. A repeated old element grows the
+    /// size of its cluster, or, if it was stripped, becomes a cluster of its
+    /// own. Existing clusters keep their order (new ids only ever land at
+    /// the end), fresh clusters slot in by first id, so the result is
+    /// exactly what a from-scratch build over the grown elements gives.
+    ///
+    /// Returns `None` whenever the cardinality product of `attrs` on `new`
+    /// overflows the `u64` fold, the case where elements cannot be keyed
+    /// exactly here, whatever the batch holds. Appends never renumber
+    /// existing dictionary codes, so the new fold is exact on old elements
+    /// too.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn grown(
+        &self,
+        attrs: AttrSet,
+        old: &Relation,
+        new: &Relation,
+        first_row: impl Fn(u32) -> usize,
+        weights: Arc<[u32]>,
+        n_rows: usize,
+        repeated: &[u32],
+    ) -> Option<Pli> {
+        let old_n = self.weights.len();
+        let new_n = weights.len();
+        assert!(new_n >= old_n, "grown() only handles appends");
         let fold = new.key_fold(attrs)?;
-        // Key every existing cluster by its first row under the *new* fold;
-        // distinct clusters disagree on some attribute, so keys are unique.
+        if new_n == old_n && repeated.is_empty() {
+            return Some(Pli { weights, n_rows, ..self.clone() });
+        }
+        let key = |e: u32| new.fold_key(first_row(e), &fold);
+        // Key every existing cluster by its first element under the *new*
+        // fold; distinct clusters disagree on some attribute, so keys are
+        // unique.
         let mut by_key: FoldKeyMap<u32> =
             FoldKeyMap::with_capacity_and_hasher(self.cluster_count(), Default::default());
         for (ci, cluster) in self.clusters().enumerate() {
-            by_key.insert(new.fold_key(cluster[0] as usize, &fold), ci as u32);
+            by_key.insert(key(cluster[0]), ci as u32);
         }
-        // Group the batch rows by key, remembering which existing cluster
+        // Group the new elements by key, remembering which existing cluster
         // (if any) each group extends.
-        struct BatchGroup {
+        struct NewGroup {
             /// Existing cluster this key extends, if any.
             cluster: Option<u32>,
-            /// Batch rows with this key, ascending.
-            rows: Vec<u32>,
-            /// Uncovered old row promoted into this group, if one matches.
+            /// New elements with this key, ascending.
+            ids: Vec<u32>,
+            /// Stripped old element promoted into this group, if one matches.
             old_singleton: Option<u32>,
-            /// Whether an old singleton could match: every code pre-exists.
+            /// Whether a stripped old element could match: every code
+            /// pre-exists.
             maybe_old: bool,
         }
         let mut index: FoldKeyMap<u32> =
             FoldKeyMap::with_capacity_and_hasher(new_n - old_n, Default::default());
-        let mut groups: Vec<BatchGroup> = Vec::new();
+        let mut groups: Vec<NewGroup> = Vec::new();
         let mut scan_singletons = false;
-        for r in old_n..new_n {
-            let key = new.fold_key(r, &fold);
-            let gi = match index.get(&key) {
+        for e in old_n as u32..new_n as u32 {
+            let k = key(e);
+            let gi = match index.get(&k) {
                 Some(&gi) => gi,
                 None => {
-                    let cluster = by_key.get(&key).copied();
-                    // A batch row carrying a brand-new dictionary code on any
-                    // attribute cannot equal any old row, so only groups whose
-                    // codes all pre-date the append can absorb an old singleton.
+                    let cluster = by_key.get(&k).copied();
+                    // An element carrying a brand-new dictionary code on any
+                    // attribute cannot equal any old element, so only groups
+                    // whose codes all pre-date the append can absorb one.
+                    let row = first_row(e);
                     let maybe_old = cluster.is_none()
                         && attrs
                             .iter()
-                            .all(|c| (new.code(r, c) as usize) < old.column_cardinality(c));
+                            .all(|c| (new.code(row, c) as usize) < old.column_cardinality(c));
                     scan_singletons |= maybe_old;
                     let gi = groups.len() as u32;
-                    groups.push(BatchGroup {
+                    groups.push(NewGroup {
                         cluster,
-                        rows: Vec::new(),
+                        ids: Vec::new(),
                         old_singleton: None,
                         maybe_old,
                     });
-                    index.insert(key, gi);
+                    index.insert(k, gi);
                     gi
                 }
             };
-            groups[gi as usize].rows.push(r as u32);
+            groups[gi as usize].ids.push(e);
         }
         if scan_singletons {
-            // Old rows absent from the arena are singletons in `self`. At most
-            // one of them can share a key with a batch group (two uncovered
-            // rows sharing a key would have formed a cluster already), and an
-            // uncovered row can never key into an existing cluster.
+            // Old elements absent from the arena are stripped in `self`. At
+            // most one of them can share a key with a new group (two
+            // stripped elements sharing a key would have formed a cluster
+            // already), and one can never key into an existing cluster.
             let mut covered = vec![false; old_n];
-            for &row in &self.rows {
-                covered[row as usize] = true;
+            for &e in &self.ids {
+                covered[e as usize] = true;
             }
-            for r in 0..old_n {
-                if covered[r] {
-                    continue;
-                }
-                if let Some(&gi) = index.get(&new.fold_key(r, &fold)) {
+            for e in (0..old_n as u32).filter(|&e| !covered[e as usize]) {
+                if let Some(&gi) = index.get(&key(e)) {
                     let g = &mut groups[gi as usize];
                     if g.maybe_old {
-                        g.old_singleton = Some(r as u32);
+                        g.old_singleton = Some(e);
                     }
                 }
             }
         }
+        let weight_of = |ids: &[u32]| -> u32 { ids.iter().map(|&e| weights[e as usize]).sum() };
         // Split the groups into per-existing-cluster extensions and fresh
-        // clusters (old-singleton promotions and batch-only groups of ≥ 2).
+        // clusters (promotions and new-only groups of weight ≥ 2).
+        let mut sizes = self.sizes.clone();
         let mut appended: Vec<Vec<u32>> = vec![Vec::new(); self.cluster_count()];
-        let mut fresh: Vec<(u32, Vec<u32>)> = Vec::new();
-        let mut total = self.rows.len();
-        for g in groups {
+        let mut fresh: Vec<(Vec<u32>, u32)> = Vec::new();
+        for g in groups.iter_mut() {
             match g.cluster {
                 Some(ci) => {
-                    total += g.rows.len();
-                    appended[ci as usize] = g.rows;
+                    sizes[ci as usize] += weight_of(&g.ids);
+                    appended[ci as usize] = std::mem::take(&mut g.ids);
                 }
                 None => {
-                    let size = g.rows.len() + usize::from(g.old_singleton.is_some());
-                    if size >= 2 {
-                        total += size;
-                        let mut rows = Vec::with_capacity(size);
-                        // The promoted singleton (an old row id) precedes every
-                        // batch row, keeping the interior ascending.
-                        rows.extend(g.old_singleton);
-                        rows.extend(g.rows);
-                        fresh.push((rows[0], rows));
+                    // The promoted element (an old id) precedes every new
+                    // id, keeping the interior ascending.
+                    let ids: Vec<u32> = g.old_singleton.iter().chain(&g.ids).copied().collect();
+                    let weight = weight_of(&ids);
+                    if weight >= 2 {
+                        fresh.push((ids, weight));
                     }
                 }
             }
         }
-        fresh.sort_unstable_by_key(|&(first, _)| first);
-        // Canonical merge: existing clusters keep their order (their first
-        // rows are unchanged — batch ids only ever land at the end), fresh
-        // clusters slot in by first row.
-        let mut rows = Vec::with_capacity(total);
-        let mut offsets = Vec::with_capacity(1 + self.cluster_count() + fresh.len());
-        offsets.push(0u32);
-        let mut fi = 0;
+        // A repeated old element sits in the cluster holding its key, if
+        // any; otherwise it was stripped, and is a cluster of its own now
+        // unless a new group already took it in.
+        for &e in repeated {
+            let k = key(e);
+            match by_key.get(&k) {
+                Some(&ci) => sizes[ci as usize] += weights[e as usize] - self.weights[e as usize],
+                None => {
+                    let absorbed = index
+                        .get(&k)
+                        .is_some_and(|&gi| groups[gi as usize].old_singleton == Some(e));
+                    if !absorbed {
+                        fresh.push((vec![e], weights[e as usize]));
+                    }
+                }
+            }
+        }
+        fresh.sort_unstable_by_key(|(ids, _)| ids[0]);
+        // Canonical merge: existing clusters keep their order, fresh
+        // clusters slot in by first id.
+        let total = self.ids.len()
+            + appended.iter().map(Vec::len).sum::<usize>()
+            + fresh.iter().map(|(ids, _)| ids.len()).sum::<usize>();
+        let mut out = PliBuilder::with_capacity(total, self.cluster_count() + fresh.len());
+        let mut fresh = fresh.into_iter().peekable();
         for ci in 0..self.cluster_count() {
             let cluster = self.cluster(ci);
-            while fi < fresh.len() && fresh[fi].0 < cluster[0] {
-                rows.extend_from_slice(&fresh[fi].1);
-                offsets.push(rows.len() as u32);
-                fi += 1;
+            while let Some((ids, weight)) = fresh.next_if(|(ids, _)| ids[0] < cluster[0]) {
+                out.push(&[&ids], weight);
             }
-            rows.extend_from_slice(cluster);
-            rows.extend_from_slice(&appended[ci]);
-            offsets.push(rows.len() as u32);
+            out.push(&[cluster, &appended[ci]], sizes[ci]);
         }
-        for (_, fresh_rows) in &fresh[fi..] {
-            rows.extend_from_slice(fresh_rows);
-            offsets.push(rows.len() as u32);
+        for (ids, weight) in fresh {
+            out.push(&[&ids], weight);
         }
-        Some(Pli { rows, offsets, n_rows: new_n })
+        Some(out.finish(weights, n_rows))
     }
 
-    /// The trivial partition of the empty attribute set: one cluster holding
-    /// every row (or none if the relation is smaller than two rows).
+    /// The trivial partition of the empty attribute set over `n_rows` rows:
+    /// one cluster holding every row (or none if there are fewer than two).
     pub fn trivial(n_rows: usize) -> Pli {
-        if n_rows >= 2 {
-            Pli { rows: (0..n_rows as u32).collect(), offsets: vec![0, n_rows as u32], n_rows }
-        } else {
-            Pli { rows: Vec::new(), offsets: vec![0], n_rows }
-        }
+        let labels = vec![0; n_rows];
+        Pli::from_labels(&labels, 1, unit_weights(n_rows), n_rows)
     }
 
-    /// Number of rows of the underlying relation.
+    /// Number of rows of the underlying relation (the total weight).
     #[inline]
     pub fn n_rows(&self) -> usize {
         self.n_rows
     }
 
-    /// Iterates over the clusters as slices of the row arena, in canonical
-    /// (ascending-first-row) order; each cluster has size ≥ 2.
+    /// Iterates over the clusters as slices of the element arena, in
+    /// canonical (ascending-first-id) order; each cluster has weight ≥ 2.
     #[inline]
     pub fn clusters(&self) -> impl ExactSizeIterator<Item = &[u32]> + Clone + '_ {
-        self.offsets.windows(2).map(|w| &self.rows[w[0] as usize..w[1] as usize])
+        self.offsets.windows(2).map(|w| &self.ids[w[0] as usize..w[1] as usize])
     }
 
     /// The `i`-th cluster (canonical order).
@@ -373,7 +391,14 @@ impl Pli {
     /// Panics if `i >= cluster_count()`.
     #[inline]
     pub fn cluster(&self, i: usize) -> &[u32] {
-        &self.rows[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        &self.ids[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// The size of each cluster — the sum of its elements' weights — in
+    /// canonical order.
+    #[inline]
+    pub fn cluster_sizes(&self) -> &[u32] {
+        &self.sizes
     }
 
     /// Number of non-singleton clusters.
@@ -382,11 +407,11 @@ impl Pli {
         self.offsets.len() - 1
     }
 
-    /// Total number of rows covered by non-singleton clusters; everything else
-    /// is a singleton in the partition. `O(1)` on the CSR layout.
+    /// Total number of rows covered by non-singleton clusters (their summed
+    /// weight); everything else is a singleton in the partition. `O(1)`.
     #[inline]
     pub fn covered_rows(&self) -> usize {
-        self.rows.len()
+        self.covered
     }
 
     /// Number of distinct values (clusters plus implicit singletons).
@@ -407,10 +432,10 @@ impl Pli {
         }
         let n = self.n_rows as f64;
         let sum: f64 = self
-            .offsets
-            .windows(2)
-            .map(|w| {
-                let s = (w[1] - w[0]) as f64;
+            .sizes
+            .iter()
+            .map(|&s| {
+                let s = s as f64;
                 s * s.log2()
             })
             .sum();
@@ -429,76 +454,77 @@ impl Pli {
     /// Stamps `scratch`'s probe table with this partition's cluster ids and
     /// returns the epoch used. Shared prologue of the two intersection modes.
     fn build_probe(&self, other: &Pli, scratch: &mut IntersectScratch) -> u32 {
-        assert_eq!(
-            self.n_rows, other.n_rows,
+        assert!(
+            self.n_rows == other.n_rows && self.weights.len() == other.weights.len(),
             "cannot intersect partitions over different relations"
         );
-        scratch.prepare(self.n_rows, self.cluster_count(), 1 + other.cluster_count() as u64);
+        scratch.prepare(self.weights.len(), self.cluster_count(), 1 + other.cluster_count() as u64);
         let probe_epoch = scratch.next_epoch();
         for (ci, cluster) in self.clusters().enumerate() {
-            for &row in cluster {
-                scratch.probe_stamp[row as usize] = probe_epoch;
-                scratch.probe_cluster[row as usize] = ci as u32;
+            for &e in cluster {
+                scratch.probe[e as usize] = Probe {
+                    stamp: probe_epoch,
+                    cluster: ci as u32,
+                    weight: self.weights[e as usize],
+                };
             }
         }
         probe_epoch
     }
 
     /// Intersects into a freshly materialized partition using the standard
-    /// probe-table algorithm (rows that are singletons in either input are
-    /// singletons in the output and are skipped), with all transient state
-    /// held in `scratch`. The output is the only allocation: two exact-size
-    /// vectors, filled in canonical cluster order.
+    /// probe-table algorithm (elements stripped in either input are stripped
+    /// in the output and are skipped), with all transient state held in
+    /// `scratch`. The output is the only allocation: two exact-size vectors,
+    /// filled in canonical cluster order.
     pub fn intersect_with(&self, other: &Pli, scratch: &mut IntersectScratch) -> Pli {
         let probe_epoch = self.build_probe(other, scratch);
         scratch.bounds.clear();
-        scratch.stage_rows.clear();
+        scratch.stage_ids.clear();
         for cluster in other.clusters() {
             let cluster_epoch = scratch.tally_cluster(cluster, probe_epoch);
-            // Reserve a staging range per surviving group; demote singleton
-            // groups by resetting their stamp (0 is never a live epoch).
+            // Reserve a staging range per surviving group; demote groups of
+            // weight 1 by resetting their stamp (0 is never a live epoch).
             for &g in &scratch.touched {
                 let g = g as usize;
-                let count = scratch.group_count[g];
-                if count >= 2 {
-                    let start = scratch.stage_rows.len() as u32;
-                    scratch.bounds.push((scratch.group_first[g], start, count));
+                let weight = scratch.group_weight[g];
+                if weight >= 2 {
+                    let count = scratch.group_count[g];
+                    let start = scratch.stage_ids.len() as u32;
+                    scratch.bounds.push((scratch.group_first[g], weight, start, count));
                     scratch.group_cursor[g] = start;
-                    scratch.stage_rows.resize(scratch.stage_rows.len() + count as usize, 0);
+                    scratch.stage_ids.resize(scratch.stage_ids.len() + count as usize, 0);
                 } else {
                     scratch.group_stamp[g] = 0;
                 }
             }
-            for &row in cluster {
-                if scratch.probe_stamp[row as usize] != probe_epoch {
+            for &e in cluster {
+                let probe = scratch.probe[e as usize];
+                if probe.stamp != probe_epoch {
                     continue;
                 }
-                let g = scratch.probe_cluster[row as usize] as usize;
+                let g = probe.cluster as usize;
                 if scratch.group_stamp[g] == cluster_epoch {
-                    scratch.stage_rows[scratch.group_cursor[g] as usize] = row;
+                    scratch.stage_ids[scratch.group_cursor[g] as usize] = e;
                     scratch.group_cursor[g] += 1;
                 }
             }
         }
-        // Canonical order: ascending first row — the CSR equivalent of the
-        // legacy representation's lexicographic cluster sort (clusters are
-        // disjoint with ascending interiors, so first rows decide).
-        scratch.bounds.sort_unstable_by_key(|&(first, _, _)| first);
-        let mut rows = Vec::with_capacity(scratch.stage_rows.len());
-        let mut offsets = Vec::with_capacity(scratch.bounds.len() + 1);
-        offsets.push(0u32);
-        for &(_, start, len) in &scratch.bounds {
-            rows.extend_from_slice(&scratch.stage_rows[start as usize..(start + len) as usize]);
-            offsets.push(rows.len() as u32);
+        // Canonical order: ascending first id (clusters are disjoint with
+        // ascending interiors, so first ids decide).
+        scratch.bounds.sort_unstable_by_key(|&(first, ..)| first);
+        let mut out = PliBuilder::with_capacity(scratch.stage_ids.len(), scratch.bounds.len());
+        for &(_, weight, start, len) in &scratch.bounds {
+            out.push(&[&scratch.stage_ids[start as usize..(start + len) as usize]], weight);
         }
-        Pli { rows, offsets, n_rows: self.n_rows }
+        out.finish(Arc::clone(&self.weights), self.n_rows)
     }
 
-    /// The §6.3 count-only fast path: computes the non-singleton group sizes
-    /// of `self ∩ other` — everything Eq. (5) needs — without materializing
-    /// any TID list. Performs **zero heap allocations** once `scratch` has
-    /// reached steady state. Sizes are reported in the canonical
-    /// (ascending-first-row) cluster order of the partition that
+    /// The §6.3 count-only fast path: computes the group sizes of
+    /// `self ∩ other` — everything Eq. (5) needs — without materializing
+    /// any element list. Performs **zero heap allocations** once `scratch`
+    /// has reached steady state. Sizes are reported in the canonical
+    /// (ascending-first-id) cluster order of the partition that
     /// [`Pli::intersect_with`] would have built, so
     /// [`GroupSizes::entropy`] is bit-identical to materializing first.
     pub fn intersect_counts<'s>(
@@ -512,48 +538,88 @@ impl Pli {
             scratch.tally_cluster(cluster, probe_epoch);
             for &g in &scratch.touched {
                 let g = g as usize;
-                if scratch.group_count[g] >= 2 {
-                    scratch.bounds.push((scratch.group_first[g], scratch.group_count[g], 0));
+                if scratch.group_weight[g] >= 2 {
+                    scratch.bounds.push((scratch.group_first[g], scratch.group_weight[g], 0, 0));
                 }
             }
         }
-        scratch.bounds.sort_unstable_by_key(|&(first, _, _)| first);
+        scratch.bounds.sort_unstable_by_key(|&(first, ..)| first);
         scratch.sizes.clear();
-        scratch.sizes.extend(scratch.bounds.iter().map(|&(_, size, _)| size));
+        scratch.sizes.extend(scratch.bounds.iter().map(|&(_, size, ..)| size));
         GroupSizes { sizes: &scratch.sizes, n_rows: self.n_rows }
     }
 
-    /// Memory footprint proxy: total number of row ids stored.
+    /// Memory footprint proxy: total number of element ids stored.
     pub fn size(&self) -> usize {
-        self.covered_rows()
+        self.ids.len()
     }
 }
 
+/// Appends clusters, in canonical order, to a partition under construction.
+struct PliBuilder {
+    ids: Vec<u32>,
+    offsets: Vec<u32>,
+    sizes: Vec<u32>,
+}
+
+impl PliBuilder {
+    fn with_capacity(ids: usize, clusters: usize) -> Self {
+        let mut offsets = Vec::with_capacity(clusters + 1);
+        offsets.push(0);
+        PliBuilder { ids: Vec::with_capacity(ids), offsets, sizes: Vec::with_capacity(clusters) }
+    }
+
+    /// Appends one cluster, the concatenation of `parts`, of size `size`.
+    fn push(&mut self, parts: &[&[u32]], size: u32) {
+        for part in parts {
+            self.ids.extend_from_slice(part);
+        }
+        self.offsets.push(self.ids.len() as u32);
+        self.sizes.push(size);
+    }
+
+    fn finish(self, weights: Arc<[u32]>, n_rows: usize) -> Pli {
+        let covered = self.sizes.iter().map(|&s| s as usize).sum();
+        Pli { ids: self.ids, offsets: self.offsets, sizes: self.sizes, weights, n_rows, covered }
+    }
+}
+
+/// One element's entry in the probe table: the epoch stamp, the left-hand
+/// cluster id and the element's weight, kept together so a probe is one
+/// memory access.
+#[derive(Clone, Copy, Debug, Default)]
+struct Probe {
+    stamp: u32,
+    cluster: u32,
+    weight: u32,
+}
+
 /// Reusable transient state for partition intersections (probe table, group
-/// accumulators, staging arena). All per-row / per-cluster arrays are
+/// accumulators, staging arena). All per-element / per-cluster arrays are
 /// epoch-stamped — an entry is live only if its stamp equals the current
 /// epoch — so nothing is cleared between calls; the epoch is bumped instead
 /// (with a full reset on the rare `u32` wrap). After the first call at a
-/// given relation size the scratch allocates nothing, which is what makes
+/// given element count the scratch allocates nothing, which is what makes
 /// the oracle's steady-state intersections allocation-free.
 #[derive(Debug, Default)]
 pub struct IntersectScratch {
     epoch: u32,
-    /// Per-row: epoch stamp + cluster id of the probed (left) partition.
-    probe_stamp: Vec<u32>,
-    probe_cluster: Vec<u32>,
-    /// Per-left-cluster: epoch stamp, group size, first row and write cursor
-    /// of the refined group inside the current right-hand cluster.
+    /// Per-element probe entry of the left partition.
+    probe: Vec<Probe>,
+    /// Per-left-cluster: epoch stamp, element count, summed weight, first
+    /// element and write cursor of the refined group inside the current
+    /// right-hand cluster.
     group_stamp: Vec<u32>,
     group_count: Vec<u32>,
+    group_weight: Vec<u32>,
     group_first: Vec<u32>,
     group_cursor: Vec<u32>,
     /// Left-cluster ids seen in the current right-hand cluster.
     touched: Vec<u32>,
-    /// Staging cluster directory: `(first_row, start, len)` per group.
-    bounds: Vec<(u32, u32, u32)>,
-    /// Staging row arena (scattered in discovery order, re-emitted sorted).
-    stage_rows: Vec<u32>,
+    /// Staging cluster directory: `(first_id, size, start, len)` per group.
+    bounds: Vec<(u32, u32, u32, u32)>,
+    /// Staging id arena (scattered in discovery order, re-emitted sorted).
+    stage_ids: Vec<u32>,
     /// Group sizes handed out by [`Pli::intersect_counts`].
     sizes: Vec<u32>,
 }
@@ -566,19 +632,19 @@ impl IntersectScratch {
 
     /// Grows the stamped arrays to the given dimensions and resets the epoch
     /// counter if the upcoming `epochs_needed` bumps would wrap `u32`.
-    fn prepare(&mut self, n_rows: usize, left_clusters: usize, epochs_needed: u64) {
-        if self.probe_stamp.len() < n_rows {
-            self.probe_stamp.resize(n_rows, 0);
-            self.probe_cluster.resize(n_rows, 0);
+    fn prepare(&mut self, n_elements: usize, left_clusters: usize, epochs_needed: u64) {
+        if self.probe.len() < n_elements {
+            self.probe.resize(n_elements, Probe::default());
         }
         if self.group_stamp.len() < left_clusters {
             self.group_stamp.resize(left_clusters, 0);
             self.group_count.resize(left_clusters, 0);
+            self.group_weight.resize(left_clusters, 0);
             self.group_first.resize(left_clusters, 0);
             self.group_cursor.resize(left_clusters, 0);
         }
         if self.epoch as u64 + epochs_needed >= u32::MAX as u64 {
-            self.probe_stamp.fill(0);
+            self.probe.iter_mut().for_each(|p| p.stamp = 0);
             self.group_stamp.fill(0);
             self.epoch = 0;
         }
@@ -592,35 +658,40 @@ impl IntersectScratch {
 
     /// The shared group-counting pass of both intersection modes: opens a
     /// fresh epoch for `cluster` (one right-hand cluster of an intersection)
-    /// and tallies its rows by the probed left-hand cluster id, leaving
-    /// `group_count`/`group_first` filled for every id listed in `touched`.
-    /// Rows that are singletons on the left (stale probe stamp) are skipped.
-    /// Returns the cluster's epoch so callers can recognize live entries.
+    /// and tallies its elements by the probed left-hand cluster id, leaving
+    /// `group_count`/`group_weight`/`group_first` filled for every id listed
+    /// in `touched`. Elements stripped on the left (stale probe stamp) are
+    /// skipped: they have weight 1 and no equal on the left, so they stay
+    /// alone. Returns the cluster's epoch so callers can recognize live
+    /// entries.
     fn tally_cluster(&mut self, cluster: &[u32], probe_epoch: u32) -> u32 {
         let cluster_epoch = self.next_epoch();
         self.touched.clear();
-        for &row in cluster {
-            if self.probe_stamp[row as usize] != probe_epoch {
+        for &e in cluster {
+            let Probe { stamp, cluster: g, weight: w } = self.probe[e as usize];
+            if stamp != probe_epoch {
                 continue;
             }
-            let g = self.probe_cluster[row as usize] as usize;
+            let g = g as usize;
             if self.group_stamp[g] != cluster_epoch {
                 self.group_stamp[g] = cluster_epoch;
                 self.group_count[g] = 1;
-                self.group_first[g] = row;
+                self.group_weight[g] = w;
+                self.group_first[g] = e;
                 self.touched.push(g as u32);
             } else {
                 self.group_count[g] += 1;
+                self.group_weight[g] += w;
             }
         }
         cluster_epoch
     }
 }
 
-/// The non-singleton group sizes of a partition intersection, borrowed from
-/// the scratch that computed them ([`Pli::intersect_counts`]). Carries
-/// everything Eq. (5) needs; sizes are in canonical cluster order so
-/// [`GroupSizes::entropy`] matches the materialized partition bit-for-bit.
+/// The group sizes of a partition intersection, borrowed from the scratch
+/// that computed them ([`Pli::intersect_counts`]). Carries everything Eq. (5)
+/// needs; sizes are in canonical cluster order so [`GroupSizes::entropy`]
+/// matches the materialized partition bit-for-bit.
 #[derive(Debug)]
 pub struct GroupSizes<'a> {
     sizes: &'a [u32],
@@ -675,6 +746,7 @@ impl GroupSizes<'_> {
 mod tests {
     use super::*;
     use relation::{Relation, Schema};
+    use std::collections::HashMap;
 
     fn sample() -> Relation {
         // Matches Figure 7 of the paper (the getEntropy example).

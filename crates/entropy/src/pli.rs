@@ -30,6 +30,11 @@
 //!    materializes the result. Only intermediate merges (reusable as cached
 //!    prefixes) are materialized and inserted into the partition cache.
 //!
+//! The partitions group the relation's distinct tuples, weighted by their
+//! multiplicities (the `tuples` module's tuple table), not its rows: Eq. (5)
+//! needs only the tuple histogram, and a relation of `N` rows with `G`
+//! distinct tuples then intersects `O(G)` ids per miss.
+//!
 //! All transient intersection state lives in [`IntersectScratch`]es drawn
 //! from a small pool (at most one per concurrently-missing worker thread),
 //! so steady-state entropy queries — cache hits outright, and count-only
@@ -43,6 +48,7 @@
 use crate::concurrent::{AtomicOracleStats, ShardedCache};
 use crate::oracle::{EntropyOracle, OracleStats};
 use crate::partition::{IntersectScratch, Pli};
+use crate::tuples::TupleTable;
 use relation::{AttrSet, Relation};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -94,16 +100,26 @@ impl EntropyConfig {
 /// deep-clone the data once at construction — while `Relation` /
 /// `Arc<Relation>` arguments move or share storage);
 /// [`PliEntropyOracle::from_backend`] accepts any backend, e.g. a paged
-/// out-of-core column store. All partition construction goes through chunked
-/// scans, so entropies are bit-identical across backends; only the
-/// append-delta path ([`PliEntropyOracle::extend_to`]) needs the random row
-/// access of the in-memory store.
+/// out-of-core column store.
+///
+/// Construction reads the relation once, in one chunked scan, into a tuple
+/// table: the distinct tuples in first-occurrence order with their
+/// multiplicities. Every partition the oracle holds groups tuple ids, each
+/// weighted by its multiplicity, so a relation of `N` rows and `G` distinct
+/// tuples intersects `O(G)` ids per miss while entropies stay bit-identical
+/// to grouping rows (Eq. 5 needs only the tuple histogram; see the
+/// `partition` module docs). Only the append-delta path
+/// ([`PliEntropyOracle::extend_to`]) needs the random row access of the
+/// in-memory store.
 pub struct PliEntropyOracle {
     source: Arc<dyn RelationBackend>,
     /// The in-memory twin when the oracle was built from one — required by
     /// [`PliEntropyOracle::extend_to`] and [`PliEntropyOracle::relation`],
     /// `None` for out-of-core backends.
     rel: Option<Arc<Relation>>,
+    /// The relation's distinct tuples and their multiplicities; every
+    /// partition below groups its tuple ids.
+    table: TupleTable,
     singles: Vec<Arc<Pli>>,
     pli_cache: ShardedCache<Arc<Pli>>,
     /// Number of entries in `pli_cache`, tracked atomically so the
@@ -130,14 +146,14 @@ pub struct PliEntropyOracle {
 /// degrading to the trivial partition so construction can continue.
 fn unwrap_or_trivial(
     fault: &OnceLock<Arc<StorageError>>,
-    n_rows: usize,
+    table: &TupleTable,
     result: Result<Pli, StorageError>,
 ) -> Pli {
     match result {
         Ok(pli) => pli,
         Err(e) => {
             let _ = fault.set(Arc::new(e));
-            Pli::trivial(n_rows)
+            table.trivial()
         }
     }
 }
@@ -166,15 +182,21 @@ impl PliEntropyOracle {
         config: EntropyConfig,
     ) -> Self {
         let storage_fault: OnceLock<Arc<StorageError>> = OnceLock::new();
-        let n_rows = source.n_rows();
-        let singles: Vec<Arc<Pli>> = (0..source.arity())
-            .map(|a| {
-                Arc::new(unwrap_or_trivial(&storage_fault, n_rows, Pli::from_column(&*source, a)))
-            })
+        let arity = source.arity();
+        let (table, codes) = TupleTable::scan(&*source).unwrap_or_else(|e| {
+            let _ = storage_fault.set(Arc::new(e));
+            (TupleTable::empty(arity), vec![Vec::new(); arity])
+        });
+        let singles: Vec<Arc<Pli>> = codes
+            .iter()
+            .enumerate()
+            .map(|(a, codes)| Arc::new(table.single(codes, source.column_cardinality(a))))
             .collect();
+        drop(codes);
         let oracle = PliEntropyOracle {
             source,
             rel,
+            table,
             singles,
             pli_cache: ShardedCache::new(),
             pli_count: AtomicUsize::new(0),
@@ -211,16 +233,19 @@ impl PliEntropyOracle {
     /// oracle's relation plus a batch of appended rows (same schema, same
     /// row prefix — the contract [`Relation::append_rows`] guarantees).
     ///
-    /// Every cached partition — the single-attribute partitions and every
-    /// composite in the partition cache — is carried across the append by
-    /// the delta path ([`Pli::extended`], counted as a `delta_refresh`),
-    /// falling back to a from-scratch regroup only when the grown relation's
-    /// cardinality product overflows the `u64` fold (`full_rebuild`). Cached
-    /// *entropies* are re-derived from the refreshed partitions, never
-    /// copied: an entropy memoized for the old relation is stale for the new
-    /// one, so only attribute sets whose partitions are held come across —
-    /// everything else recomputes lazily on first request, exactly as a
-    /// fresh oracle would.
+    /// The appended rows go through the retained tuple index: a repeated
+    /// tuple gets its multiplicity bumped, a new one the next tuple id, and
+    /// old tuples are never renumbered. Every cached partition — the
+    /// single-attribute partitions and every composite in the partition
+    /// cache — is then carried across the append by the delta path
+    /// (the tuple counterpart of [`Pli::extended`], counted as a
+    /// `delta_refresh`), falling back to a from-scratch regroup only when
+    /// the grown relation's cardinality product overflows the `u64` fold
+    /// (`full_rebuild`). Cached *entropies* are re-derived from the
+    /// refreshed partitions, never copied: an entropy memoized for the old
+    /// relation is stale for the new one, so only attribute sets whose
+    /// partitions are held come across — everything else recomputes lazily
+    /// on first request, exactly as a fresh oracle would.
     ///
     /// Work counters are seeded from this oracle's
     /// ([`AtomicOracleStats::seeded`]), so `stats()` stays cumulative across
@@ -242,46 +267,33 @@ impl PliEntropyOracle {
         // The successor inherits any latched fault: results derived from a
         // faulted lineage stay refusable at the session layer.
         let storage_fault = self.storage_fault.clone();
-        let singles: Vec<Arc<Pli>> = (0..new_rel.arity())
-            .map(|a| match self.singles[a].extended(old, &new_rel, AttrSet::singleton(a)) {
+        let (table, repeated) = self.table.extended(&new_rel);
+        let carry = |pli: &Pli, attrs: AttrSet| -> Arc<Pli> {
+            Arc::new(match table.carry(pli, attrs, old, &new_rel, &repeated) {
                 Some(p) => {
                     stats.record_delta_refresh();
-                    Arc::new(p)
+                    p
                 }
                 None => {
                     stats.record_full_rebuild();
-                    Arc::new(unwrap_or_trivial(
-                        &storage_fault,
-                        new_rel.n_rows(),
-                        Pli::from_column(&*new_rel, a),
-                    ))
+                    unwrap_or_trivial(&storage_fault, &table, table.partition(&*new_rel, attrs))
                 }
             })
-            .collect();
+        };
+        let singles: Vec<Arc<Pli>> =
+            self.singles.iter().enumerate().map(|(a, p)| carry(p, AttrSet::singleton(a))).collect();
         let pli_cache = ShardedCache::new();
         let pli_count = AtomicUsize::new(0);
         let entropy_cache = ShardedCache::new();
         for (attrs, pli) in self.pli_cache.entries() {
-            let refreshed = match pli.extended(old, &new_rel, attrs) {
-                Some(p) => {
-                    stats.record_delta_refresh();
-                    Arc::new(p)
-                }
-                None => {
-                    stats.record_full_rebuild();
-                    Arc::new(unwrap_or_trivial(
-                        &storage_fault,
-                        new_rel.n_rows(),
-                        Pli::from_attrs(&*new_rel, attrs),
-                    ))
-                }
-            };
+            let refreshed = carry(&pli, attrs);
             entropy_cache.insert(attrs, refreshed.entropy());
             pli_cache.insert_bounded(attrs, refreshed, &pli_count, self.config.max_cached_plis);
         }
         PliEntropyOracle {
             source: Arc::clone(&new_rel) as Arc<dyn RelationBackend>,
             rel: Some(new_rel),
+            table,
             singles,
             pli_cache,
             pli_count,
@@ -331,6 +343,19 @@ impl PliEntropyOracle {
         &self.source
     }
 
+    /// Number of distinct tuples of the relation — the elements every
+    /// partition of this oracle groups.
+    pub fn distinct_tuples(&self) -> usize {
+        self.table.len()
+    }
+
+    /// The partition of exactly `attrs` if the oracle holds it: a single
+    /// attribute, or a composite in the partition cache. Its elements are
+    /// the relation's distinct tuples, weighted by multiplicity.
+    pub fn cached_partition(&self, attrs: AttrSet) -> Option<Arc<Pli>> {
+        self.cached_pli(attrs)
+    }
+
     /// Number of composite partitions currently cached (excluding the
     /// single-attribute partitions).
     pub fn cached_pli_count(&self) -> usize {
@@ -377,13 +402,7 @@ impl PliEntropyOracle {
                 let rest_pli = if rest.len() == 1 {
                     Arc::clone(&self.singles[rest.min_attr().unwrap()])
                 } else {
-                    self.pli_cache.get(rest).unwrap_or_else(|| {
-                        Arc::new(unwrap_or_trivial(
-                            &self.storage_fault,
-                            self.source.n_rows(),
-                            Pli::from_attrs(&*self.source, rest),
-                        ))
-                    })
+                    self.pli_cache.get(rest).unwrap_or_else(|| Arc::new(self.rescan(rest)))
                 };
                 let combined = rest_pli.intersect_with(&self.singles[last], &mut scratch);
                 self.stats.record_intersection();
@@ -398,6 +417,16 @@ impl PliEntropyOracle {
             start = end;
         }
         self.return_scratch(scratch);
+    }
+
+    /// Builds the partition of `attrs` by rescanning the source — the
+    /// fallback for a piece the budget kept out of the cache.
+    fn rescan(&self, attrs: AttrSet) -> Pli {
+        unwrap_or_trivial(
+            &self.storage_fault,
+            &self.table,
+            self.table.partition(&*self.source, attrs),
+        )
     }
 
     /// Looks up an already-cached partition for exactly `attrs`. The shared
@@ -453,11 +482,7 @@ impl PliEntropyOracle {
                         // was truncated by the budget; fall back to a direct
                         // scan.
                         self.stats.record_full_scan();
-                        Arc::new(unwrap_or_trivial(
-                            &self.storage_fault,
-                            self.source.n_rows(),
-                            Pli::from_attrs(&*self.source, piece),
-                        ))
+                        Arc::new(self.rescan(piece))
                     }
                 };
                 (piece, pli)

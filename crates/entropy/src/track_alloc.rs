@@ -12,29 +12,39 @@
 //! deallocations are not interesting to the zero-allocation contracts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Global tally incremented by every [`CountingAllocator`] in the binary.
-pub static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Per-thread tally: a measurement reads only the allocations of the
+    /// thread running the measured code, never those of a concurrent
+    /// thread such as the test harness's own.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Reads the current allocation count.
+/// Reads the calling thread's allocation count.
 pub fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
+}
+
+fn count() {
+    // `try_with`: the slot holds a plain `Cell` with no destructor, and an
+    // allocation during thread teardown must not panic inside the allocator.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
 /// A [`System`]-backed allocator that counts every `alloc`, `alloc_zeroed`
-/// and `realloc` into [`ALLOCATIONS`]. Install per binary with
-/// `#[global_allocator]`.
+/// and `realloc` of the calling thread (see [`allocations`]). Install per
+/// binary with `#[global_allocator]`.
 pub struct CountingAllocator;
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc_zeroed(layout)
     }
 
@@ -43,7 +53,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }

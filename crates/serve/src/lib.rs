@@ -62,4 +62,4 @@ pub use admission::{
 };
 pub use protocol::{error_response, ok_response, ErrorKind, Request};
 pub use registry::{DatasetRegistry, RegistryStats};
-pub use server::{serve, ServerConfig, ServerHandle};
+pub use server::{serve, ServerConfig, ServerHandle, MAX_LINE_BYTES};

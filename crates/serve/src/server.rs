@@ -264,16 +264,56 @@ fn worker_loop(shared: &Arc<Shared>, queue: &Arc<ConnQueue>) {
     }
 }
 
+/// Longest request line the server buffers, newline excluded. A longer
+/// line gets one `bad_request` response, bumps
+/// `maimon_request_lines_too_long_total`, and is skipped through its
+/// newline, after which the connection reads requests as before.
+pub const MAX_LINE_BYTES: usize = 4 << 20;
+
+/// Answers a request line longer than [`MAX_LINE_BYTES`].
+fn reject_long_line(shared: &Arc<Shared>, stream: &mut TcpStream) -> std::io::Result<()> {
+    shared.counters.errors.fetch_add(1, Ordering::Relaxed);
+    note_error("bad_request");
+    let registry = obs::global();
+    registry.describe(
+        "maimon_request_lines_too_long_total",
+        "Request lines refused for exceeding the line-length cap",
+    );
+    registry.counter("maimon_request_lines_too_long_total", &[]).inc();
+    let message = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+    write_line(
+        stream,
+        &with_trace(error_response(ErrorKind::BadRequest, message), &obs::next_trace_id()),
+    )
+}
+
 /// Serves one connection: line in, line out, until EOF, error or shutdown.
 fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(shared.read_timeout));
     let mut carry: Vec<u8> = Vec::new();
+    // `carry[..scanned]` is known to hold no newline, so each read is
+    // searched once.
+    let mut scanned = 0;
+    // Inside an over-long line that was already answered: drop bytes up to
+    // and including its newline.
+    let mut skipping = false;
     let mut chunk = [0u8; 4096];
     loop {
         // Drain complete lines out of the carry buffer first.
-        while let Some(pos) = carry.iter().position(|&b| b == b'\n') {
+        while let Some(pos) = carry[scanned..].iter().position(|&b| b == b'\n') {
+            let pos = scanned + pos;
             let mut line: Vec<u8> = carry.drain(..=pos).collect();
+            scanned = 0;
+            if std::mem::take(&mut skipping) {
+                continue;
+            }
             line.pop(); // the newline
+            if line.len() > MAX_LINE_BYTES {
+                if reject_long_line(shared, &mut stream).is_err() {
+                    return;
+                }
+                continue;
+            }
             if line.last() == Some(&b'\r') {
                 line.pop();
             }
@@ -290,6 +330,15 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
             if write_line(&mut stream, &response).is_err() {
                 return;
             }
+        }
+        scanned = carry.len();
+        if carry.len() > MAX_LINE_BYTES {
+            if !skipping && reject_long_line(shared, &mut stream).is_err() {
+                return;
+            }
+            skipping = true;
+            carry.clear();
+            scanned = 0;
         }
         if shared.shutdown.is_cancelled() {
             return;

@@ -469,6 +469,40 @@ fn deeply_nested_line_is_a_bad_request_not_a_crash() {
 }
 
 #[test]
+fn over_cap_line_without_newline_is_a_bad_request_and_the_server_keeps_serving() {
+    let handle = start_server(AdmissionConfig::default(), &[("running", running_example())]);
+    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut read = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        Json::parse(line.trim()).unwrap_or_else(|e| panic!("bad response {line:?}: {e}"))
+    };
+
+    // One byte past the cap and no newline: answered as soon as the cap is
+    // crossed, not buffered until the client gives up.
+    stream.write_all(&vec![b' '; serve::MAX_LINE_BYTES + 1]).unwrap();
+    stream.flush().unwrap();
+    let response = read();
+    assert_eq!(response.get("ok").and_then(Json::as_bool), Some(false), "{response}");
+    assert_eq!(response.get("kind").and_then(Json::as_str), Some("bad_request"), "{response}");
+
+    // Another connection keeps getting answers meanwhile.
+    assert_ok(&roundtrip(handle.local_addr(), r#"{"op":"ping"}"#), "ping");
+
+    // The rest of the long line is skipped without a second response, and
+    // the connection resynchronises at its newline.
+    stream.write_all(&vec![b'x'; 64 * 1024]).unwrap();
+    writeln!(stream).unwrap();
+    writeln!(stream, r#"{{"op":"ping"}}"#).unwrap();
+    assert_ok(&read(), "ping");
+
+    let scrape = maimon::obs::render_prometheus(maimon::obs::global());
+    assert!(scrape.contains("maimon_request_lines_too_long_total"), "missing counter in {scrape}");
+    handle.shutdown();
+}
+
+#[test]
 fn paged_backend_serves_schemas_only_and_rejects_mutation() {
     use maimon::storage::{PagedColumnarRelation, PagedOptions};
     use maimon::SchemaMiningResult;

@@ -5,14 +5,14 @@ use relation::{Relation, Schema};
 
 /// What the mining engine needs from a stored relation — nothing more.
 ///
-/// PLI construction (`entropy::Pli::from_column`/`from_attrs` in the
-/// entropy crate) and fold-key grouping consume columns as *chunk streams*:
-/// `scan_column` / `scan_columns` invoke the visitor with consecutive,
-/// ascending-row slices of dictionary codes. A backend is free to chunk
-/// however it stores data (the in-memory store yields one whole-column
-/// slice; the paged store yields one slice per page), and consumers must be
-/// chunk-size invariant — which the two-pass counting/scatter PLI builders
-/// are by construction.
+/// The entropy oracle's tuple-table build and PLI construction
+/// (`entropy::Pli::from_column`/`from_attrs` in the entropy crate) consume
+/// columns as *chunk streams*: `scan_column` / `scan_columns` invoke the
+/// visitor with consecutive, ascending-row slices of dictionary codes. A
+/// backend is free to chunk however it stores data (the in-memory store
+/// yields one whole-column slice; the paged store yields one slice per
+/// page), and consumers must be chunk-size invariant — which grouping rows
+/// in first-occurrence order is by construction.
 ///
 /// The trait is dyn-compatible (visitors are `&mut dyn FnMut`) so sessions
 /// can hold `Arc<dyn RelationBackend>`, and `Send + Sync` so one backend can

@@ -466,7 +466,7 @@ fn load_snapshot(path: &Path) -> Result<Relation, StorageError> {
 fn parse_snapshot_body(cursor: &mut Cursor<'_>) -> Option<Result<Relation, StorageError>> {
     let data_version = cursor.u64()?;
     let arity = cursor.u32()? as usize;
-    let mut names = Vec::with_capacity(arity.min(cursor.bytes.len()));
+    let mut names = Vec::with_capacity(arity.min(cursor.remaining()));
     for _ in 0..arity {
         names.push(cursor.string()?);
     }
@@ -474,7 +474,7 @@ fn parse_snapshot_body(cursor: &mut Cursor<'_>) -> Option<Result<Relation, Stora
     let mut dicts = Vec::with_capacity(arity);
     for _ in 0..arity {
         let len = cursor.u32()? as usize;
-        let mut dict = Vec::with_capacity(len.min(cursor.bytes.len()));
+        let mut dict = Vec::with_capacity(len.min(cursor.remaining()));
         for _ in 0..len {
             dict.push(cursor.string()?);
         }
@@ -482,7 +482,9 @@ fn parse_snapshot_body(cursor: &mut Cursor<'_>) -> Option<Result<Relation, Stora
     }
     let mut codes = Vec::with_capacity(arity);
     for _ in 0..arity {
-        let mut col = Vec::with_capacity(n_rows);
+        // `n_rows` is read from the file: trust it only as far as the
+        // bytes left can hold codes.
+        let mut col = Vec::with_capacity(n_rows.min(cursor.remaining() / 4));
         for _ in 0..n_rows {
             col.push(cursor.u32()?);
         }
@@ -513,6 +515,10 @@ struct Cursor<'a> {
 }
 
 impl Cursor<'_> {
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Option<&[u8]> {
         let end = self.pos.checked_add(n)?;
         if end > self.bytes.len() {
@@ -603,6 +609,28 @@ mod tests {
         let mut bytes = fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
+        fs::write(&path, &bytes).unwrap();
+        let err = load_snapshot(&path).unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt(_)), "got {err:?}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn checksummed_snapshot_claiming_huge_row_count_is_corrupt_without_allocating_it() {
+        let dir = tmp_dir("snaphuge");
+        write_snapshot(&dir, &sample()).unwrap();
+        let path = dir.join(SNAPSHOT_FILE);
+        let mut bytes = fs::read(&path).unwrap();
+        // Magic, data_version, arity, then the names "A", "B", "C" (length
+        // prefix plus one byte each) precede n_rows.
+        let n_rows_at = 8 + 8 + 4 + 3 * 5;
+        assert_eq!(bytes[n_rows_at..n_rows_at + 8], 4u64.to_le_bytes());
+        // 2^40 rows of u32 codes would be a 4 TiB reservation, which aborts
+        // the process; a typed error proves the decoder never asked for it.
+        bytes[n_rows_at..n_rows_at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        let body_end = bytes.len() - 4;
+        let crc = crc32(&bytes[..body_end]);
+        bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
         fs::write(&path, &bytes).unwrap();
         let err = load_snapshot(&path).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)), "got {err:?}");

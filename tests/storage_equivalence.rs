@@ -47,7 +47,7 @@ fn paged_options(page_rows: usize) -> PagedOptions {
 }
 
 /// All single- and pair-attribute entropies (enough to pin every PLI build
-/// path: single columns via `from_column`, pairs via fold/intersection).
+/// path: single columns from the tuple table, pairs via intersection).
 fn probe_subsets(arity: usize) -> Vec<AttrSet> {
     AttrSet::full(arity).subsets().filter(|s| !s.is_empty() && s.len() <= 2).collect()
 }
@@ -112,6 +112,68 @@ proptest! {
         let store = ingest_csv(text.as_bytes(), &options).unwrap();
         prop_assert_eq!(store.n_rows(), rel.n_rows());
         assert_backend_matches(&rel, Arc::new(store), "csv-ingest page_rows=64");
+    }
+}
+
+/// Strategy: many more rows than distinct tuples — 2–5 columns of at most
+/// two values each, 200–1200 rows — so a page repeats the same few tuples
+/// and every tuple's multiplicity spans page boundaries.
+fn duplicate_heavy_strategy() -> impl Strategy<Value = Relation> {
+    (2usize..=5, 200usize..=1200, 1u64..10_000).prop_map(|(cols, rows, seed)| {
+        let mut state = seed | 1;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let schema = Schema::with_arity(cols).unwrap();
+        let columns: Vec<Vec<u32>> = (0..cols)
+            .map(|c| (0..rows).map(|_| (next() % (1 + c as u64 % 2)) as u32).collect())
+            .collect();
+        Relation::from_code_columns(schema, columns).unwrap()
+    })
+}
+
+fn assert_same_tuple_table(rel: &Arc<Relation>, backend: Arc<dyn RelationBackend>, what: &str) {
+    let config = MaimonConfig::default();
+    let mem = PliEntropyOracle::new(Arc::clone(rel), config.entropy);
+    let paged = PliEntropyOracle::from_backend(Arc::clone(&backend), config.entropy);
+    assert_eq!(mem.distinct_tuples(), paged.distinct_tuples(), "{what}: distinct tuples");
+    for s in AttrSet::full(rel.arity()).subsets() {
+        let (a, b) = (mem.entropy(s), paged.entropy(s));
+        assert_eq!(a.to_bits(), b.to_bits(), "{what}: entropy over {s:?}: {a} vs {b}");
+    }
+    assert_backend_matches(rel, backend, what);
+}
+
+proptest! {
+    /// Duplicate-heavy relations: the paged store's tuple table (built
+    /// across pages) matches the in-memory one, on every attribute subset.
+    #[test]
+    fn duplicate_heavy_relations_are_identical_across_backends(rel in duplicate_heavy_strategy()) {
+        let rel = Arc::new(rel);
+        for page_rows in [7, 64, rel.n_rows() + 1] {
+            let store =
+                PagedColumnarRelation::from_relation(&rel, paged_options(page_rows)).unwrap();
+            assert_same_tuple_table(&rel, Arc::new(store), &format!("page_rows={page_rows}"));
+        }
+    }
+}
+
+/// The edge cases of the tuple table: every row distinct, and every row
+/// the same tuple.
+#[test]
+fn all_distinct_and_all_identical_relations_are_identical_across_backends() {
+    let schema = Schema::new(["K", "V", "W"]).unwrap();
+    let distinct: Vec<Vec<String>> = (0..500)
+        .map(|i| vec![format!("k{i}"), format!("v{}", i % 3), format!("w{}", i % 7)])
+        .collect();
+    let identical = vec![vec!["x".to_string(), "y".to_string(), "z".to_string()]; 500];
+    for (rows, what) in [(distinct, "all-distinct"), (identical, "all-identical")] {
+        let rel = Arc::new(Relation::from_rows(schema.clone(), &rows).unwrap());
+        let store = PagedColumnarRelation::from_relation(&rel, paged_options(64)).unwrap();
+        assert_same_tuple_table(&rel, Arc::new(store), what);
     }
 }
 
