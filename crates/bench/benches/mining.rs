@@ -6,7 +6,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use maimon::entropy::PliEntropyOracle;
 use maimon::{
-    get_full_mvds, mine_min_seps, Maimon, MaimonConfig, MaimonSession, MiningLimits, RunControl,
+    get_full_mvds, mine_min_seps, mine_mvds, Maimon, MaimonConfig, MaimonSession, MiningLimits,
+    RunControl,
 };
 use maimon_datasets::{dataset_by_name, running_example_with_red_tuple};
 use std::hint::black_box;
@@ -52,6 +53,18 @@ fn full_mvd_ablation(c: &mut Criterion) {
                 &RunControl::NONE,
             ))
         })
+    });
+
+    // Every search `session.mvds(0.1)` issues on Bridges-10 — separator
+    // probes, reductions and the full searches of each separator, pair by
+    // pair — replayed at threads=1 over a warm oracle, so the full-MVD
+    // kernel is timed without fan-out noise or entropy misses.
+    let bridges10 = dataset_by_name("Bridges").unwrap().generate(1.0).column_prefix(10).unwrap();
+    let config = MaimonConfig::builder().epsilon(0.1).threads(Some(1)).build().unwrap();
+    let warm = PliEntropyOracle::new(Arc::new(bridges10), config.entropy);
+    mine_mvds(&warm, &config);
+    group.bench_function("bridges10_eps_0.1_all_searches", |b| {
+        b.iter(|| black_box(mine_mvds(&warm, &config).mvds.len()))
     });
     group.finish();
 }

@@ -87,7 +87,7 @@ pub use compat::{compatible, incompatibility_graph, incompatible, pairwise_compa
 pub use config::{MaimonConfig, MaimonConfigBuilder, MiningLimits, MiningLimitsBuilder};
 pub use error::MaimonError;
 pub use fd::{mine_fds, Fd, FdMiningResult};
-pub use full_mvd::{get_full_mvds, is_separator, FullMvdSearch};
+pub use full_mvd::{get_full_mvds, is_separator, FullMvdSearch, PairSearch};
 pub use join_tree::{is_acyclic_gyo, JoinTree};
 pub use maimon::{Maimon, MaimonResult, RankedSchema};
 pub use measure::{

@@ -17,9 +17,9 @@
 //! `tests/parallel_equivalence.rs` for the lock-down suite.
 
 use crate::config::MaimonConfig;
-use crate::full_mvd::get_full_mvds;
+use crate::full_mvd::PairSearch;
 use crate::measure::is_full_mvd;
-use crate::minsep::mine_min_seps;
+use crate::minsep::mine_min_seps_in;
 use crate::mvd::Mvd;
 use crate::progress::{ProgressEvent, RunControl};
 use entropy::{EntropyOracle, OracleStats};
@@ -92,7 +92,9 @@ struct PairOutcome {
 }
 
 /// Mines one attribute pair: minimal separators, then the full ε-MVDs keyed
-/// by each separator. Pure function of the oracle's (deterministic) answers.
+/// by each separator, all through one [`PairSearch`] so a closure or search
+/// repeated across the separator probes and the final searches runs once.
+/// Pure function of the oracle's (deterministic) answers.
 fn mine_pair<O: EntropyOracle + ?Sized>(
     oracle: &O,
     config: &MaimonConfig,
@@ -101,10 +103,11 @@ fn mine_pair<O: EntropyOracle + ?Sized>(
 ) -> PairOutcome {
     let epsilon = config.epsilon;
     let limits = config.limits;
-    let use_opt = config.use_pairwise_consistency_optimization;
+    let mut search =
+        PairSearch::new(oracle, epsilon, pair, config.use_pairwise_consistency_optimization);
     let seps = {
         let _span = Span::enter(Stage::MineMinSeps, ctl.stages());
-        mine_min_seps(oracle, epsilon, pair, &limits, use_opt, ctl)
+        mine_min_seps_in(&mut search, &limits, ctl)
     };
     let _span = Span::enter(Stage::FullMvds, ctl.stages());
     let mut outcome = PairOutcome {
@@ -116,19 +119,15 @@ fn mine_pair<O: EntropyOracle + ?Sized>(
         separators: seps.separators,
     };
     for &sep in &outcome.separators {
-        let search = get_full_mvds(
-            oracle,
+        let found = search.full_mvds(
             sep,
-            epsilon,
-            pair,
             limits.max_full_mvds_per_separator,
             limits.max_lattice_nodes,
-            use_opt,
             ctl,
         );
-        outcome.lattice_nodes_explored += search.nodes_explored;
-        outcome.truncated |= search.truncated;
-        for mvd in search.mvds {
+        outcome.lattice_nodes_explored += found.nodes_explored;
+        outcome.truncated |= found.truncated;
+        for mvd in found.mvds {
             if config.verify_fullness && !is_full_mvd(oracle, &mvd, epsilon) {
                 continue;
             }

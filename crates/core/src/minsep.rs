@@ -15,7 +15,7 @@
 //! completeness proof (appendix §12.1) relies on.
 
 use crate::config::MiningLimits;
-use crate::full_mvd::is_separator;
+use crate::full_mvd::{is_separator, PairSearch};
 use crate::progress::RunControl;
 use entropy::EntropyOracle;
 use hypergraph::minimal_transversals;
@@ -47,19 +47,26 @@ pub fn reduce_min_sep<O: EntropyOracle + ?Sized>(
     use_optimization: bool,
     ctl: &RunControl<'_>,
 ) -> AttrSet {
+    reduce_min_sep_in(
+        &mut PairSearch::new(oracle, epsilon, pair, use_optimization),
+        start,
+        limits,
+        ctl,
+    )
+}
+
+/// [`reduce_min_sep`] probing through the pair's shared search context.
+fn reduce_min_sep_in<O: EntropyOracle + ?Sized>(
+    search: &mut PairSearch<'_, O>,
+    start: AttrSet,
+    limits: &MiningLimits,
+    ctl: &RunControl<'_>,
+) -> AttrSet {
     let _span = Span::enter(Stage::Reduce, ctl.stages());
     let mut current = start;
     for attr in start.iter() {
         let candidate = current.without(attr);
-        if is_separator(
-            oracle,
-            candidate,
-            epsilon,
-            pair,
-            limits.max_lattice_nodes,
-            use_optimization,
-            ctl,
-        ) {
+        if search.is_separator(candidate, limits.max_lattice_nodes, ctl) {
             current = candidate;
         }
     }
@@ -82,9 +89,19 @@ pub fn mine_min_seps<O: EntropyOracle + ?Sized>(
     use_optimization: bool,
     ctl: &RunControl<'_>,
 ) -> MinSepResult {
+    mine_min_seps_in(&mut PairSearch::new(oracle, epsilon, pair, use_optimization), limits, ctl)
+}
+
+/// [`mine_min_seps`] probing through the pair's search context, which the
+/// caller goes on to use for the full-MVD searches of the separators found.
+pub(crate) fn mine_min_seps_in<O: EntropyOracle + ?Sized>(
+    search: &mut PairSearch<'_, O>,
+    limits: &MiningLimits,
+    ctl: &RunControl<'_>,
+) -> MinSepResult {
     let mut result = MinSepResult::default();
-    let universe = oracle.all_attrs();
-    let (a, b) = pair;
+    let universe = search.oracle().all_attrs();
+    let (a, b) = search.pair();
     if a == b || !universe.contains(a) || !universe.contains(b) {
         return result;
     }
@@ -92,15 +109,14 @@ pub fn mine_min_seps<O: EntropyOracle + ?Sized>(
     let started = Instant::now();
 
     // Line 3: the largest candidate separator must work, otherwise none does.
-    if !is_separator(oracle, ground, epsilon, pair, limits.max_lattice_nodes, use_optimization, ctl)
-    {
+    if !search.is_separator(ground, limits.max_lattice_nodes, ctl) {
         // A "no" forced by cancellation/deadline firing inside the check is
         // not a real "no separators exist" — flag it, so a cancelled run is
         // always distinguishable from an exhaustive one.
         result.truncated = ctl.should_stop();
         return result;
     }
-    let first = reduce_min_sep(oracle, epsilon, ground, pair, limits, use_optimization, ctl);
+    let first = reduce_min_sep_in(search, ground, limits, ctl);
     result.separators.push(first);
 
     let mut processed: HashSet<u64> = HashSet::new();
@@ -141,17 +157,8 @@ pub fn mine_min_seps<O: EntropyOracle + ?Sized>(
         if candidate.is_empty() {
             continue;
         }
-        if is_separator(
-            oracle,
-            candidate,
-            epsilon,
-            pair,
-            limits.max_lattice_nodes,
-            use_optimization,
-            ctl,
-        ) {
-            let minimal =
-                reduce_min_sep(oracle, epsilon, candidate, pair, limits, use_optimization, ctl);
+        if search.is_separator(candidate, limits.max_lattice_nodes, ctl) {
+            let minimal = reduce_min_sep_in(search, candidate, limits, ctl);
             if !result.separators.contains(&minimal) {
                 result.separators.push(minimal);
             }

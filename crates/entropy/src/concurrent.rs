@@ -24,7 +24,7 @@ use relation::{AttrSet, FoldKeyHasher};
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Number of shards. A power of two so the Fibonacci-hash shard index is a
 /// simple shift; 64 keeps contention negligible for the worker counts the
@@ -68,19 +68,23 @@ impl<V: Clone> ShardedCache<V> {
         }
     }
 
-    fn shard(&self, attrs: AttrSet) -> &Mutex<AttrSetMap<V>> {
-        &self.shards[shard_index(attrs)]
+    /// Locks the shard of `attrs`. A panic while a shard was locked (say,
+    /// inside a [`Self::get_or_insert_with`] computation) leaves the map
+    /// consistent — the value was never inserted — so a poisoned lock is
+    /// taken over rather than aborting every later query of the shard.
+    fn shard(&self, attrs: AttrSet) -> MutexGuard<'_, AttrSetMap<V>> {
+        lock(&self.shards[shard_index(attrs)])
     }
 
     /// Returns a clone of the cached value, if present.
     pub fn get(&self, attrs: AttrSet) -> Option<V> {
-        self.shard(attrs).lock().expect("cache shard poisoned").get(&attrs).cloned()
+        self.shard(attrs).get(&attrs).cloned()
     }
 
     /// Inserts unconditionally (last writer wins; values for the same key are
     /// always equal in this crate, so the race is benign).
     pub fn insert(&self, attrs: AttrSet, value: V) {
-        self.shard(attrs).lock().expect("cache shard poisoned").insert(attrs, value);
+        self.shard(attrs).insert(attrs, value);
     }
 
     /// Inserts `value` only while `count` is below `max`, reserving a budget
@@ -94,7 +98,7 @@ impl<V: Clone> ShardedCache<V> {
         count: &AtomicUsize,
         max: usize,
     ) -> bool {
-        let mut shard = self.shard(attrs).lock().expect("cache shard poisoned");
+        let mut shard = self.shard(attrs);
         if shard.contains_key(&attrs) {
             return false;
         }
@@ -114,7 +118,7 @@ impl<V: Clone> ShardedCache<V> {
     /// attribute set therefore perform the underlying computation exactly
     /// once, matching a sequential run's work counters.
     pub fn get_or_insert_with(&self, attrs: AttrSet, compute: impl FnOnce() -> V) -> (V, bool) {
-        let mut shard = self.shard(attrs).lock().expect("cache shard poisoned");
+        let mut shard = self.shard(attrs);
         if let Some(value) = shard.get(&attrs) {
             return (value.clone(), true);
         }
@@ -126,7 +130,7 @@ impl<V: Clone> ShardedCache<V> {
     /// Total number of cached entries (sums the shard sizes; callers use this
     /// for reporting, not for budget decisions — see [`Self::insert_bounded`]).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("cache shard poisoned").len()).sum()
+        self.shards.iter().map(|s| lock(s).len()).sum()
     }
 
     /// Snapshots every cached entry (shard by shard, so the result is not an
@@ -135,11 +139,17 @@ impl<V: Clone> ShardedCache<V> {
     pub fn entries(&self) -> Vec<(AttrSet, V)> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            let shard = shard.lock().expect("cache shard poisoned");
+            let shard = lock(shard);
             out.extend(shard.iter().map(|(&k, v)| (k, v.clone())));
         }
         out
     }
+}
+
+/// Locks `mutex`, taking over a poisoned lock: no cache operation leaves a
+/// shard half-updated, so the data is always safe to use.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Lock-free counters backing [`OracleStats`] for shared (`&self`) oracles.
@@ -281,6 +291,22 @@ mod tests {
         // Every key computed exactly once despite 8 threads racing.
         assert_eq!(computations.load(Ordering::Relaxed), 32);
         assert_eq!(cache.len(), 32);
+    }
+
+    #[test]
+    fn a_panicking_computation_does_not_poison_its_shard() {
+        let cache: ShardedCache<u64> = ShardedCache::new();
+        let attrs = AttrSet::from_bits(0b101);
+        let panicked = thread::scope(|scope| {
+            scope.spawn(|| cache.get_or_insert_with(attrs, || panic!("computation failed"))).join()
+        });
+        assert!(panicked.is_err());
+        assert!(cache.shards[shard_index(attrs)].is_poisoned());
+        // The next call on that shard computes and caches the key.
+        assert_eq!(cache.get_or_insert_with(attrs, || 7), (7, false));
+        assert_eq!(cache.get_or_insert_with(attrs, || 8), (7, true));
+        assert_eq!(cache.get(attrs), Some(7));
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

@@ -179,7 +179,7 @@ impl Pli {
     /// Delta-maintains this partition of the rows across an append: given
     /// that `new` is `old` plus a batch of appended rows (and `self` is the
     /// partition of `attrs` over `old`), builds the partition of `attrs`
-    /// over `new` without regrouping the old rows; see [`Pli::grown`].
+    /// over `new` without regrouping the old rows; see `Pli::grown`.
     ///
     /// Returns `None` when the cardinality product of `attrs` on `new`
     /// overflows the `u64` fold ([`Relation::key_fold`]); callers then

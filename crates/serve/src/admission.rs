@@ -16,7 +16,7 @@
 use maimon::obs;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Knobs of the admission controller.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,7 +77,8 @@ pub struct AdmissionPermit {
 
 impl Drop for AdmissionPermit {
     fn drop(&mut self) {
-        let mut in_flight = self.controller.in_flight.lock().expect("admission lock poisoned");
+        let mut in_flight =
+            self.controller.in_flight.lock().unwrap_or_else(PoisonError::into_inner);
         match in_flight.get_mut(&self.tenant) {
             Some(n) if *n > 1 => *n -= 1,
             _ => {
@@ -103,7 +104,7 @@ impl AdmissionController {
     /// `overloaded` and count the shed.
     pub fn try_admit(self: &Arc<Self>, tenant: &str) -> Option<AdmissionPermit> {
         {
-            let mut in_flight = self.in_flight.lock().expect("admission lock poisoned");
+            let mut in_flight = self.in_flight.lock().unwrap_or_else(PoisonError::into_inner);
             let slot = in_flight.entry(tenant.to_string()).or_insert(0);
             if *slot >= self.config.max_in_flight_per_tenant {
                 drop(in_flight);
@@ -141,20 +142,25 @@ impl AdmissionController {
     }
 
     fn tenant_entry(&self, tenant: &str, update: impl FnOnce(&mut TenantAdmissionStats)) {
-        let mut per_tenant = self.per_tenant.lock().expect("admission lock poisoned");
+        let mut per_tenant = self.per_tenant.lock().unwrap_or_else(PoisonError::into_inner);
         update(per_tenant.entry(tenant.to_string()).or_default());
     }
 
     /// Current in-flight count for a tenant (0 when idle).
     pub fn in_flight(&self, tenant: &str) -> usize {
-        self.in_flight.lock().expect("admission lock poisoned").get(tenant).copied().unwrap_or(0)
+        self.in_flight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(tenant)
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Per-tenant admission/shed attribution, sorted by tenant label.
     /// Covers every tenant that ever issued a mining request (in-flight maps
     /// forget idle tenants; these counters do not).
     pub fn tenant_stats(&self) -> Vec<(String, TenantAdmissionStats)> {
-        let per_tenant = self.per_tenant.lock().expect("admission lock poisoned");
+        let per_tenant = self.per_tenant.lock().unwrap_or_else(PoisonError::into_inner);
         let mut entries: Vec<(String, TenantAdmissionStats)> =
             per_tenant.iter().map(|(name, stats)| (name.clone(), *stats)).collect();
         entries.sort_by(|a, b| a.0.cmp(&b.0));
@@ -225,5 +231,25 @@ mod tests {
         });
         assert_eq!(ctl.in_flight("t"), 0, "permit must release on unwind");
         assert!(ctl.try_admit("t").is_some());
+    }
+
+    #[test]
+    fn a_poisoned_lock_keeps_admitting() {
+        let ctl = Arc::new(AdmissionController::new(AdmissionConfig {
+            max_in_flight_per_tenant: 1,
+            max_queue_depth: 8,
+        }));
+        let ctl2 = Arc::clone(&ctl);
+        let _ = std::panic::catch_unwind(move || {
+            let _in_flight = ctl2.in_flight.lock();
+            let _per_tenant = ctl2.per_tenant.lock();
+            panic!("panic while holding both admission locks");
+        });
+        assert!(ctl.in_flight.is_poisoned() && ctl.per_tenant.is_poisoned());
+        let permit = ctl.try_admit("t").expect("admits through the poisoned lock");
+        assert_eq!(ctl.in_flight("t"), 1);
+        drop(permit);
+        assert_eq!(ctl.in_flight("t"), 0);
+        assert_eq!(ctl.tenant_stats().len(), 1);
     }
 }

@@ -11,11 +11,12 @@ use maimon::entropy::{EntropyOracle, OracleStats, PliEntropyOracle};
 use maimon::relation::{AttrSet, Relation};
 use maimon::{
     get_full_mvds, mine_mvds_with, mvd_holds, CancelToken, MaimonConfig, MaimonSession,
-    MiningLimits, RunControl,
+    MiningLimits, MvdMiningResult, ProgressEvent, ProgressSink, RunControl, StageBreakdown,
 };
 use maimon_datasets::dataset_by_name;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Delegating oracle that fires a [`CancelToken`] after exactly
 /// `fire_after` entropy calls.
@@ -182,4 +183,55 @@ fn session_cancel_token_is_shared_across_stages() {
     assert!(late.mvds.is_empty(), "cancelled before any pair was claimed");
     // Cached artifacts mined before the cancellation stay served.
     assert!(!session.mvds(0.1).unwrap().stats.truncated);
+}
+
+/// Sleeps past `deadline` when the first pair has been mined.
+struct SleepPastDeadline {
+    deadline: Instant,
+    slept: AtomicU64,
+}
+
+impl ProgressSink for SleepPastDeadline {
+    fn report(&self, event: ProgressEvent) {
+        if let ProgressEvent::PairMined { .. } = event {
+            if self.slept.fetch_add(1, Ordering::Relaxed) == 0 {
+                let left = self.deadline.saturating_duration_since(Instant::now());
+                std::thread::sleep(left + Duration::from_millis(5));
+            }
+        }
+    }
+}
+
+/// The mining result with its run-dependent fields (wall time, cumulative
+/// oracle counters, stage timings) cleared.
+fn comparable(result: &MvdMiningResult) -> MvdMiningResult {
+    let mut result = result.clone();
+    result.stats.elapsed = Duration::ZERO;
+    result.stats.oracle = OracleStats::default();
+    result.stats.stages = StageBreakdown::default();
+    result
+}
+
+#[test]
+fn a_deadline_inside_a_separator_probe_leaves_no_trace() {
+    let rel = bridges();
+    let config = deterministic_config(0.1);
+    let session = MaimonSession::new(&rel, config).unwrap();
+    // The deadline clock is read only every 64th poll, so once the sink has
+    // slept past it, it fires at a fixed poll inside the second pair's
+    // minimal-separator probes (given the first pair mines within the 2 s
+    // margin, as it does by far on any machine that runs this suite).
+    let deadline = Instant::now() + Duration::from_secs(2);
+    let sink = Arc::new(SleepPastDeadline { deadline, slept: AtomicU64::new(0) });
+    let hurried = session.clone().with_deadline(deadline).with_progress(sink);
+    let cut = hurried.mvds(0.1).unwrap();
+    assert!(cut.stats.truncated, "the deadline must surface as truncation");
+    assert!(cut.stats.pairs_processed < rel.arity() * (rel.arity() - 1) / 2);
+
+    // A later uncancelled call on the same session is bit-identical to a
+    // fresh session's: nothing the cut probe saw was remembered.
+    let later = session.mvds(0.1).unwrap();
+    assert!(!later.stats.truncated);
+    let fresh = MaimonSession::new(&rel, config).unwrap().mvds(0.1).unwrap();
+    assert_eq!(comparable(&later), comparable(&fresh));
 }
