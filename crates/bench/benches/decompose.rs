@@ -6,10 +6,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use maimon::decompose::{flat_scan, Query};
 use maimon::relation::{AttrSet, Relation};
-use maimon::{AcyclicSchema, Maimon, MaimonConfig, MiningLimits};
+use maimon::{AcyclicSchema, MaimonConfig, MaimonSession, MiningLimits};
 use maimon_datasets::nursery_with_rows;
 use std::hint::black_box;
-use std::time::Duration;
 
 /// Mines Nursery and returns the discovered schema with the fewest spurious
 /// tuples among those that actually save storage (falling back to the best
@@ -17,17 +16,14 @@ use std::time::Duration;
 fn mined_nursery_schema(rel: &Relation) -> AcyclicSchema {
     let config = MaimonConfig::builder()
         .epsilon(0.1)
-        .limits(
-            MiningLimits::small()
-                .to_builder()
-                .time_budget(Some(Duration::from_secs(20)))
-                .build()
-                .unwrap(),
-        )
+        .limits(MiningLimits::small())
         .max_schemas(Some(200))
         .build()
         .unwrap();
-    let result = Maimon::new(rel, config).expect("nursery is valid").run().expect("run succeeds");
+    let result = MaimonSession::new(rel, config)
+        .expect("nursery is valid")
+        .quality(config.epsilon)
+        .expect("run succeeds");
     let mut candidates: Vec<_> =
         result.schemas.iter().filter(|s| s.quality.storage_savings_pct > 0.0).collect();
     if candidates.is_empty() {

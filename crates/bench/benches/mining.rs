@@ -6,8 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use maimon::entropy::PliEntropyOracle;
 use maimon::{
-    get_full_mvds, mine_min_seps, mine_mvds, Maimon, MaimonConfig, MaimonSession, MiningLimits,
-    RunControl,
+    get_full_mvds, mine_min_seps, mine_mvds, MaimonConfig, MaimonSession, MiningLimits, RunControl,
 };
 use maimon_datasets::{dataset_by_name, running_example_with_red_tuple};
 use std::hint::black_box;
@@ -107,10 +106,11 @@ fn end_to_end(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("running_example_eps_0.2", |b| {
         b.iter(|| {
-            let result = Maimon::new(&running, MaimonConfig::with_epsilon_and_threads(0.2, 1))
-                .unwrap()
-                .run()
-                .unwrap();
+            let result =
+                MaimonSession::new(&running, MaimonConfig::with_epsilon_and_threads(0.2, 1))
+                    .unwrap()
+                    .quality(0.2)
+                    .unwrap();
             black_box(result.schemas.len())
         })
     });
@@ -132,7 +132,8 @@ fn end_to_end(c: &mut Criterion) {
                 .build()
                 .unwrap();
             b.iter(|| {
-                let result = Maimon::new(&bridges, config).unwrap().run().unwrap();
+                let result =
+                    MaimonSession::new(&bridges, config).unwrap().quality(config.epsilon).unwrap();
                 black_box(result.schemas.len())
             })
         });
@@ -150,7 +151,7 @@ fn session_sweep(c: &mut Criterion) {
     let bridges = dataset_by_name("Bridges").unwrap().generate(1.0).column_prefix(8).unwrap();
     let thresholds = [0.0f64, 0.05, 0.1, 0.2];
     let config = MaimonConfig::builder()
-        .limits(MiningLimits::small().to_builder().time_budget(None).build().unwrap())
+        .limits(MiningLimits::small())
         .max_schemas(Some(100))
         .threads(Some(1))
         .build()
@@ -163,7 +164,8 @@ fn session_sweep(c: &mut Criterion) {
             let mut schemas = 0usize;
             for &epsilon in &thresholds {
                 let cfg = config.to_builder().epsilon(epsilon).build().unwrap();
-                let result = Maimon::new(&bridges, cfg).unwrap().run().unwrap();
+                let result =
+                    MaimonSession::new(&bridges, cfg).unwrap().quality(cfg.epsilon).unwrap();
                 schemas += result.schemas.len();
             }
             black_box(schemas)
@@ -187,7 +189,8 @@ fn session_sweep(c: &mut Criterion) {
             let mut schemas = 0usize;
             for &epsilon in &nursery_thresholds {
                 let cfg = config.to_builder().epsilon(epsilon).build().unwrap();
-                let result = Maimon::new(&nursery, cfg).unwrap().run().unwrap();
+                let result =
+                    MaimonSession::new(&nursery, cfg).unwrap().quality(cfg.epsilon).unwrap();
                 schemas += result.schemas.len();
             }
             black_box(schemas)
@@ -217,7 +220,7 @@ fn session_sweep(c: &mut Criterion) {
 fn incremental_append(c: &mut Criterion) {
     let config = MaimonConfig::builder()
         .epsilon(0.1)
-        .limits(MiningLimits::small().to_builder().time_budget(None).build().unwrap())
+        .limits(MiningLimits::small())
         .threads(Some(1))
         .build()
         .unwrap();

@@ -4,7 +4,8 @@
 //! relations m (the paper shows ten pareto-optimal schemes out of 415).
 //!
 //! The sweep runs through one [`MaimonSession`]: a single shared PLI oracle
-//! serves all ten thresholds instead of being rebuilt per ε.
+//! serves all ten thresholds instead of being rebuilt per ε. Each threshold
+//! gets its own deadline, one budget away.
 //!
 //! Run with: `cargo run -p maimon-bench --release --bin fig10_nursery_pareto`
 //! Environment: `MAIMON_SCALE` scales the number of Nursery rows (1.0 = the
@@ -14,8 +15,9 @@
 use bench_support::{emit_json, harness_options, mining_config};
 use maimon::json::Json;
 use maimon::wire::ToJson;
-use maimon::{pareto_front, MaimonSession};
+use maimon::{pareto_front, MaimonSession, SweepPoint};
 use maimon_datasets::{nursery_with_rows, NURSERY_ROWS};
+use std::time::Instant;
 
 fn main() {
     let options = harness_options();
@@ -30,11 +32,18 @@ fn main() {
     );
 
     let thresholds = [0.0, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5];
-    let session =
-        MaimonSession::new(&rel, mining_config(0.0, &options)).expect("nursery relation is valid");
-    let sweep = session
-        .epsilon_sweep(thresholds.iter().copied())
-        .expect("quality evaluation succeeds on acyclic schemas");
+    let session = MaimonSession::new(&rel, mining_config(0.0)).expect("nursery relation is valid");
+    let sweep: Vec<SweepPoint> = thresholds
+        .iter()
+        .map(|&epsilon| {
+            let result = session
+                .clone()
+                .with_deadline(Instant::now() + options.budget)
+                .quality(epsilon)
+                .expect("quality evaluation succeeds on acyclic schemas");
+            SweepPoint { epsilon, result }
+        })
+        .collect();
 
     // (point index, schema index) back-references let the JSON emission
     // serialize only the pareto-front rows, and only when MAIMON_JSON is on.

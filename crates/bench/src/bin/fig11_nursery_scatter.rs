@@ -4,7 +4,7 @@
 //! (S, E) series so it can be plotted directly, plus the pareto front.
 //!
 //! The twelve thresholds are swept through one [`MaimonSession`] sharing a
-//! single PLI oracle.
+//! single PLI oracle, each under its own deadline, one budget away.
 //!
 //! Run with: `cargo run -p maimon-bench --release --bin fig11_nursery_scatter`
 //! Environment: `MAIMON_JSON=1` appends one machine-readable JSON line with
@@ -14,6 +14,7 @@ use bench_support::{emit_json, harness_options, mining_config};
 use maimon::json::Json;
 use maimon::{pareto_front, MaimonSession};
 use maimon_datasets::{nursery_with_rows, NURSERY_ROWS};
+use std::time::Instant;
 
 fn main() {
     let options = harness_options();
@@ -23,13 +24,15 @@ fn main() {
     println!("# rows = {}, budget per threshold = {:?}", rel.n_rows(), options.budget);
 
     let thresholds = [0.0, 0.02, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5];
-    let session =
-        MaimonSession::new(&rel, mining_config(0.0, &options)).expect("nursery relation is valid");
-    let sweep =
-        session.epsilon_sweep(thresholds.iter().copied()).expect("quality evaluation succeeds");
+    let session = MaimonSession::new(&rel, mining_config(0.0)).expect("nursery relation is valid");
     let mut points: Vec<(f64, f64)> = Vec::new();
-    for point in &sweep {
-        for ranked in &point.result.schemas {
+    for &epsilon in &thresholds {
+        let result = session
+            .clone()
+            .with_deadline(Instant::now() + options.budget)
+            .quality(epsilon)
+            .expect("quality evaluation succeeds");
+        for ranked in &result.schemas {
             points.push((ranked.quality.storage_savings_pct, ranked.quality.spurious_tuples_pct));
         }
     }

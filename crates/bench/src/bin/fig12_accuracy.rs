@@ -17,6 +17,7 @@ use maimon::json::Json;
 use maimon::relation::Relation;
 use maimon::MaimonSession;
 use maimon_datasets::{dataset_by_name, nursery_with_rows};
+use std::time::Instant;
 
 fn quantile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
@@ -58,7 +59,7 @@ fn main() {
         let rel = dataset(name, &options);
         println!("\n## {} ({} rows × {} cols)", name, rel.n_rows(), rel.arity());
         // One session per dataset; every threshold reuses its oracle.
-        let session = match MaimonSession::new(&rel, mining_config(0.0, &options)) {
+        let session = match MaimonSession::new(&rel, mining_config(0.0)) {
             Ok(session) => session,
             Err(error) => {
                 println!("#   skipped: {}", error);
@@ -68,7 +69,8 @@ fn main() {
         // Collect (J, spurious %) for every schema discovered at any threshold.
         let mut samples: Vec<(f64, f64)> = Vec::new();
         for &epsilon in &thresholds {
-            let result = match session.quality(epsilon) {
+            let deadline = Instant::now() + options.budget;
+            let result = match session.clone().with_deadline(deadline).quality(epsilon) {
                 Ok(r) => r,
                 Err(error) => {
                     println!("#   skipped at ε={}: {}", epsilon, error);

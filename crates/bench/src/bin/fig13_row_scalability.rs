@@ -11,7 +11,7 @@ use maimon::entropy::PliEntropyOracle;
 use maimon::json::Json;
 use maimon::storage::{ingest_csv_file, IngestOptions, PagedOptions, RelationBackend};
 use maimon::wire::ToJson;
-use maimon::Maimon;
+use maimon::MaimonSession;
 use maimon_datasets::{write_planted_csv, SyntheticSpec};
 use std::io::BufWriter;
 use std::sync::Arc;
@@ -44,7 +44,7 @@ fn main() {
         for &fraction in &fractions {
             let rel = full.head(((full.n_rows() as f64) * fraction).round() as usize);
             for &epsilon in &epsilons {
-                let config = mining_config(epsilon, &options);
+                let config = mining_config(epsilon);
                 let oracle = PliEntropyOracle::new(&rel, config.entropy);
                 let started = Instant::now();
                 let sweep = sweep_min_seps(&oracle, epsilon, &config, options.budget);
@@ -65,10 +65,13 @@ fn main() {
                     ("truncated", Json::from(sweep.truncated)),
                     ("stages", sweep.stages.to_json()),
                 ]));
-                // Keep the facade exercised too (smoke check that end-to-end
-                // mining works on the smallest fraction without panicking).
+                // Keep the session path exercised too (smoke check that
+                // end-to-end mining works on the smallest fraction without
+                // panicking).
                 if fraction <= 0.1 && epsilon == 0.0 {
-                    let _ = Maimon::new(&rel, config).map(|m| m.mine_mvds());
+                    let deadline = Instant::now() + options.budget;
+                    let _ = MaimonSession::new(&rel, config)
+                        .and_then(|s| s.with_deadline(deadline).mvds(epsilon));
                 }
             }
         }
@@ -102,7 +105,7 @@ fn main() {
         let _ = std::fs::remove_file(&path);
         let backend: Arc<dyn RelationBackend> = Arc::new(store);
         for &epsilon in &epsilons {
-            let config = mining_config(epsilon, &options);
+            let config = mining_config(epsilon);
             let oracle = PliEntropyOracle::from_backend(Arc::clone(&backend), config.entropy);
             let started = Instant::now();
             let sweep = sweep_min_seps(&oracle, epsilon, &config, options.budget);

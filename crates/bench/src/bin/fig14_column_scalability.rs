@@ -46,7 +46,7 @@ fn main() {
         for &cols in &column_counts {
             let rel = full.column_prefix(cols).expect("prefix within arity");
             for &epsilon in &epsilons {
-                let config = mining_config(epsilon, &options);
+                let config = mining_config(epsilon);
                 let oracle = PliEntropyOracle::new(&rel, config.entropy);
                 let started = Instant::now();
                 let sweep = sweep_min_seps(&oracle, epsilon, &config, options.budget);

@@ -14,6 +14,7 @@ use bench_support::{emit_json, harness_options, mining_config};
 use maimon::json::Json;
 use maimon::MaimonSession;
 use maimon_datasets::dataset_by_name;
+use std::time::Instant;
 
 const DATASETS: [&str; 8] = [
     "Image",
@@ -51,7 +52,7 @@ fn main() {
             "{:>8} {:>10} {:>12} {:>10} {:>10}",
             "eps", "#schemes", "#relations", "width", "intWidth"
         );
-        let session = match MaimonSession::new(&rel, mining_config(0.0, &options)) {
+        let session = match MaimonSession::new(&rel, mining_config(0.0)) {
             Ok(session) => session,
             Err(error) => {
                 println!("{:>8} skipped: {}", "-", error);
@@ -60,7 +61,8 @@ fn main() {
         };
         let mut last_relations = 0usize;
         for &epsilon in &thresholds {
-            let result = match session.quality(epsilon) {
+            let deadline = Instant::now() + options.budget;
+            let result = match session.clone().with_deadline(deadline).quality(epsilon) {
                 Ok(r) => r,
                 Err(error) => {
                     println!("{:>8} skipped: {}", epsilon, error);

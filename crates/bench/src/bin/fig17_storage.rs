@@ -26,9 +26,10 @@ use std::time::Instant;
 
 fn report(name: &str, rel: &Relation, epsilon: f64) -> Option<Json> {
     let options = harness_options();
-    let config = mining_config(epsilon, &options);
     let started = Instant::now();
-    let result = match MaimonSession::new(rel, config).and_then(|s| s.quality(epsilon)) {
+    let result = match MaimonSession::new(rel, mining_config(epsilon))
+        .and_then(|s| s.with_deadline(started + options.budget).quality(epsilon))
+    {
         Ok(r) => r,
         Err(e) => {
             println!("{:<22} mining failed: {}", name, e);

@@ -45,7 +45,7 @@ fn main() {
             "eps", "min seps", "full MVDs", "time[s]", "MVDs/s"
         );
         for &epsilon in &thresholds {
-            let config = mining_config(epsilon, &options);
+            let config = mining_config(epsilon);
             let oracle = PliEntropyOracle::new(&rel, config.entropy);
 
             // Phase A (not timed, as in the paper): minimal separators per

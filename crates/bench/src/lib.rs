@@ -11,7 +11,8 @@
 //!   (default `0.002`, i.e. a few thousand rows for the largest datasets).
 //! * `MAIMON_BUDGET_SECS` — per-configuration time budget in seconds
 //!   (default `15`; the paper used 5 hours for Table 2 and 30 minutes for
-//!   §8.4).
+//!   §8.4). The harnesses turn it into a deadline on the run
+//!   (`MaimonSession::with_deadline` or `RunControl::with_timeout`).
 //! * `MAIMON_MAX_COLS` — column cap applied to the widest datasets
 //!   (default `14`; the paper itself reports timeouts beyond ~30 columns).
 //! * `MAIMON_THREADS` — worker count for the pair fan-out (default: the
@@ -64,14 +65,12 @@ pub fn harness_options() -> HarnessOptions {
 }
 
 /// Builds the mining configuration used by the harness binaries: the given ε,
-/// the pairwise-consistency optimization on, and limits derived from the
-/// harness time budget.
-pub fn mining_config(epsilon: f64, options: &HarnessOptions) -> MaimonConfig {
+/// the pairwise-consistency optimization on, and the harness count limits.
+pub fn mining_config(epsilon: f64) -> MaimonConfig {
     let limits = MiningLimits::builder()
         .max_full_mvds_per_separator(Some(256))
         .max_separators_per_pair(Some(256))
         .max_lattice_nodes(Some(50_000))
-        .time_budget(Some(options.budget))
         .build()
         .expect("harness limits are nonzero");
     MaimonConfig::builder()
@@ -115,7 +114,8 @@ impl MinSepSweep {
 /// Mines the minimal separators of every attribute pair on a worker pool
 /// sharing `oracle` — the separator-only workload Figures 13/14/18 measure.
 /// Built on `maimon::fan_out_pairs`, so outcomes are merged in pair order
-/// and (for a fixed thread count, without a budget hit) deterministic.
+/// and (for a fixed thread count, without a budget hit) deterministic. The
+/// sweep stops once `budget` has passed since it started.
 pub fn sweep_min_seps<O: EntropyOracle + ?Sized>(
     oracle: &O,
     epsilon: f64,
@@ -126,8 +126,8 @@ pub fn sweep_min_seps<O: EntropyOracle + ?Sized>(
     let pair_count = n.saturating_sub(1) * n / 2;
     let threads = config.effective_threads().min(pair_count).max(1);
     let collector = StageCollector::new();
-    let ctl = RunControl::NONE.with_stages(&collector);
-    let (outcomes, budget_hit) = fan_out_pairs(n, threads, Some(budget), &ctl, |pair, _index| {
+    let ctl = RunControl::new().with_timeout(budget).with_stages(&collector);
+    let (outcomes, budget_hit) = fan_out_pairs(n, threads, &ctl, |pair, _index| {
         // The outer span attributes whole-pair time to `mine_min_seps`;
         // the transversal/reduce spans inside subtract their own share, so
         // the breakdown separates enumeration from entropy-oracle work.
@@ -211,13 +211,15 @@ mod tests {
     }
 
     #[test]
-    fn mining_config_uses_the_budget() {
-        let options =
-            HarnessOptions { budget: Duration::from_secs(3), ..HarnessOptions::default() };
-        let config = mining_config(0.1, &options);
+    fn sweep_stops_at_the_budget() {
+        let config = mining_config(0.1);
         assert_eq!(config.epsilon, 0.1);
-        assert_eq!(config.limits.time_budget, Some(Duration::from_secs(3)));
         assert!(config.validate().is_ok());
+        let rel = maimon_datasets::running_example_with_red_tuple();
+        let oracle = maimon::entropy::PliEntropyOracle::new(&rel, config.entropy);
+        let sweep = sweep_min_seps(&oracle, 0.1, &config, Duration::ZERO);
+        assert!(sweep.truncated);
+        assert!(sweep.per_pair.is_empty());
     }
 
     #[test]

@@ -23,7 +23,6 @@ use hypergraph::{for_each_maximal_independent_set, Control};
 use obs::{Span, Stage, StageBreakdown, StageCollector};
 use relation::AttrSet;
 use std::collections::BTreeSet;
-use std::time::Instant;
 
 /// One schema produced by `ASMiner`.
 #[derive(Clone, Debug, PartialEq)]
@@ -101,8 +100,7 @@ fn build_in_order<'a>(
 /// `mvds` and builds one acyclic schema from each.
 ///
 /// Schemas are deduplicated (different MVD sets can synthesize the same
-/// schema); enumeration stops at `config.max_schemas` or when the time budget
-/// of `config.limits` is exhausted.
+/// schema); enumeration stops at `config.max_schemas`.
 ///
 /// Convenience form of [`mine_schemas_with`] without cancellation or progress
 /// plumbing.
@@ -118,7 +116,7 @@ pub fn mine_schemas<O: EntropyOracle + ?Sized>(
 /// [`mine_schemas`] with cancellation, deadline and progress plumbing.
 ///
 /// When `ctl` fires mid-enumeration the schemas discovered so far are
-/// returned flagged `truncated`, like the `max_schemas` / time-budget paths.
+/// returned flagged `truncated`, like the `max_schemas` path.
 /// [`ProgressEvent::SchemaFound`] fires once per deduplicated schema.
 pub fn mine_schemas_with<O: EntropyOracle + ?Sized>(
     oracle: &O,
@@ -172,7 +170,6 @@ pub fn mine_schemas_with<O: EntropyOracle + ?Sized>(
         rank[i] = r;
     }
     let mut queue: Vec<usize> = Vec::new();
-    let started = Instant::now();
     let mut seen: BTreeSet<AcyclicSchema> = BTreeSet::new();
     let mut schemas: Vec<DiscoveredSchema> = Vec::new();
     let mut truncated = false;
@@ -195,12 +192,6 @@ pub fn mine_schemas_with<O: EntropyOracle + ?Sized>(
         }
         if let Some(max) = config.max_schemas {
             if schemas.len() >= max {
-                truncated = true;
-                return Control::Stop;
-            }
-        }
-        if let Some(budget) = config.limits.time_budget {
-            if started.elapsed() > budget {
                 truncated = true;
                 return Control::Stop;
             }

@@ -2,12 +2,12 @@
 
 use crate::error::MaimonError;
 use entropy::EntropyConfig;
-use std::time::Duration;
 
-/// Resource limits applied while mining. The paper's experiments bound every
-/// phase by wall-clock time (5 hours for full-MVD mining in Table 2, 30
-/// minutes per threshold in §8.4 and §14.1); count limits are additionally
-/// exposed so unit tests and benchmarks stay fast and deterministic.
+/// Count limits applied while mining, so unit tests and benchmarks stay fast
+/// and deterministic. The paper's wall-clock limits (5 hours for full-MVD
+/// mining in Table 2, 30 minutes per threshold in §8.4 and §14.1) are
+/// deadlines on a [`crate::RunControl`] or [`crate::MaimonSession`], not
+/// limits.
 ///
 /// The struct is `#[non_exhaustive]`: construct it with
 /// [`MiningLimits::builder`] (or start from [`MiningLimits::default`] /
@@ -24,8 +24,6 @@ pub struct MiningLimits {
     /// Cap on lattice nodes explored by a single `getFullMVDs` invocation
     /// (a defense against the worst-case Stirling-number blowup of §6.2.1).
     pub max_lattice_nodes: Option<usize>,
-    /// Wall-clock budget for an entire mining phase.
-    pub time_budget: Option<Duration>,
 }
 
 impl Default for MiningLimits {
@@ -34,7 +32,6 @@ impl Default for MiningLimits {
             max_full_mvds_per_separator: None,
             max_separators_per_pair: None,
             max_lattice_nodes: Some(200_000),
-            time_budget: None,
         }
     }
 }
@@ -46,7 +43,6 @@ impl MiningLimits {
             max_full_mvds_per_separator: Some(64),
             max_separators_per_pair: Some(64),
             max_lattice_nodes: Some(20_000),
-            time_budget: Some(Duration::from_secs(30)),
         }
     }
 
@@ -54,11 +50,9 @@ impl MiningLimits {
     ///
     /// ```
     /// use maimon::MiningLimits;
-    /// use std::time::Duration;
     ///
     /// let limits = MiningLimits::builder()
     ///     .max_separators_per_pair(Some(16))
-    ///     .time_budget(Some(Duration::from_secs(5)))
     ///     .build()
     ///     .unwrap();
     /// assert_eq!(limits.max_separators_per_pair, Some(16));
@@ -114,12 +108,6 @@ impl MiningLimitsBuilder {
     /// Caps the lattice nodes explored per `getFullMVDs` invocation.
     pub fn max_lattice_nodes(mut self, value: Option<usize>) -> Self {
         self.inner.max_lattice_nodes = value;
-        self
-    }
-
-    /// Sets the wall-clock budget for an entire mining phase.
-    pub fn time_budget(mut self, value: Option<Duration>) -> Self {
-        self.inner.time_budget = value;
         self
     }
 
@@ -382,8 +370,8 @@ mod tests {
         assert!(MaimonConfig::builder().max_schemas(Some(0)).build().is_err());
         assert!(MiningLimits::builder().max_lattice_nodes(Some(0)).build().is_err());
         // Seeded builders start from the given value.
-        let limits = MiningLimits::small().to_builder().time_budget(None).build().unwrap();
-        assert_eq!(limits.time_budget, None);
+        let limits = MiningLimits::small().to_builder().max_lattice_nodes(None).build().unwrap();
+        assert_eq!(limits.max_lattice_nodes, None);
         assert_eq!(limits.max_separators_per_pair, MiningLimits::small().max_separators_per_pair);
         let tweaked = config.to_builder().epsilon(0.5).build().unwrap();
         assert_eq!(tweaked.epsilon, 0.5);
@@ -404,6 +392,5 @@ mod tests {
         assert!(limits.max_full_mvds_per_separator.is_some());
         assert!(limits.max_separators_per_pair.is_some());
         assert!(limits.max_lattice_nodes.is_some());
-        assert!(limits.time_budget.is_some());
     }
 }

@@ -42,7 +42,8 @@ pub struct MiningStats {
     pub lattice_nodes_explored: usize,
     /// Wall-clock time spent.
     pub elapsed: Duration,
-    /// `true` if the time budget or a count limit stopped the run early.
+    /// `true` if a deadline, a cancellation or a count limit stopped the run
+    /// early.
     pub truncated: bool,
     /// Worker threads used by the pair fan-out (1 = sequential path).
     pub threads: usize,
@@ -144,14 +145,13 @@ fn mine_pair<O: EntropyOracle + ?Sized>(
 /// enumeration, and the outcomes are returned sorted by that index — so the
 /// caller's merge is order-identical to a sequential loop.
 ///
-/// The returned flag is `true` iff the time budget (or the cancellation /
-/// deadline control) stopped the fan-out before every pair was processed; a
-/// budget that expires only after the last pair completes does *not*
-/// truncate, on either path.
+/// The returned flag is `true` iff the cancellation / deadline control
+/// stopped the fan-out before every pair was processed; a deadline that
+/// passes only after the last pair completes does *not* truncate, on either
+/// path.
 pub fn fan_out_pairs<T, F>(
     n: usize,
     threads: usize,
-    budget: Option<Duration>,
     ctl: &RunControl<'_>,
     work: F,
 ) -> (Vec<T>, bool)
@@ -160,13 +160,11 @@ where
     F: Fn((usize, usize), usize) -> T + Sync,
 {
     let pairs: Vec<(usize, usize)> = (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b))).collect();
-    let started = Instant::now();
-    let over_budget = move || budget.is_some_and(|b| started.elapsed() > b) || ctl.should_stop();
 
     let mut outcomes: Vec<(usize, T)> = if threads <= 1 {
         let mut outcomes = Vec::with_capacity(pairs.len());
         for (index, &pair) in pairs.iter().enumerate() {
-            if over_budget() {
+            if ctl.should_stop() {
                 break;
             }
             outcomes.push((index, work(pair, index)));
@@ -180,7 +178,7 @@ where
                     scope.spawn(|| {
                         let mut local = Vec::new();
                         loop {
-                            if over_budget() {
+                            if ctl.should_stop() {
                                 break;
                             }
                             let index = cursor.fetch_add(1, Ordering::Relaxed);
@@ -219,8 +217,8 @@ pub fn mine_mvds<O: EntropyOracle + ?Sized>(oracle: &O, config: &MaimonConfig) -
 ///
 /// When `ctl` fires mid-run the fan-out stops claiming pairs, in-flight pairs
 /// wind down at their next check, and the merged partial result is returned
-/// flagged `truncated` — the same contract as the time-budget path. Progress
-/// events ([`ProgressEvent::MvdMiningStarted`], [`ProgressEvent::PairMined`],
+/// flagged `truncated`, like a count limit. Progress events
+/// ([`ProgressEvent::MvdMiningStarted`], [`ProgressEvent::PairMined`],
 /// [`ProgressEvent::MvdMiningFinished`]) fire on the attached sink; the
 /// per-pair events fire from worker threads in completion order.
 pub fn mine_mvds_with<O: EntropyOracle + ?Sized>(
@@ -249,19 +247,18 @@ pub fn mine_mvds_with<O: EntropyOracle + ?Sized>(
 
     ctl.emit(ProgressEvent::MvdMiningStarted { pairs: pair_count });
     let done = AtomicUsize::new(0);
-    let (outcomes, budget_hit) =
-        fan_out_pairs(n, threads, config.limits.time_budget, ctl, |pair, _index| {
-            let outcome = mine_pair(oracle, config, pair, ctl);
-            ctl.emit(ProgressEvent::PairMined {
-                pair,
-                done: done.fetch_add(1, Ordering::Relaxed) + 1,
-                total: pair_count,
-                separators: outcome.separators.len(),
-                mvds: outcome.mvds.len(),
-            });
-            outcome
+    let (outcomes, stopped) = fan_out_pairs(n, threads, ctl, |pair, _index| {
+        let outcome = mine_pair(oracle, config, pair, ctl);
+        ctl.emit(ProgressEvent::PairMined {
+            pair,
+            done: done.fetch_add(1, Ordering::Relaxed) + 1,
+            total: pair_count,
+            separators: outcome.separators.len(),
+            mvds: outcome.mvds.len(),
         });
-    result.stats.truncated |= budget_hit;
+        outcome
+    });
+    result.stats.truncated |= stopped;
 
     // Deterministic merge in pair order — the same accumulation the
     // sequential loop performs inline.
@@ -461,13 +458,13 @@ mod tests {
     }
 
     #[test]
-    fn time_budget_of_zero_truncates_immediately() {
+    fn expired_deadline_truncates_immediately() {
         let rel = running_example(false);
         let o = NaiveEntropyOracle::new(&rel);
         for threads in [1usize, 4] {
-            let mut config = MaimonConfig::with_epsilon_and_threads(0.0, threads);
-            config.limits.time_budget = Some(Duration::from_secs(0));
-            let result = mine_mvds(&o, &config);
+            let config = MaimonConfig::with_epsilon_and_threads(0.0, threads);
+            let ctl = RunControl::new().with_deadline(Instant::now());
+            let result = mine_mvds_with(&o, &config, &ctl);
             assert!(result.stats.truncated);
             assert!(result.stats.pairs_processed <= threads);
         }

@@ -22,7 +22,6 @@ use hypergraph::minimal_transversals;
 use obs::{Span, Stage};
 use relation::AttrSet;
 use std::collections::HashSet;
-use std::time::Instant;
 
 /// Result of mining the minimal separators of one attribute pair.
 #[derive(Clone, Debug, Default)]
@@ -106,7 +105,6 @@ pub(crate) fn mine_min_seps_in<O: EntropyOracle + ?Sized>(
         return result;
     }
     let ground = universe.without(a).without(b);
-    let started = Instant::now();
 
     // Line 3: the largest candidate separator must work, otherwise none does.
     if !search.is_separator(ground, limits.max_lattice_nodes, ctl) {
@@ -123,12 +121,6 @@ pub(crate) fn mine_min_seps_in<O: EntropyOracle + ?Sized>(
     loop {
         if let Some(max) = limits.max_separators_per_pair {
             if result.separators.len() >= max {
-                result.truncated = true;
-                break;
-            }
-        }
-        if let Some(budget) = limits.time_budget {
-            if started.elapsed() > budget {
                 result.truncated = true;
                 break;
             }

@@ -1,15 +1,15 @@
 //! Progress reporting and cooperative cancellation for long mining runs.
 //!
-//! The paper's experiments bound every phase by wall-clock time; a production
-//! service additionally needs *external* cancellation (a client disconnects,
+//! The paper's experiments bound every run by wall-clock time (a deadline
+//! here); a production service additionally needs *external* cancellation (a client disconnects,
 //! a scheduler preempts the request) and live progress so a many-minute run
 //! over a wide relation is observable. Three pieces provide that:
 //!
 //! * [`CancelToken`] — a cheap, cloneable flag shared between the caller and
 //!   the mining algorithms. Firing it makes every plumbed loop stop at its
 //!   next check and return a *well-formed partial result* flagged
-//!   `truncated`, exactly like the pre-existing time-budget path; it is never
-//!   surfaced as an error.
+//!   `truncated`, exactly like a count limit; it is never surfaced as an
+//!   error.
 //! * [`ProgressSink`] — a `Sync` callback observing [`ProgressEvent`]s
 //!   (per-pair completions during MVD mining, per-schema discoveries during
 //!   enumeration). Sinks are invoked from worker threads, so they must be
@@ -271,9 +271,9 @@ impl Clone for DeadlineState {
 /// Cancellation, deadline and progress plumbing for one mining invocation.
 ///
 /// Built fluently and passed by reference down the call tree. The deadline is
-/// an *absolute* instant — unlike the per-call `MiningLimits::time_budget`,
-/// it bounds an entire multi-phase run, which is what a service boundary
-/// needs ("this request may use 2 more seconds, wherever it is").
+/// an *absolute* instant: it bounds an entire multi-phase run, which is what
+/// both the paper's per-dataset time limits and a service boundary need
+/// ("this request may use 2 more seconds, wherever it is").
 #[derive(Clone, Debug, Default)]
 pub struct RunControl<'a> {
     cancel: Option<CancelToken>,

@@ -38,41 +38,6 @@ pub struct SchemaQuality {
     pub join_size: u128,
 }
 
-/// Storage savings S (percent) of decomposing `rel` by `schema`.
-///
-/// # Errors
-/// Returns an error if a projection is invalid for the relation.
-pub fn storage_savings_pct(rel: &Relation, schema: &AcyclicSchema) -> Result<f64, MaimonError> {
-    let mut counter = JoinCounter::new(rel);
-    let original = (counter.distinct_count(rel.schema().all_attrs())? * rel.arity()) as u128;
-    let mut decomposed: u128 = 0;
-    for &bag in schema.bags() {
-        let count = counter.distinct_count(bag)? as u128;
-        decomposed += count * bag.len() as u128;
-    }
-    if original == 0 {
-        return Ok(0.0);
-    }
-    Ok(100.0 * (1.0 - decomposed as f64 / original as f64))
-}
-
-/// Spurious-tuple percentage E of decomposing `rel` by `schema`.
-///
-/// # Errors
-/// Returns an error if the schema is cyclic or a projection is invalid.
-pub fn spurious_tuples_pct(rel: &Relation, schema: &AcyclicSchema) -> Result<f64, MaimonError> {
-    let tree = schema
-        .join_tree()
-        .ok_or_else(|| MaimonError::InvalidSchema("cyclic schema has no join tree".into()))?;
-    let mut counter = JoinCounter::new(rel);
-    let original = counter.distinct_count(rel.schema().all_attrs())? as u128;
-    let join_size = counter.join_size(&tree.to_spec())?;
-    if original == 0 {
-        return Ok(0.0);
-    }
-    Ok(100.0 * (join_size.saturating_sub(original)) as f64 / original as f64)
-}
-
 /// Computes the full quality report for one schema with a one-shot
 /// [`JoinCounter`]; a pass over many schemas should share one counter
 /// through [`evaluate_schema_with`].
@@ -318,17 +283,7 @@ mod tests {
         let rel = Relation::from_rows(schema_obj, &[vec!["1", "2", "3"]]).unwrap();
         let cyclic =
             AcyclicSchema::new(vec![attrs(&[0, 1]), attrs(&[1, 2]), attrs(&[2, 0])]).unwrap();
-        assert!(spurious_tuples_pct(&rel, &cyclic).is_err());
         assert!(evaluate_schema(&rel, &cyclic).is_err());
-    }
-
-    #[test]
-    fn standalone_metrics_match_evaluate() {
-        let rel = running_example(true);
-        let schema = paper_schema();
-        let q = evaluate_schema(&rel, &schema).unwrap();
-        assert!((storage_savings_pct(&rel, &schema).unwrap() - q.storage_savings_pct).abs() < 1e-9);
-        assert!((spurious_tuples_pct(&rel, &schema).unwrap() - q.spurious_tuples_pct).abs() < 1e-9);
     }
 
     #[test]

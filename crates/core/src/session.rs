@@ -4,10 +4,9 @@
 //! Every phase of Maimon interacts with the data only through the entropy
 //! oracle, and the oracle's PLI cache is *ε-independent*: the partitions and
 //! entropies computed while mining at one threshold answer the queries of
-//! every other threshold. The one-shot [`crate::Maimon`] facade could not
-//! exploit that — each `run()` rebuilt the oracle — so the ε-sweeps of the
-//! paper's Figures 10–15 paid the PLI construction and every shared entropy
-//! once *per threshold*. A session pays them once per relation:
+//! every other threshold. So the ε-sweeps of the paper's Figures 10–15 pay
+//! the PLI construction and every shared entropy once per relation, not once
+//! per threshold:
 //!
 //! ```text
 //! MaimonSession::new(rel, config)       // relation owned; oracle built once
@@ -18,7 +17,7 @@
 //!     └─ session.epsilon_sweep([ε₁, ε₂, …]) → per-ε results, shared oracle
 //! ```
 //!
-//! Results are bit-identical to fresh per-ε [`crate::Maimon::run`] calls
+//! Results are bit-identical to a fresh session's `quality(ε)` per threshold
 //! (`tests/session_equivalence.rs` locks this down across the Table 2
 //! catalog): the mining algorithms are pure functions of the oracle's
 //! answers, and the shared cache changes only *when* an entropy is computed,
@@ -72,15 +71,14 @@
 //! assert!(std::sync::Arc::ptr_eq(&again, &sweep[1].result));
 //! ```
 
-use crate::asminer::{mine_schemas_with, SchemaMiningResult};
+use crate::asminer::{mine_schemas_with, DiscoveredSchema, SchemaMiningResult};
 use crate::config::MaimonConfig;
 use crate::error::MaimonError;
 use crate::fd::{mine_fds, FdMiningResult};
-use crate::maimon::{MaimonResult, RankedSchema};
 use crate::measure::{j_mvd, within_epsilon};
 use crate::miner::{mine_mvds_with, MvdMiningResult};
 use crate::progress::{CancelToken, ProgressSink, RunControl};
-use crate::quality::{evaluate_schema_with, pareto_front};
+use crate::quality::{evaluate_schema_with, pareto_front, SchemaQuality};
 use crate::schema::AcyclicSchema;
 use crate::wire::ToJson;
 use decompose::DecomposedInstance;
@@ -91,6 +89,30 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 use storage::RelationBackend;
+
+/// A discovered schema together with its quality report.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RankedSchema {
+    /// The schema, its MVD support and its J-measure.
+    pub discovered: DiscoveredSchema,
+    /// Quality metrics against the input relation.
+    pub quality: SchemaQuality,
+}
+
+/// The complete output of the pipeline at one threshold
+/// ([`MaimonSession::quality`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct MaimonResult {
+    /// Phase-one output: the set `M_ε` plus separators and statistics.
+    pub mvds: MvdMiningResult,
+    /// Phase-two output: discovered schemas in enumeration order.
+    pub schemas: Vec<RankedSchema>,
+    /// Indices (into `schemas`) of the pareto-optimal schemas under
+    /// (storage savings, spurious tuples).
+    pub pareto: Vec<usize>,
+    /// `true` if either phase was truncated by a limit.
+    pub truncated: bool,
+}
 
 /// One threshold of an [`MaimonSession::epsilon_sweep`].
 #[derive(Clone, Debug, PartialEq)]
@@ -435,24 +457,6 @@ pub struct MaimonSession {
 }
 
 impl MaimonSession {
-    /// Shared input validation for the session and the [`crate::Maimon`]
-    /// shim (which delegates here so the two contracts cannot drift).
-    pub(crate) fn validate_inputs(
-        relation: &Relation,
-        config: &MaimonConfig,
-    ) -> Result<(), MaimonError> {
-        config.validate()?;
-        if relation.arity() < 2 {
-            return Err(MaimonError::InvalidConfig(
-                "schema mining needs at least two attributes".into(),
-            ));
-        }
-        if relation.is_empty() {
-            return Err(MaimonError::InvalidConfig("relation has no tuples".into()));
-        }
-        Ok(())
-    }
-
     /// Creates a session, building the shared PLI oracle exactly once.
     ///
     /// The relation is taken by *ownership*: pass a `Relation` to move it in,
@@ -461,44 +465,18 @@ impl MaimonSession {
     /// either way — it outlives whatever binding produced the relation.
     ///
     /// `config.epsilon` is only the *default* threshold (used by
-    /// [`crate::Maimon::run`] through the compatibility shim); every staged
-    /// accessor takes its threshold explicitly.
+    /// [`MaimonSession::mine_fds`]); every staged accessor takes its
+    /// threshold explicitly.
     ///
     /// # Errors
     /// Returns an error if the configuration is invalid or the relation is
-    /// empty or has fewer than two attributes — the same contract as
-    /// [`crate::Maimon::new`].
+    /// empty or has fewer than two attributes.
     pub fn new(
         relation: impl Into<Arc<Relation>>,
         config: MaimonConfig,
     ) -> Result<Self, MaimonError> {
         let relation = relation.into();
-        Self::validate_inputs(&relation, &config)?;
-        let oracle = PliEntropyOracle::new(Arc::clone(&relation), config.entropy);
-        let construction_stats = oracle.stats();
-        let version = relation.data_version();
-        let state = VersionState {
-            backend: Arc::clone(&relation) as Arc<dyn RelationBackend>,
-            relation: Some(relation),
-            oracle,
-            version,
-            previous_version: None,
-        };
-        Ok(MaimonSession {
-            inner: Arc::new(SessionInner {
-                config,
-                state: RwLock::new(Arc::new(state)),
-                append_lock: Mutex::new(()),
-                construction_stats,
-                mvd_cache: ArtifactCache::new(),
-                schema_cache: ArtifactCache::new(),
-                result_cache: ArtifactCache::new(),
-            }),
-            cancel: None,
-            progress: None,
-            deadline: None,
-            stages: None,
-        })
+        Self::build(Arc::clone(&relation) as Arc<dyn RelationBackend>, Some(relation), config)
     }
 
     /// Creates a session over an arbitrary storage backend (e.g. a
@@ -517,6 +495,16 @@ impl MaimonSession {
         backend: Arc<dyn RelationBackend>,
         config: MaimonConfig,
     ) -> Result<Self, MaimonError> {
+        Self::build(backend, None, config)
+    }
+
+    /// Validates the inputs and builds the session's one oracle. `relation`
+    /// is the in-memory twin of `backend`, when there is one.
+    fn build(
+        backend: Arc<dyn RelationBackend>,
+        relation: Option<Arc<Relation>>,
+        config: MaimonConfig,
+    ) -> Result<Self, MaimonError> {
         config.validate()?;
         if backend.arity() < 2 {
             return Err(MaimonError::InvalidConfig(
@@ -526,7 +514,10 @@ impl MaimonSession {
         if backend.n_rows() == 0 {
             return Err(MaimonError::InvalidConfig("relation has no tuples".into()));
         }
-        let oracle = PliEntropyOracle::from_backend(Arc::clone(&backend), config.entropy);
+        let oracle = match &relation {
+            Some(relation) => PliEntropyOracle::new(Arc::clone(relation), config.entropy),
+            None => PliEntropyOracle::from_backend(Arc::clone(&backend), config.entropy),
+        };
         if let Some(e) = oracle.storage_fault() {
             // A scan already failed while building the single-attribute
             // partitions: the session would serve garbage, so refuse to
@@ -535,8 +526,7 @@ impl MaimonSession {
         }
         let construction_stats = oracle.stats();
         let version = backend.data_version();
-        let state =
-            VersionState { backend, relation: None, oracle, version, previous_version: None };
+        let state = VersionState { backend, relation, oracle, version, previous_version: None };
         Ok(MaimonSession {
             inner: Arc::new(SessionInner {
                 config,
@@ -575,8 +565,7 @@ impl MaimonSession {
         self
     }
 
-    /// Sets an absolute deadline for *all* subsequent stages (complementing
-    /// the per-phase `MiningLimits::time_budget`).
+    /// Sets an absolute deadline for *all* subsequent stages.
     pub fn with_deadline(mut self, deadline: Instant) -> Self {
         self.deadline = Some(deadline);
         self
@@ -608,13 +597,6 @@ impl MaimonSession {
     /// (`None` for sessions mounted on an out-of-core backend).
     pub fn try_relation(&self) -> Option<Arc<Relation>> {
         self.state().relation.as_ref().map(Arc::clone)
-    }
-
-    /// Shared handle to the relation being profiled (the same storage the
-    /// session's oracle reads). Alias of [`MaimonSession::relation`], kept
-    /// for call sites that predate the versioned session.
-    pub fn relation_arc(&self) -> Arc<Relation> {
-        self.relation()
     }
 
     /// The storage backend being profiled, at its current data version.
@@ -1104,7 +1086,6 @@ impl MaimonSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::maimon::Maimon;
     use crate::progress::CountingSink;
     use relation::Schema;
 
@@ -1123,11 +1104,69 @@ mod tests {
     }
 
     #[test]
-    fn staged_artifacts_match_the_one_shot_facade() {
+    fn end_to_end_exact_run_finds_the_paper_decomposition() {
+        let rel = running_example(false);
+        let session = MaimonSession::new(&rel, MaimonConfig::with_epsilon(0.0)).unwrap();
+        let result = session.quality(0.0).unwrap();
+        assert!(!result.truncated);
+        assert!(!result.mvds.mvds.is_empty());
+        // Some discovered schema has at least 4 relations and zero spurious tuples.
+        let exact = result.schemas.iter().find(|s| {
+            s.discovered.schema.n_relations() >= 4 && s.quality.spurious_tuples_pct == 0.0
+        });
+        assert!(exact.is_some(), "schemas: {:?}", result.schemas.len());
+        // The pareto front is non-empty and within bounds.
+        assert!(!result.pareto.is_empty());
+        for &i in &result.pareto {
+            assert!(i < result.schemas.len());
+        }
+    }
+
+    #[test]
+    fn end_to_end_with_red_tuple_needs_epsilon() {
+        let rel = running_example(true);
+        let session = MaimonSession::new(&rel, MaimonConfig::default()).unwrap();
+        // At ε = 0 the paper's 4-relation schema is not reachable…
+        let strict = session.quality(0.0).unwrap();
+        let best_strict =
+            strict.schemas.iter().map(|s| s.discovered.schema.n_relations()).max().unwrap_or(1);
+        // …but at a generous ε it is.
+        let relaxed = session.quality(0.5).unwrap();
+        let best_relaxed =
+            relaxed.schemas.iter().map(|s| s.discovered.schema.n_relations()).max().unwrap_or(1);
+        assert!(
+            best_relaxed >= best_strict,
+            "relaxing ε must not reduce the best decomposition ({} vs {})",
+            best_relaxed,
+            best_strict
+        );
+        assert!(best_relaxed >= 4);
+    }
+
+    #[test]
+    fn fd_mining_through_the_session() {
+        let rel = running_example(false);
+        let session = MaimonSession::new(&rel, MaimonConfig::with_epsilon(0.0)).unwrap();
+        let fds = session.mine_fds(2);
+        assert!(!fds.fds.is_empty());
+    }
+
+    #[test]
+    fn entropy_helper_matches_expectations() {
+        let rel = running_example(false);
+        let session = MaimonSession::new(&rel, MaimonConfig::default()).unwrap();
+        let h = session.entropy(rel.schema().all_attrs());
+        assert!((h - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn staged_artifacts_match_a_fresh_session() {
         let rel = running_example(true);
         let config = MaimonConfig::with_epsilon_and_threads(0.2, 1);
         let session = MaimonSession::new(&rel, config).unwrap();
-        let fresh = Maimon::new(&rel, config).unwrap().run().unwrap();
+        let fresh = MaimonSession::new(&rel, config).unwrap().quality(0.2).unwrap();
+        session.mvds(0.2).unwrap();
+        session.schemas(0.2).unwrap();
         let staged = session.quality(0.2).unwrap();
         assert_eq!(staged.mvds.mvds, fresh.mvds.mvds);
         assert_eq!(staged.mvds.separators, fresh.mvds.separators);
@@ -1185,6 +1224,16 @@ mod tests {
         assert_eq!(stats.calls, reference.calls);
         assert_eq!(stats.cache_hits, reference.cache_hits);
         assert_eq!(stats.full_scans, reference.full_scans);
+    }
+
+    #[test]
+    fn constructor_validates_inputs() {
+        let rel = running_example(false);
+        assert!(MaimonSession::new(&rel, MaimonConfig::with_epsilon(-1.0)).is_err());
+        let narrow = Relation::from_rows(Schema::new(["A"]).unwrap(), &[vec!["x"]]).unwrap();
+        assert!(MaimonSession::new(&narrow, MaimonConfig::default()).is_err());
+        let empty = Relation::empty(Schema::new(["A", "B"]).unwrap());
+        assert!(MaimonSession::new(&empty, MaimonConfig::default()).is_err());
     }
 
     #[test]

@@ -36,11 +36,11 @@ use crate::asminer::{DiscoveredSchema, SchemaMiningResult};
 use crate::error::MaimonError;
 use crate::fd::{Fd, FdMiningResult};
 use crate::json::Json;
-use crate::maimon::{MaimonResult, RankedSchema};
 use crate::miner::{MiningStats, MvdMiningResult};
 use crate::mvd::Mvd;
 use crate::quality::SchemaQuality;
 use crate::schema::AcyclicSchema;
+use crate::session::{MaimonResult, RankedSchema};
 use entropy::OracleStats;
 use obs::{Stage, StageBreakdown};
 use relation::AttrSet;
@@ -114,16 +114,9 @@ fn u128_field(json: &Json, key: &str) -> Result<u128, MaimonError> {
 }
 
 fn f64_field(json: &Json, key: &str) -> Result<f64, MaimonError> {
-    let value = field(json, key)?;
-    // Compatibility window: earlier FORMAT_VERSION 1 writers encoded
-    // non-finite floats as `null` (today they write the "NaN"/"Infinity"
-    // string forms that `as_f64` decodes). An explicit null in a *required*
-    // float field can only be such a legacy NaN, so keep reading it as one —
-    // absent fields still error through `field` above.
-    if value.is_null() {
-        return Ok(f64::NAN);
-    }
-    value.as_f64().ok_or_else(|| MaimonError::Wire(format!("field {key:?} is not a number")))
+    field(json, key)?
+        .as_f64()
+        .ok_or_else(|| MaimonError::Wire(format!("field {key:?} is not a number")))
 }
 
 fn bool_field(json: &Json, key: &str) -> Result<bool, MaimonError> {
@@ -631,17 +624,14 @@ mod tests {
     }
 
     #[test]
-    fn legacy_null_floats_still_parse_as_nan() {
-        // FORMAT_VERSION 1 writers used to serialize non-finite floats as
-        // `null`; envelopes persisted by them must keep parsing under the
-        // explicit "NaN"/"Infinity" string encoding introduced later.
-        let legacy = r#"{"n_relations":2,"width":2,"intersection_width":1,
+    fn null_floats_are_wire_errors() {
+        // Non-finite floats travel as "NaN"/"Infinity" strings, so an
+        // explicit `null` in a required float field is malformed.
+        let null = r#"{"n_relations":2,"width":2,"intersection_width":1,
             "storage_savings_pct":null,"spurious_tuples_pct":1.5,
             "original_cells":8,"decomposed_cells":8,"join_size":4}"#;
-        let quality = SchemaQuality::from_json_str(legacy).unwrap();
-        assert!(quality.storage_savings_pct.is_nan());
-        assert_eq!(quality.spurious_tuples_pct, 1.5);
-        // An absent float field is still an error, not a NaN.
+        assert!(matches!(SchemaQuality::from_json_str(null), Err(MaimonError::Wire(_))));
+        // An absent float field is an error too, not a NaN.
         let absent = r#"{"n_relations":2,"width":2,"intersection_width":1,
             "spurious_tuples_pct":1.5,
             "original_cells":8,"decomposed_cells":8,"join_size":4}"#;

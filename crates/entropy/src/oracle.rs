@@ -147,11 +147,6 @@ impl NaiveEntropyOracle {
     pub fn relation(&self) -> &Relation {
         &self.rel
     }
-
-    /// Shared handle to the underlying relation.
-    pub fn relation_arc(&self) -> Arc<Relation> {
-        Arc::clone(&self.rel)
-    }
 }
 
 impl EntropyOracle for NaiveEntropyOracle {

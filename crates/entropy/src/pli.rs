@@ -114,8 +114,7 @@ impl EntropyConfig {
 pub struct PliEntropyOracle {
     source: Arc<dyn RelationBackend>,
     /// The in-memory twin when the oracle was built from one — required by
-    /// [`PliEntropyOracle::extend_to`] and [`PliEntropyOracle::relation`],
-    /// `None` for out-of-core backends.
+    /// [`PliEntropyOracle::extend_to`], `None` for out-of-core backends.
     rel: Option<Arc<Relation>>,
     /// The relation's distinct tuples and their multiplicities; every
     /// partition below groups its tuple ids.
@@ -169,9 +168,8 @@ impl PliEntropyOracle {
     /// Creates the oracle over an arbitrary storage backend (e.g. a
     /// [`storage::PagedColumnarRelation`]). Identical to
     /// [`PliEntropyOracle::new`] except that the append-delta path
-    /// ([`PliEntropyOracle::extend_to`]) and [`PliEntropyOracle::relation`]
-    /// are unavailable — they need random row access only the in-memory
-    /// store provides.
+    /// ([`PliEntropyOracle::extend_to`]) is unavailable — it needs random
+    /// row access only the in-memory store provides.
     pub fn from_backend(source: Arc<dyn RelationBackend>, config: EntropyConfig) -> Self {
         Self::build(source, None, config)
     }
@@ -312,30 +310,6 @@ impl PliEntropyOracle {
     /// garbage.
     pub fn storage_fault(&self) -> Option<Arc<StorageError>> {
         self.storage_fault.get().cloned()
-    }
-
-    /// The underlying in-memory relation.
-    ///
-    /// # Panics
-    /// Panics for oracles built over an out-of-core backend; use
-    /// [`PliEntropyOracle::try_relation`] or [`PliEntropyOracle::source`]
-    /// when the backend kind is not statically known.
-    pub fn relation(&self) -> &Relation {
-        self.rel.as_ref().expect("oracle was built over an out-of-core backend")
-    }
-
-    /// Shared handle to the underlying in-memory relation, if the oracle was
-    /// built over one.
-    pub fn try_relation(&self) -> Option<&Arc<Relation>> {
-        self.rel.as_ref()
-    }
-
-    /// Shared handle to the underlying in-memory relation.
-    ///
-    /// # Panics
-    /// Panics for oracles built over an out-of-core backend.
-    pub fn relation_arc(&self) -> Arc<Relation> {
-        Arc::clone(self.rel.as_ref().expect("oracle was built over an out-of-core backend"))
     }
 
     /// The storage backend this oracle reads from.

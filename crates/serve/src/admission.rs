@@ -14,9 +14,17 @@
 //! they are never silently dropped.
 
 use maimon::obs;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
+
+/// Most distinct tenant labels one server tracks. Clients choose tenant
+/// names, so past this many, new names share [`OTHER_TENANT`] in admission
+/// and metrics alike, and the per-tenant state stays bounded.
+pub const MAX_TENANTS: usize = 256;
+
+/// The label shared by every tenant name past [`MAX_TENANTS`].
+pub const OTHER_TENANT: &str = "_other";
 
 /// Knobs of the admission controller.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,6 +70,7 @@ pub struct AdmissionController {
     config: AdmissionConfig,
     in_flight: Mutex<HashMap<String, usize>>,
     per_tenant: Mutex<HashMap<String, TenantAdmissionStats>>,
+    labels: Mutex<HashSet<String>>,
     admitted: AtomicU64,
     shed_tenant: AtomicU64,
     shed_queue: AtomicU64,
@@ -97,6 +106,19 @@ impl AdmissionController {
     /// The configured knobs.
     pub fn config(&self) -> AdmissionConfig {
         self.config
+    }
+
+    /// The label the server tracks `tenant` under: the name itself if it is
+    /// one of the first [`MAX_TENANTS`] names seen, else [`OTHER_TENANT`].
+    pub fn tenant_label(&self, tenant: &str) -> String {
+        let mut labels = self.labels.lock().unwrap_or_else(PoisonError::into_inner);
+        if !labels.contains(tenant) {
+            if labels.len() >= MAX_TENANTS {
+                return OTHER_TENANT.to_string();
+            }
+            labels.insert(tenant.to_string());
+        }
+        tenant.to_string()
     }
 
     /// Tries to admit one mining request for `tenant` (empty string for the

@@ -59,7 +59,8 @@ pub mod server;
 
 pub use admission::{
     AdmissionConfig, AdmissionController, AdmissionPermit, AdmissionStats, TenantAdmissionStats,
+    MAX_TENANTS, OTHER_TENANT,
 };
-pub use protocol::{error_response, ok_response, ErrorKind, Request};
+pub use protocol::{error_response, ok_response, ErrorKind, Request, MAX_TENANT_BYTES};
 pub use registry::{DatasetRegistry, RegistryStats};
 pub use server::{serve, ServerConfig, ServerHandle, MAX_LINE_BYTES};

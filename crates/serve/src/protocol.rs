@@ -19,7 +19,9 @@
 //! {"op":"append","dataset":"nursery","rows":[["usual","proper","complete"]],"tenant":"alice"}
 //! ```
 //!
-//! `timeout_ms` and `tenant` are optional everywhere they appear; `epsilon`
+//! `timeout_ms` and `tenant` are optional everywhere they appear; a `tenant`
+//! is at most [`MAX_TENANT_BYTES`] bytes, and a server tracks at most
+//! `MAX_TENANTS` distinct names (later ones share one label); `epsilon`
 //! must be finite and non-negative (the library contract, enforced at parse
 //! time so an invalid threshold is a `bad_request`, not an `internal`).
 //! `append` rows are arrays of strings, one per attribute of the registered
@@ -114,6 +116,9 @@ impl ErrorKind {
     }
 }
 
+/// Longest tenant name a request may carry, in bytes.
+pub const MAX_TENANT_BYTES: usize = 64;
+
 impl Request {
     fn str_field(json: &Json, key: &str) -> Result<String, MaimonError> {
         json.get(key)
@@ -126,10 +131,14 @@ impl Request {
         match json.get("tenant") {
             None => Ok(None),
             Some(j) if j.is_null() => Ok(None),
-            Some(j) => j
-                .as_str()
-                .map(|s| Some(s.to_string()))
-                .ok_or_else(|| MaimonError::Wire("field \"tenant\" is not a string".into())),
+            Some(j) => match j.as_str() {
+                Some(s) if s.len() <= MAX_TENANT_BYTES => Ok(Some(s.to_string())),
+                Some(s) => Err(MaimonError::Wire(format!(
+                    "field \"tenant\" is {} bytes, over the {MAX_TENANT_BYTES}-byte limit",
+                    s.len()
+                ))),
+                None => Err(MaimonError::Wire("field \"tenant\" is not a string".into())),
+            },
         }
     }
 

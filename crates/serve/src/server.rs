@@ -419,7 +419,9 @@ fn dispatch(shared: &Arc<Shared>, line: &str) -> Json {
     let tenant_label = match &request {
         Request::Mine { tenant, .. }
         | Request::Decompose { tenant, .. }
-        | Request::Append { tenant, .. } => tenant.clone().unwrap_or_default(),
+        | Request::Append { tenant, .. } => {
+            shared.admission.tenant_label(tenant.as_deref().unwrap_or_default())
+        }
         _ => String::new(),
     };
     let (dataset, epsilon) = match &request {
@@ -458,17 +460,17 @@ fn dispatch(shared: &Arc<Shared>, line: &str) -> Json {
                 shared.counters.metrics.fetch_add(1, Ordering::Relaxed);
                 handle_metrics()
             }
-            Request::Mine { dataset, epsilon, timeout_ms, tenant } => {
+            Request::Mine { dataset, epsilon, timeout_ms, .. } => {
                 shared.counters.mine.fetch_add(1, Ordering::Relaxed);
-                handle_mine(shared, &dataset, epsilon, timeout_ms, tenant.as_deref(), &stages)
+                handle_mine(shared, &dataset, epsilon, timeout_ms, &tenant_label, &stages)
             }
-            Request::Decompose { dataset, epsilon, timeout_ms, tenant } => {
+            Request::Decompose { dataset, epsilon, timeout_ms, .. } => {
                 shared.counters.decompose.fetch_add(1, Ordering::Relaxed);
-                handle_decompose(shared, &dataset, epsilon, timeout_ms, tenant.as_deref(), &stages)
+                handle_decompose(shared, &dataset, epsilon, timeout_ms, &tenant_label, &stages)
             }
-            Request::Append { dataset, rows, tenant } => {
+            Request::Append { dataset, rows, .. } => {
                 shared.counters.append.fetch_add(1, Ordering::Relaxed);
-                handle_append(shared, &dataset, &rows, tenant.as_deref())
+                handle_append(shared, &dataset, &rows, &tenant_label)
             }
         }
     }));
@@ -609,7 +611,7 @@ fn handle_mine(
     dataset: &str,
     epsilon: f64,
     timeout_ms: Option<u64>,
-    tenant: Option<&str>,
+    tenant: &str,
     stages: &Arc<StageCollector>,
 ) -> Json {
     let Some(session) = request_session(shared, dataset, timeout_ms) else {
@@ -617,10 +619,10 @@ fn handle_mine(
         return error_response(ErrorKind::NotFound, format!("unknown dataset {dataset:?}"));
     };
     let session = session.with_stages(Arc::clone(stages));
-    let Some(_permit) = shared.admission.try_admit(tenant.unwrap_or_default()) else {
+    let Some(_permit) = shared.admission.try_admit(tenant) else {
         return error_response(
             ErrorKind::Overloaded,
-            format!("tenant {:?} is at its in-flight cap", tenant.unwrap_or_default()),
+            format!("tenant {tenant:?} is at its in-flight cap"),
         );
     };
     if !session.supports_quality() {
@@ -676,20 +678,15 @@ fn handle_mine(
 /// Appends rows to a registered dataset's session. Appends go through the
 /// same per-tenant admission as mining: an oracle delta-refresh is real work,
 /// and a tenant should not dodge its in-flight cap by reshaping writes.
-fn handle_append(
-    shared: &Arc<Shared>,
-    dataset: &str,
-    rows: &[Vec<String>],
-    tenant: Option<&str>,
-) -> Json {
+fn handle_append(shared: &Arc<Shared>, dataset: &str, rows: &[Vec<String>], tenant: &str) -> Json {
     let Some(session) = shared.registry.get(dataset) else {
         shared.counters.errors.fetch_add(1, Ordering::Relaxed);
         return error_response(ErrorKind::NotFound, format!("unknown dataset {dataset:?}"));
     };
-    let Some(_permit) = shared.admission.try_admit(tenant.unwrap_or_default()) else {
+    let Some(_permit) = shared.admission.try_admit(tenant) else {
         return error_response(
             ErrorKind::Overloaded,
-            format!("tenant {:?} is at its in-flight cap", tenant.unwrap_or_default()),
+            format!("tenant {tenant:?} is at its in-flight cap"),
         );
     };
     // Durable datasets: hold the ordering guard across apply + WAL append so
@@ -751,7 +748,7 @@ fn handle_decompose(
     dataset: &str,
     epsilon: f64,
     timeout_ms: Option<u64>,
-    tenant: Option<&str>,
+    tenant: &str,
     stages: &Arc<StageCollector>,
 ) -> Json {
     let Some(session) = request_session(shared, dataset, timeout_ms) else {
@@ -759,10 +756,10 @@ fn handle_decompose(
         return error_response(ErrorKind::NotFound, format!("unknown dataset {dataset:?}"));
     };
     let session = session.with_stages(Arc::clone(stages));
-    let Some(_permit) = shared.admission.try_admit(tenant.unwrap_or_default()) else {
+    let Some(_permit) = shared.admission.try_admit(tenant) else {
         return error_response(
             ErrorKind::Overloaded,
-            format!("tenant {:?} is at its in-flight cap", tenant.unwrap_or_default()),
+            format!("tenant {tenant:?} is at its in-flight cap"),
         );
     };
     match session.decompose_best_stamped(epsilon) {

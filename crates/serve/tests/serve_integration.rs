@@ -9,6 +9,7 @@ use maimon::wire::FromJson;
 use maimon::{decompose::ReducerStats, MaimonConfig, MaimonResult, MaimonSession};
 use maimon_datasets::{dataset_by_name, running_example, running_example_with_red_tuple};
 use serve::{serve, AdmissionConfig, DatasetRegistry, ServerConfig, ServerHandle};
+use serve::{MAX_TENANTS, MAX_TENANT_BYTES, OTHER_TENANT};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -195,6 +196,60 @@ fn tenant_sheds_are_attributed_per_tenant() {
     };
     assert_eq!(shed_of("alice"), 2, "{stats}");
     assert_eq!(shed_of("bob"), 1, "{stats}");
+    handle.shutdown();
+}
+
+#[test]
+fn over_long_tenant_is_a_bad_request_and_creates_no_series() {
+    let handle = start_server(AdmissionConfig::default(), &[("running", running_example())]);
+    let addr = handle.local_addr();
+    let mine_as = |tenant: &str| {
+        roundtrip(
+            addr,
+            &format!(r#"{{"op":"mine","dataset":"running","epsilon":0.0,"tenant":"{tenant}"}}"#),
+        )
+    };
+
+    assert_ok(&mine_as(&"k".repeat(MAX_TENANT_BYTES)), "mine");
+    let long = "q".repeat(MAX_TENANT_BYTES + 1);
+    let rejected = mine_as(&long);
+    assert_eq!(rejected.get("kind").and_then(Json::as_str), Some("bad_request"), "{rejected}");
+
+    let metrics = roundtrip(addr, r#"{"op":"metrics"}"#);
+    assert_ok(&metrics, "metrics");
+    assert!(!metrics.to_string().contains(&long), "{metrics}");
+    handle.shutdown();
+}
+
+#[test]
+fn distinct_tenant_labels_are_capped_and_the_server_keeps_serving() {
+    let handle = start_server(AdmissionConfig::default(), &[("running", running_example())]);
+    let addr = handle.local_addr();
+    for i in 0..300 {
+        let mined = roundtrip(
+            addr,
+            &format!(r#"{{"op":"mine","dataset":"running","epsilon":0.0,"tenant":"cycler-{i}"}}"#),
+        );
+        assert_ok(&mined, "mine");
+    }
+
+    let stats = roundtrip(addr, r#"{"op":"stats"}"#);
+    let tenants = stats
+        .get("admission")
+        .and_then(|admission| admission.get("tenants"))
+        .and_then(Json::as_array)
+        .unwrap();
+    assert!(tenants.len() <= MAX_TENANTS + 1, "{} tenant entries", tenants.len());
+    assert!(
+        tenants.iter().any(|t| t.get("tenant").and_then(Json::as_str) == Some(OTHER_TENANT)),
+        "{stats}"
+    );
+    // Metrics label the overflow the same way.
+    let metrics = roundtrip(addr, r#"{"op":"metrics"}"#).to_string();
+    assert!(!metrics.contains("cycler-299"));
+    assert!(metrics.contains(&format!("\"tenant\":\"{OTHER_TENANT}\"")));
+
+    assert_ok(&roundtrip(addr, r#"{"op":"ping"}"#), "ping");
     handle.shutdown();
 }
 

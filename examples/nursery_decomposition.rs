@@ -11,7 +11,7 @@
 
 use maimon::{pareto_front, MaimonConfig, MaimonSession, MiningLimits};
 use maimon_datasets::nursery_with_rows;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rows: usize = std::env::args().nth(1).map(|s| s.parse()).transpose()?.unwrap_or(3_000);
@@ -23,24 +23,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         rel.cells()
     );
 
-    let config = MaimonConfig::builder()
-        .limits(
-            MiningLimits::small()
-                .to_builder()
-                .time_budget(Some(Duration::from_secs(20)))
-                .build()?,
-        )
-        .max_schemas(Some(200))
-        .build()?;
+    let config =
+        MaimonConfig::builder().limits(MiningLimits::small()).max_schemas(Some(200)).build()?;
     let session = MaimonSession::new(&rel, config)?;
 
     let mut all_points = Vec::new();
     let mut all_rows = Vec::new();
-    for point in session.epsilon_sweep([0.0, 0.05, 0.1, 0.2, 0.3, 0.5])? {
-        let result = &point.result;
+    for epsilon in [0.0, 0.05, 0.1, 0.2, 0.3, 0.5] {
+        // Like the paper, give every threshold a wall-clock limit of its own.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let result = session.clone().with_deadline(deadline).quality(epsilon)?;
         println!(
             "ε = {:<5} → {} MVDs, {} schemas{}",
-            point.epsilon,
+            epsilon,
             result.mvds.mvds.len(),
             result.schemas.len(),
             if result.truncated { " (truncated)" } else { "" }
@@ -49,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             all_points
                 .push((schema.quality.storage_savings_pct, schema.quality.spurious_tuples_pct));
             all_rows.push((
-                point.epsilon,
+                epsilon,
                 schema.discovered.j.unwrap_or(f64::NAN),
                 schema.quality,
                 schema.discovered.schema.display(rel.schema()),

@@ -2,8 +2,8 @@
 //! [`MaimonSession`] over the relation and sweep a few thresholds through
 //! its staged pipeline, reporting the structural quality measures of §8.4
 //! (number of relations, width, intersection width). The session shares its
-//! PLI entropy oracle across the whole sweep — the per-ε oracle rebuild of
-//! the old one-shot facade is gone.
+//! PLI entropy oracle across the whole sweep, and each threshold runs under
+//! a 30-second deadline of its own.
 //!
 //! Run with:
 //! `cargo run --release --example synthetic_profiling [dataset] [scale]`
@@ -37,7 +37,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .epsilon(0.05) // default ε, used by mine_fds below
         .limits(
             MiningLimits::builder()
-                .time_budget(Some(Duration::from_secs(30)))
                 .max_separators_per_pair(Some(16))
                 .max_full_mvds_per_separator(Some(16))
                 .max_lattice_nodes(Some(20_000))
@@ -53,7 +52,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for &epsilon in &[0.0, 0.01, 0.1, 0.3] {
         let started = Instant::now();
-        let result = session.quality(epsilon)?;
+        let deadline = started + Duration::from_secs(30);
+        let result = session.clone().with_deadline(deadline).quality(epsilon)?;
         let max_relations =
             result.schemas.iter().map(|s| s.discovered.schema.n_relations()).max().unwrap_or(1);
         let min_width =

@@ -2,7 +2,7 @@
 //!
 //! This package exists to own the cross-crate integration suites in `tests/`
 //! and the runnable walkthroughs in `examples/`; the actual implementation
-//! lives in the `crates/` members. It re-exports the top-level facade so the
+//! lives in the `crates/` members. It re-exports the top-level crates so the
 //! examples and tests can depend on a single package.
 
 #![warn(missing_docs)]

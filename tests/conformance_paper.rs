@@ -21,7 +21,7 @@ use maimon::entropy::{EntropyOracle, NaiveEntropyOracle, PliEntropyOracle};
 use maimon::relation::{random_uniform_relation, AttrSet, Relation, Schema};
 use maimon::{
     j_mvd, j_schema, mine_min_seps, minimal_separators_bruteforce, schema_holds, AcyclicSchema,
-    Maimon, MaimonConfig, MiningLimits, Mvd, RunControl, EPSILON_TOLERANCE,
+    MaimonConfig, MaimonSession, MiningLimits, Mvd, RunControl, EPSILON_TOLERANCE,
 };
 use maimon_datasets::{metanome_catalog, running_example, running_example_with_red_tuple};
 
@@ -57,8 +57,8 @@ fn fig1_exact_pipeline_recovers_abd_acd_bde_af() {
     // compatible MVD sets (§7), which refine or rearrange Fig. 1's — those
     // are checked for exactness below.
     let rel = running_example();
-    let maimon = Maimon::new(&rel, MaimonConfig::with_epsilon(0.0)).unwrap();
-    let mined = maimon.mine_mvds();
+    let session = MaimonSession::new(&rel, MaimonConfig::with_epsilon(0.0)).unwrap();
+    let mined = session.mvds(0.0).unwrap();
 
     // Fig. 1's join tree is supported by BD ↠ E|ACF, AD ↠ CF|BE, A ↠ F|BCDE.
     let bd_e = Mvd::standard(attrs(&[1, 3]), attrs(&[4]), attrs(&[0, 2, 5])).unwrap();
@@ -91,7 +91,7 @@ fn fig1_exact_pipeline_recovers_abd_acd_bde_af() {
 
     // End-to-end: the full run reports only exact schemas at ε = 0, at least
     // one of them a 4-bag decomposition, and none with spurious tuples.
-    let result = maimon.run().unwrap();
+    let result = session.quality(0.0).unwrap();
     assert!(!result.truncated, "ε=0 run on 4 tuples must not hit any limit");
     assert!(!result.schemas.is_empty());
     assert!(result.schemas.iter().any(|s| s.discovered.schema.n_relations() == 4));

@@ -19,7 +19,7 @@ use maimon_datasets::{metanome_catalog, running_example_with_red_tuple};
 
 fn session_config(threads: Option<usize>) -> MaimonConfig {
     MaimonConfig::builder()
-        .limits(MiningLimits::small().to_builder().time_budget(None).build().unwrap())
+        .limits(MiningLimits::small())
         .max_schemas(Some(64))
         .threads(threads)
         .build()

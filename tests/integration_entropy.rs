@@ -4,8 +4,9 @@
 
 use maimon::entropy::{EntropyConfig, EntropyOracle, NaiveEntropyOracle, PliEntropyOracle};
 use maimon::relation::{relation_from_csv, relation_to_csv, AttrSet, CsvOptions};
-use maimon::{j_mvd, Mvd};
+use maimon::{j_mvd, Mvd, RunControl};
 use maimon_datasets::{dataset_by_name, nursery_with_rows, running_example};
+use std::time::Duration;
 
 #[test]
 fn oracles_agree_on_every_subset_of_a_catalog_dataset() {
@@ -117,10 +118,14 @@ fn pli_cache_reuse_reduces_work_between_phases() {
         .limits(maimon::MiningLimits::small())
         .build()
         .unwrap();
+    // Each phase runs under a 30-second deadline, the wall-clock bound the
+    // paper puts on a run; full Bridges can take longer in a debug build.
+    let phase_deadline = || RunControl::new().with_timeout(Duration::from_secs(30));
     let oracle = PliEntropyOracle::with_defaults(&rel);
-    let mvds = maimon::mine_mvds(&oracle, &config);
+    let mvds = maimon::mine_mvds_with(&oracle, &config, &phase_deadline());
     let after_phase_one = oracle.stats();
-    let _ = maimon::mine_schemas(&oracle, AttrSet::full(rel.arity()), &mvds.mvds, &config);
+    let universe = AttrSet::full(rel.arity());
+    let _ = maimon::mine_schemas_with(&oracle, universe, &mvds.mvds, &config, &phase_deadline());
     let after_phase_two = oracle.stats();
     assert!(after_phase_two.calls > after_phase_one.calls);
     let new_intersections = after_phase_two.intersections - after_phase_one.intersections;

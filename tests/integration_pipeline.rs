@@ -4,18 +4,18 @@
 use maimon::entropy::{EntropyOracle, NaiveEntropyOracle, PliEntropyOracle};
 use maimon::relation::AttrSet;
 use maimon::{
-    j_schema, mvd_holds, schema_holds, within_epsilon, Maimon, MaimonConfig, MiningLimits,
+    j_schema, mvd_holds, schema_holds, within_epsilon, MaimonConfig, MaimonSession, MiningLimits,
 };
 use maimon_datasets::{
     dataset_by_name, nursery_with_rows, running_example, running_example_with_red_tuple,
     SyntheticSpec,
 };
-use std::time::Duration;
 
 #[test]
 fn exact_pipeline_recovers_the_figure_1_decomposition() {
     let rel = running_example();
-    let result = Maimon::new(&rel, MaimonConfig::with_epsilon(0.0)).unwrap().run().unwrap();
+    let result =
+        MaimonSession::new(&rel, MaimonConfig::with_epsilon(0.0)).unwrap().quality(0.0).unwrap();
 
     // Phase 1: the support MVDs of the paper's join tree are all discovered.
     let schema = rel.schema();
@@ -49,8 +49,10 @@ fn exact_pipeline_recovers_the_figure_1_decomposition() {
 #[test]
 fn approximate_pipeline_tolerates_the_red_tuple() {
     let rel = running_example_with_red_tuple();
-    let strict = Maimon::new(&rel, MaimonConfig::with_epsilon(0.0)).unwrap().run().unwrap();
-    let relaxed = Maimon::new(&rel, MaimonConfig::with_epsilon(0.2)).unwrap().run().unwrap();
+    let strict =
+        MaimonSession::new(&rel, MaimonConfig::with_epsilon(0.0)).unwrap().quality(0.0).unwrap();
+    let relaxed =
+        MaimonSession::new(&rel, MaimonConfig::with_epsilon(0.2)).unwrap().quality(0.2).unwrap();
 
     let best = |result: &maimon::MaimonResult| {
         result.schemas.iter().map(|s| s.discovered.schema.n_relations()).max().unwrap_or(1)
@@ -76,7 +78,7 @@ fn approximate_pipeline_tolerates_the_red_tuple() {
 fn discovered_mvds_hold_under_both_oracles() {
     let rel = running_example_with_red_tuple();
     let config = MaimonConfig::with_epsilon(0.15);
-    let result = Maimon::new(&rel, config).unwrap().mine_mvds();
+    let result = MaimonSession::new(&rel, config).unwrap().mvds(config.epsilon).unwrap();
     assert!(!result.mvds.is_empty());
     let naive = NaiveEntropyOracle::new(&rel);
     let pli = PliEntropyOracle::with_defaults(&rel);
@@ -93,12 +95,8 @@ fn nursery_exact_run_finds_no_nontrivial_decomposition() {
     // that the class attribute is determined by (and only by) all inputs.
     let rel = nursery_with_rows(2000);
     let mut config = MaimonConfig::with_epsilon(0.0);
-    config.limits = MiningLimits::small()
-        .to_builder()
-        .time_budget(Some(Duration::from_secs(30)))
-        .build()
-        .unwrap();
-    let result = Maimon::new(&rel, config).unwrap().run().unwrap();
+    config.limits = MiningLimits::small();
+    let result = MaimonSession::new(&rel, config).unwrap().quality(config.epsilon).unwrap();
     for ranked in &result.schemas {
         assert_eq!(
             ranked.quality.spurious_tuples_pct, 0.0,
@@ -111,13 +109,9 @@ fn nursery_exact_run_finds_no_nontrivial_decomposition() {
 fn nursery_approximate_run_decomposes_and_saves_storage() {
     let rel = nursery_with_rows(2000);
     let mut config = MaimonConfig::with_epsilon(0.3);
-    config.limits = MiningLimits::small()
-        .to_builder()
-        .time_budget(Some(Duration::from_secs(30)))
-        .build()
-        .unwrap();
+    config.limits = MiningLimits::small();
     config.max_schemas = Some(50);
-    let result = Maimon::new(&rel, config).unwrap().run().unwrap();
+    let result = MaimonSession::new(&rel, config).unwrap().quality(config.epsilon).unwrap();
     let best = result
         .schemas
         .iter()
@@ -156,12 +150,8 @@ fn planted_schema_is_recovered_from_synthetic_data() {
     assert!(planted_j < 0.6, "planted schema J = {}", planted_j);
 
     let mut config = MaimonConfig::with_epsilon(planted_j.max(0.05));
-    config.limits = MiningLimits::small()
-        .to_builder()
-        .time_budget(Some(Duration::from_secs(30)))
-        .build()
-        .unwrap();
-    let result = Maimon::new(&rel, config).unwrap().run().unwrap();
+    config.limits = MiningLimits::small();
+    let result = MaimonSession::new(&rel, config).unwrap().quality(config.epsilon).unwrap();
     let best_relations =
         result.schemas.iter().map(|s| s.discovered.schema.n_relations()).max().unwrap_or(1);
     assert!(best_relations >= 2, "mining at ε ≥ J(planted) must decompose the relation");
@@ -176,13 +166,9 @@ fn catalog_dataset_end_to_end_smoke() {
     let rel = dataset.generate(1.0).column_prefix(9).unwrap();
     assert_eq!(rel.n_rows(), 108);
     let mut config = MaimonConfig::with_epsilon(0.1);
-    config.limits = MiningLimits::small()
-        .to_builder()
-        .time_budget(Some(Duration::from_secs(30)))
-        .build()
-        .unwrap();
+    config.limits = MiningLimits::small();
     config.max_schemas = Some(25);
-    let result = Maimon::new(&rel, config).unwrap().run().unwrap();
+    let result = MaimonSession::new(&rel, config).unwrap().quality(config.epsilon).unwrap();
     for ranked in &result.schemas {
         let q = &ranked.quality;
         assert!(q.spurious_tuples_pct >= 0.0);
@@ -195,16 +181,13 @@ fn catalog_dataset_end_to_end_smoke() {
 
 #[test]
 fn oracle_choice_does_not_change_mining_output() {
-    // No time budget here: the two runs must be deterministic and identical,
-    // so only count limits are used and the dataset is kept small (first 8
+    // The two runs must be deterministic and identical, so only count limits
+    // are used and the dataset is kept small (first 8
     // columns of the Echocardiogram-shaped relation).
     let dataset = dataset_by_name("Echocardiogram").unwrap();
     let rel = dataset.generate(1.0).column_prefix(8).unwrap();
-    let config = MaimonConfig::builder()
-        .epsilon(0.05)
-        .limits(MiningLimits::small().to_builder().time_budget(None).build().unwrap())
-        .build()
-        .unwrap();
+    let config =
+        MaimonConfig::builder().epsilon(0.05).limits(MiningLimits::small()).build().unwrap();
     let naive = NaiveEntropyOracle::new(&rel);
     let from_naive = maimon::mine_mvds(&naive, &config);
     let pli = PliEntropyOracle::with_defaults(&rel);

@@ -11,7 +11,7 @@
 //! Determinism rests on two mechanisms under test here: the oracle's
 //! compute-once sharded caches (each H(X) is materialized exactly once per
 //! run, bit-identically) and the miner's pair-ordered merge of per-worker
-//! outcomes. No time budget is used — wall-clock truncation is the one knob
+//! outcomes. No deadline is used — wall-clock truncation is the one stop
 //! that is inherently scheduling-dependent.
 
 use maimon::entropy::PliEntropyOracle;
@@ -26,7 +26,7 @@ const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 fn config_with_threads(epsilon: f64, threads: usize) -> MaimonConfig {
     MaimonConfig::builder()
         .epsilon(epsilon)
-        .limits(MiningLimits::small().to_builder().time_budget(None).build().unwrap())
+        .limits(MiningLimits::small())
         .max_schemas(Some(64))
         .threads(Some(threads))
         .build()
@@ -121,7 +121,7 @@ fn auto_thread_count_matches_explicit_single_thread() {
     let rel = running_example_with_red_tuple();
     let auto_config = MaimonConfig::builder()
         .epsilon(0.1)
-        .limits(MiningLimits::small().to_builder().time_budget(None).build().unwrap())
+        .limits(MiningLimits::small())
         .threads(None)
         .build()
         .unwrap();

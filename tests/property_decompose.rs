@@ -17,7 +17,7 @@ use maimon::decompose::{flat_scan, DecomposedInstance, Query};
 use maimon::relation::{
     acyclic_join_size, natural_join_all, AttrSet, JoinCounter, JoinTreeSpec, Relation, Schema,
 };
-use maimon::{Maimon, MaimonConfig, MiningLimits};
+use maimon::{MaimonConfig, MaimonSession, MiningLimits};
 use proptest::prelude::*;
 
 /// xorshift64 stream for the hand-rolled generators below.
@@ -132,11 +132,11 @@ proptest! {
         let epsilon = eps_millis as f64 / 1000.0;
         let config = MaimonConfig::builder()
         .epsilon(epsilon)
-        .limits(MiningLimits::small().to_builder().time_budget(None).build().unwrap())
+        .limits(MiningLimits::small())
         .max_schemas(Some(8))
         .build()
         .unwrap();
-        let result = Maimon::new(&rel, config).unwrap().run().unwrap();
+        let result = MaimonSession::new(&rel, config).unwrap().quality(config.epsilon).unwrap();
         let original = rel.distinct_count(rel.schema().all_attrs()).unwrap() as u128;
         for ranked in result.schemas.iter().take(4) {
             let schema = &ranked.discovered.schema;
@@ -175,11 +175,11 @@ proptest! {
         // reconstruct the original instance verbatim.
         let config = MaimonConfig::builder()
         .epsilon(0.0)
-        .limits(MiningLimits::small().to_builder().time_budget(None).build().unwrap())
+        .limits(MiningLimits::small())
         .max_schemas(Some(8))
         .build()
         .unwrap();
-        let result = Maimon::new(&rel, config).unwrap().run().unwrap();
+        let result = MaimonSession::new(&rel, config).unwrap().quality(config.epsilon).unwrap();
         let distinct = rel.distinct();
         for ranked in result.schemas.iter().take(4) {
             let store = ranked.discovered.schema.decompose(&rel).unwrap();
@@ -223,11 +223,11 @@ proptest! {
     ) {
         let config = MaimonConfig::builder()
         .epsilon(0.1)
-        .limits(MiningLimits::small().to_builder().time_budget(None).build().unwrap())
+        .limits(MiningLimits::small())
         .max_schemas(Some(4))
         .build()
         .unwrap();
-        let result = Maimon::new(&rel, config).unwrap().run().unwrap();
+        let result = MaimonSession::new(&rel, config).unwrap().quality(config.epsilon).unwrap();
         let n = rel.arity();
         let (p0, p1, p2) = pick;
         for ranked in result.schemas.iter().take(2) {

@@ -13,7 +13,7 @@
 
 use maimon::entropy::{EntropyOracle, NaiveEntropyOracle, PliEntropyOracle};
 use maimon::relation::{acyclic_join_size, natural_join_all, AttrSet, Relation, Schema};
-use maimon::{j_join_tree, j_mvd, AcyclicSchema, Maimon, MaimonConfig, MiningLimits, Mvd};
+use maimon::{j_join_tree, j_mvd, AcyclicSchema, MaimonConfig, MaimonSession, MiningLimits, Mvd};
 use proptest::prelude::*;
 
 /// Strategy: a random small relation with `cols` columns (2–6), 5–60 rows and
@@ -235,7 +235,7 @@ proptest! {
             .max_schemas(Some(8))
             .build()
             .unwrap();
-        let result = Maimon::new(&rel, config).unwrap().run().unwrap();
+        let result = MaimonSession::new(&rel, config).unwrap().quality(config.epsilon).unwrap();
         let distinct = rel.distinct();
         for ranked in result.schemas.iter().take(4) {
             let schema = &ranked.discovered.schema;

@@ -259,7 +259,7 @@ fn legacy_mine_schemas(
 fn assert_asminer_matches_legacy(rel: &Relation, epsilon: f64, label: &str) -> usize {
     let config = MaimonConfig::builder()
         .epsilon(epsilon)
-        .limits(MiningLimits::small().to_builder().time_budget(None).build().unwrap())
+        .limits(MiningLimits::small())
         .max_schemas(Some(25))
         .threads(Some(1))
         .build()

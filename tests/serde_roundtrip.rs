@@ -22,7 +22,7 @@ fn attrs(v: &[usize]) -> AttrSet {
 fn deterministic_config(epsilon: f64) -> MaimonConfig {
     MaimonConfig::builder()
         .epsilon(epsilon)
-        .limits(MiningLimits::small().to_builder().time_budget(None).build().unwrap())
+        .limits(MiningLimits::small())
         .max_schemas(Some(32))
         .build()
         .unwrap()

@@ -1,6 +1,6 @@
 //! Cancellation correctness: a [`CancelToken`] fired mid-run yields a
 //! *well-formed partial result flagged `truncated`* — the same contract as
-//! the pre-existing time-budget path, and never an error. Locked down on the
+//! a deadline or a count limit, and never an error. Locked down on the
 //! Bridges dataset, the same workload the mining benchmarks use.
 //!
 //! Determinism: instead of racing a timer thread, the tests wrap the shared
@@ -66,7 +66,7 @@ fn bridges() -> Relation {
 fn deterministic_config(epsilon: f64) -> MaimonConfig {
     MaimonConfig::builder()
         .epsilon(epsilon)
-        .limits(MiningLimits::small().to_builder().time_budget(None).build().unwrap())
+        .limits(MiningLimits::small())
         .max_schemas(Some(64))
         .threads(Some(1))
         .build()
@@ -109,7 +109,7 @@ fn cancel_mid_get_full_mvds_returns_truncated_partial_result() {
     );
     // Well-formed partial output: every reported MVD is a genuine ε-MVD with
     // the requested key, separating the pair — exactly what the node-limit /
-    // time-budget truncation paths guarantee.
+    // deadline truncation paths guarantee.
     for mvd in &partial.mvds {
         assert_eq!(mvd.key(), key);
         assert!(mvd.separates(pair.0, pair.1));
@@ -152,7 +152,7 @@ fn cancel_mid_mine_mvds_returns_truncated_partial_result() {
     // partial set need not be a subset of the full run's: a search truncated
     // mid-lattice can report an MVD whose strict refinement — which would
     // have displaced it under the fullness filter — was never reached. That
-    // matches the node-limit and time-budget truncation contracts.
+    // matches the node-limit and deadline truncation contracts.
     for mvd in &partial.mvds {
         assert!(mvd_holds(&fuse, mvd, config.epsilon));
     }

@@ -1,7 +1,7 @@
-//! Session ↔ one-shot equivalence suite.
+//! Session sweep ↔ fresh session equivalence suite.
 //!
-//! A [`MaimonSession`] ε-sweep must be a pure *performance* change over
-//! fresh per-ε [`Maimon::run`] calls: for every threshold the mined `M_ε`,
+//! A [`MaimonSession`] ε-sweep must be a pure *performance* change over a
+//! fresh session's `quality(ε)` per threshold: for every threshold the mined `M_ε`,
 //! the per-pair separator map, the deterministic mining counters, the ranked
 //! schemas (including every quality metric) and the pareto front must be
 //! **bit-identical** — while the PLI oracle is constructed exactly once per
@@ -18,7 +18,7 @@
 use maimon::entropy::{EntropyOracle, PliEntropyOracle};
 use maimon::relation::Relation;
 use maimon::{
-    evaluate_schema, mine_mvds, mine_schemas, Maimon, MaimonConfig, MaimonResult, MaimonSession,
+    evaluate_schema, mine_mvds, mine_schemas, MaimonConfig, MaimonResult, MaimonSession,
     MiningLimits,
 };
 use maimon_datasets::{metanome_catalog, running_example, running_example_with_red_tuple};
@@ -30,14 +30,14 @@ use std::sync::Arc;
 /// other).
 fn session_config(threads: Option<usize>) -> MaimonConfig {
     MaimonConfig::builder()
-        .limits(MiningLimits::small().to_builder().time_budget(None).build().unwrap())
+        .limits(MiningLimits::small())
         .max_schemas(Some(64))
         .threads(threads)
         .build()
         .unwrap()
 }
 
-/// Asserts one sweep point is bit-identical to a fresh one-shot run,
+/// Asserts one sweep point is bit-identical to a fresh session's run,
 /// ignoring only the fields that cannot be compared across runs: wall-clock
 /// `elapsed` and the *cumulative* session oracle counters inside
 /// `stats.oracle`.
@@ -63,8 +63,8 @@ fn assert_point_matches_fresh(point: &MaimonResult, fresh: &MaimonResult, label:
     assert_eq!(point.truncated, fresh.truncated, "{label}");
 }
 
-/// Runs a session sweep and checks every point against a fresh per-ε
-/// `Maimon::run`, then proves via `OracleStats` that the session built its
+/// Runs a session sweep and checks every point against a fresh session's
+/// `quality(ε)`, then proves via `OracleStats` that the session built its
 /// PLI oracle exactly once for the whole sweep.
 fn assert_sweep_equivalent(
     rel: &Relation,
@@ -99,14 +99,15 @@ fn assert_sweep_equivalent(
     }
     for point in &sweep {
         let fresh_config = config.to_builder().epsilon(point.epsilon).build().unwrap();
-        let fresh = Maimon::new(rel, fresh_config).unwrap().run().unwrap();
+        let fresh =
+            MaimonSession::new(rel, fresh_config).unwrap().quality(fresh_config.epsilon).unwrap();
         assert_point_matches_fresh(
             &point.result,
             &fresh,
             &format!("{label} (ε = {})", point.epsilon),
         );
         // The pass measured every schema through one shared label memo; a
-        // fresh one-shot evaluation must give the same bits.
+        // fresh per-schema evaluation must give the same bits.
         for ranked in &point.result.schemas {
             assert_eq!(
                 ranked.quality,
