@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for the combinatorial substrates: minimal
 //! transversal enumeration, maximal-independent-set enumeration, schema
 //! synthesis from MVD sets, `ASMiner` at the 10,000-schema cap, acyclic
-//! join-size counting, and one quality pass.
+//! join-size counting, and quality passes on one worker and on two.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use maimon::entropy::PliEntropyOracle;
@@ -13,8 +13,8 @@ use maimon::relation::{
     acyclic_join_size, relation_from_csv, relation_to_csv, AttrSet, CsvOptions, JoinCounter,
 };
 use maimon::{
-    build_acyclic_schema, evaluate_schema, evaluate_schema_with, incompatibility_graph, mine_mvds,
-    mine_schemas, JoinTree, MaimonConfig, MaimonSession,
+    build_acyclic_schema, evaluate_schema, evaluate_schema_with, incompatibility_graph,
+    measure_schemas, mine_mvds, mine_schemas, JoinTree, MaimonConfig, MaimonSession,
 };
 use maimon_datasets::{dataset_by_name, nursery_with_rows, running_example_with_red_tuple};
 use std::hint::black_box;
@@ -156,6 +156,23 @@ fn quality_pass(c: &mut Criterion) {
             }
         })
     });
+    group.finish();
+
+    // The `quality_abalone` pass: the CSV-deduplicated stand-in (1,775
+    // rows) at ε = 0.1, whose 10,000 schemas span 40 blocks, measured by
+    // the session's pass on one worker and on two.
+    let csv = relation_to_csv(&abalone, ',');
+    let dedup = relation_from_csv(&csv, CsvOptions::default()).expect("round trip");
+    let session = MaimonSession::new(&dedup, MaimonConfig::default()).unwrap();
+    let schemas = session.schemas(0.1).unwrap();
+    assert_eq!(schemas.schemas.len(), 10_000, "the deduplicated Abalone reaches the cap");
+    let mut group = c.benchmark_group("quality_pass");
+    group.sample_size(10);
+    for (leg, threads) in [("seq", 1), ("par2", 2)] {
+        group.bench_function(format!("abalone_dedup_eps_0.1_{leg}"), |b| {
+            b.iter(|| black_box(measure_schemas(&dedup, &schemas.schemas, threads).unwrap()))
+        });
+    }
     group.finish();
 }
 

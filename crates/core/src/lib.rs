@@ -21,8 +21,9 @@
 //!    [`build_acyclic_schema`].
 //! 4. **Quality** ([`evaluate_schema`], §8): storage savings, spurious-tuple
 //!    rate, width, intersection width, pareto front. A session's quality
-//!    pass shares one `relation::JoinCounter` across its schemas
-//!    ([`evaluate_schema_with`]).
+//!    pass ([`measure_schemas`]) fans blocks of schemas out over the
+//!    session's workers, each sharing one `relation::JoinCounter` across
+//!    its schemas ([`evaluate_schema_with`]).
 //! 5. **Decomposed store** ([`AcyclicSchema::decompose`], §8.1): materialize
 //!    the per-bag projections, run the Yannakakis full reducer, stream the
 //!    reconstruction and answer selection/projection queries without ever
@@ -96,7 +97,8 @@ pub use minsep::{mine_min_seps, minimal_separators_bruteforce, reduce_min_sep, M
 pub use mvd::Mvd;
 pub use progress::{CancelToken, CountingSink, ProgressEvent, ProgressSink, RunControl};
 pub use quality::{
-    evaluate_schema, evaluate_schema_checked, evaluate_schema_with, pareto_front, SchemaQuality,
+    evaluate_schema, evaluate_schema_checked, evaluate_schema_with, measure_schemas, pareto_front,
+    SchemaQuality,
 };
 pub use schema::AcyclicSchema;
 pub use session::{

@@ -12,12 +12,18 @@
 //!
 //! The pareto front over (S, E) is what Fig. 10/11 highlight for Nursery.
 
+use crate::asminer::DiscoveredSchema;
 use crate::error::MaimonError;
 use crate::schema::AcyclicSchema;
 use relation::{JoinCounter, Relation};
+use std::sync::Mutex;
+
+/// Schemas a worker of [`measure_schemas`] claims at a time. A pass of fewer
+/// than two blocks runs on the calling thread alone.
+const MEASURE_BLOCK: usize = 256;
 
 /// Quality metrics of one schema against one relation instance.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SchemaQuality {
     /// Number of relations in the schema.
     pub n_relations: usize,
@@ -39,8 +45,9 @@ pub struct SchemaQuality {
 }
 
 /// Computes the full quality report for one schema with a one-shot
-/// [`JoinCounter`]; a pass over many schemas should share one counter
-/// through [`evaluate_schema_with`].
+/// [`JoinCounter`] (no memo budget, so it reserves no label buffers); a pass
+/// over many schemas should share counters through [`measure_schemas`] or
+/// [`evaluate_schema_with`].
 ///
 /// # Errors
 /// Returns an error if the schema is cyclic, does not cover the relation's
@@ -49,7 +56,7 @@ pub fn evaluate_schema(
     rel: &Relation,
     schema: &AcyclicSchema,
 ) -> Result<SchemaQuality, MaimonError> {
-    evaluate_schema_with(&mut JoinCounter::new(rel), schema)
+    evaluate_schema_with(&mut JoinCounter::with_memo_budget(rel, 0), schema)
 }
 
 /// [`evaluate_schema`] against the counter's relation, reusing the
@@ -101,6 +108,67 @@ pub fn evaluate_schema_with(
         decomposed_cells,
         join_size,
     })
+}
+
+/// Measures every schema against `rel`, in `schemas` order, over up to
+/// `threads` workers; the calling thread is one of them.
+///
+/// Workers claim blocks of 256 schemas in order and write each report into
+/// its schema's slot; a pass of fewer than two blocks runs on the calling
+/// thread alone. Each worker measures through its own [`JoinCounter`]; the
+/// counters are built and dropped on the calling thread, so their label
+/// memory stays in its allocator. A report is a pure function of its
+/// schema, so the result is the same bits at every thread count, and an
+/// error is the first one in schema order.
+///
+/// # Errors
+/// As [`evaluate_schema`], for the first failing schema.
+pub fn measure_schemas(
+    rel: &Relation,
+    schemas: &[DiscoveredSchema],
+    threads: usize,
+) -> Result<Vec<SchemaQuality>, MaimonError> {
+    let workers = threads.min(schemas.len().div_ceil(MEASURE_BLOCK)).max(1);
+    let mut qualities = vec![SchemaQuality::default(); schemas.len()];
+    let mut counters: Vec<JoinCounter<'_>> = (0..workers).map(|_| JoinCounter::new(rel)).collect();
+    let blocks = Mutex::new(
+        schemas.chunks(MEASURE_BLOCK).zip(qualities.chunks_mut(MEASURE_BLOCK)).enumerate(),
+    );
+    // Measures claimed blocks until none is left; returns the worker's first
+    // error with its schema index. A worker claims blocks in order, so that
+    // is its lowest failing index.
+    let work = &|counter: &mut JoinCounter<'_>| {
+        let mut first_error = None;
+        loop {
+            // Bound first, so the lock is released before the block runs.
+            let claimed =
+                blocks.lock().expect("the cursor lock is never held across a panic").next();
+            let Some((b, (block, out))) = claimed else { break first_error };
+            for (i, (discovered, slot)) in block.iter().zip(out).enumerate() {
+                match evaluate_schema_with(counter, &discovered.schema) {
+                    Ok(quality) => *slot = quality,
+                    Err(e) => {
+                        first_error = first_error.or(Some((b * MEASURE_BLOCK + i, e)));
+                        break;
+                    }
+                }
+            }
+        }
+    };
+    let (own, helpers) = counters.split_first_mut().expect("at least one worker");
+    let first_error = std::thread::scope(|scope| {
+        let helpers: Vec<_> =
+            helpers.iter_mut().map(|counter| scope.spawn(move || work(counter))).collect();
+        let mut errors = vec![work(own)];
+        errors.extend(
+            helpers.into_iter().map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))),
+        );
+        errors.into_iter().flatten().min_by_key(|&(index, _)| index)
+    });
+    match first_error {
+        Some((_, e)) => Err(e),
+        None => Ok(qualities),
+    }
 }
 
 /// Computes the quality report *and* cross-checks it against the decomposed

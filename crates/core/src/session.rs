@@ -78,13 +78,13 @@ use crate::fd::{mine_fds, FdMiningResult};
 use crate::measure::{j_mvd, within_epsilon};
 use crate::miner::{mine_mvds_with, MvdMiningResult};
 use crate::progress::{CancelToken, ProgressSink, RunControl};
-use crate::quality::{evaluate_schema_with, pareto_front, SchemaQuality};
+use crate::quality::{measure_schemas, pareto_front, SchemaQuality};
 use crate::schema::AcyclicSchema;
 use crate::wire::ToJson;
 use decompose::DecomposedInstance;
 use entropy::{EntropyOracle, OracleStats, PliEntropyOracle};
 use obs::{Span, Stage, StageCollector};
-use relation::{AppendSummary, AttrSet, JoinCounter, Relation};
+use relation::{AppendSummary, AttrSet, Relation};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -896,23 +896,28 @@ impl MaimonSession {
                 // attached — un-instrumented sessions pay nothing.
                 let measure = StageCollector::new();
                 let measure_target = self.stages.as_ref().map(|_| &measure);
-                let mut schemas = Vec::with_capacity(schemas_raw.schemas.len());
-                let pareto = {
+                let (schemas, pareto) = {
                     let _span = Span::enter(Stage::Measure, measure_target);
-                    // One counter per pass: the schemas share most of their
-                    // bags and separators, so a projection is labelled once
-                    // while it stays in the counter's memo rather than
-                    // rescanned per schema.
-                    let mut counter = JoinCounter::new(relation);
-                    for discovered in &schemas_raw.schemas {
-                        let quality = evaluate_schema_with(&mut counter, &discovered.schema)?;
-                        schemas.push(RankedSchema { discovered: discovered.clone(), quality });
-                    }
+                    let qualities = measure_schemas(
+                        relation,
+                        &schemas_raw.schemas,
+                        self.inner.config.effective_threads(),
+                    )?;
+                    let schemas: Vec<RankedSchema> = schemas_raw
+                        .schemas
+                        .iter()
+                        .zip(qualities)
+                        .map(|(discovered, quality)| RankedSchema {
+                            discovered: discovered.clone(),
+                            quality,
+                        })
+                        .collect();
                     let points: Vec<(f64, f64)> = schemas
                         .iter()
                         .map(|s| (s.quality.storage_savings_pct, s.quality.spurious_tuples_pct))
                         .collect();
-                    pareto_front(&points)
+                    let pareto = pareto_front(&points);
+                    (schemas, pareto)
                 };
                 if let Some(outer) = &self.stages {
                     outer.absorb(&measure.breakdown());

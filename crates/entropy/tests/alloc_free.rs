@@ -5,7 +5,9 @@
 //! * a warm-scratch count-only intersection allocates nothing,
 //!
 //! for row partitions and for the oracle's partitions over weighted tuple
-//! ids, on a relation whose rows repeat each tuple many times,
+//! ids, on a relation whose rows repeat each tuple many times, and
+//! * a warm `relation::JoinCounter` counts joins and distinct tuples without
+//!   allocating, also when its memo evicts and relabels on every call,
 //!
 //! which is the steady-state contract the flat-arena refactor exists for —
 //! the mining workload performs hundreds of thousands of these per run.
@@ -17,7 +19,7 @@
 
 use entropy::track_alloc::{allocations, CountingAllocator};
 use entropy::{EntropyOracle, IntersectScratch, Pli, PliEntropyOracle};
-use relation::{AttrSet, Relation, Schema};
+use relation::{AttrSet, JoinCounter, JoinTreeSpec, Relation, Schema, LABEL_MEMO_BUDGET_BYTES};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
@@ -99,6 +101,40 @@ fn steady_state_entropy_queries_do_not_allocate() {
         0,
         "warm count-only intersections of weighted tuples must not allocate"
     );
+
+    // Join counting: chains of overlapping column windows, one with empty
+    // separators. Once a pass has grown the counter's buffers, another pass
+    // allocates nothing, whether the memo keeps every labelling or evicts
+    // all but the call's own and relabels into recycled buffers.
+    let window = |from: usize, to: usize| (from..to).collect::<AttrSet>();
+    let specs: Vec<JoinTreeSpec> = [(2, 1), (3, 1), (4, 0), (6, 0)]
+        .into_iter()
+        .map(|(width, overlap)| {
+            let mut bags = vec![window(0, width)];
+            while let Some(&last) = bags.last().filter(|b| !b.contains(5)) {
+                let from = last.max_attr().unwrap() + 1 - overlap;
+                bags.push(window(from, (from + width).min(6)));
+            }
+            let edges = (1..bags.len()).map(|i| (i - 1, i)).collect();
+            JoinTreeSpec::new(bags, edges).unwrap()
+        })
+        .collect();
+    let mut total = 0u128;
+    for budget in [LABEL_MEMO_BUDGET_BYTES, 1] {
+        let mut counter = JoinCounter::with_memo_budget(&dup, budget);
+        let mut pass = |counter: &mut JoinCounter<'_>| {
+            for spec in &specs {
+                total += counter.join_size(spec).unwrap();
+                total += counter.distinct_count(AttrSet::full(6)).unwrap() as u128;
+            }
+        };
+        pass(&mut counter);
+        let before = allocations();
+        pass(&mut counter);
+        let after = allocations();
+        assert_eq!(after - before, 0, "a warm join counter (budget {budget}) must not allocate");
+    }
+    assert!(total > 0);
 
     // Keep the checksum observable so the loops cannot be optimized away.
     assert!(checksum.is_finite());

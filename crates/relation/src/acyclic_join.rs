@@ -106,54 +106,72 @@ impl JoinTreeSpec {
     }
 }
 
-/// Roots the tree at node 0; returns `(parent, pre_order)`.
-fn root_tree(spec: &JoinTreeSpec) -> (Vec<usize>, Vec<usize>) {
-    let adj = spec.adjacency();
-    let n = spec.bags.len();
-    let mut parent = vec![usize::MAX; n];
-    let mut order = Vec::with_capacity(n);
-    let mut stack = vec![0usize];
-    let mut visited = vec![false; n];
-    visited[0] = true;
-    while let Some(u) = stack.pop() {
-        order.push(u);
-        for &v in &adj[u] {
-            if !visited[v] {
-                visited[v] = true;
-                parent[v] = u;
-                stack.push(v);
-            }
-        }
-    }
-    (parent, order)
-}
-
-/// Bytes of group labels a [`JoinCounter`] keeps between calls. On the
-/// 4,177-row Abalone stand-in an unbounded memo grows by about 6 MiB over an
+/// Bytes of group labels a [`JoinCounter`] keeps between calls. The budget
+/// is per counter, so a quality pass over several workers holds one budget
+/// per worker. On the 1,775-row deduplicated Abalone stand-in an unbounded
+/// memo grows to about 3.7 MiB (316 attribute sets) over the 10,000-schema
 /// ε = 0.1 pass; 512 KiB of recently used labels measures the same pass in
-/// about 2.5 times the unbounded time and a sixth of the time without a
-/// memo. On relations too large for it, the memo turns over every schema.
+/// 1.1–1.7 times the unbounded time and a quarter of the time of a memo
+/// that keeps only each schema's own labels (release build, 2-core x86-64).
+/// On relations too large for it, the memo turns over every schema.
 pub const LABEL_MEMO_BUDGET_BYTES: usize = 1 << 19;
 
-/// The projection `R[X]` as a dense group id per row.
+/// The projection `R[X]` as a dense group id per row, in one buffer whose
+/// capacity of `2n` words fits the labelling of any attribute set, so an
+/// evicted labelling's buffer is reused as it is.
 struct Labeling {
-    /// `labels[r]` is the group of row `r`; groups are numbered in order of
-    /// first appearance.
-    labels: Vec<u32>,
-    /// `reps[g]` is the first row of group `g`, so `reps.len()` is `|R[X]|`.
-    reps: Vec<u32>,
+    /// `n` labels (`words[r]` is the group of row `r`; groups are numbered
+    /// in order of first appearance), then one representative per group
+    /// (`words[n + g]` is the first row of group `g`).
+    words: Vec<u32>,
     /// The counter's clock at the last call that used these labels.
     last_use: u64,
 }
 
 impl Labeling {
-    fn groups(&self) -> usize {
-        self.reps.len()
+    fn with_rows(n: usize) -> Self {
+        Labeling { words: Vec::with_capacity(2 * n), last_use: 0 }
     }
 
-    fn bytes(&self) -> usize {
-        4 * (self.labels.capacity() + self.reps.capacity())
+    fn labels(&self, n: usize) -> &[u32] {
+        &self.words[..n]
     }
+
+    fn reps(&self, n: usize) -> &[u32] {
+        &self.words[n..]
+    }
+
+    /// `|R[X]|`.
+    fn groups(&self, n: usize) -> usize {
+        self.words.len() - n
+    }
+
+    /// The bytes of labels and representatives this labelling holds.
+    fn bytes(&self) -> usize {
+        4 * self.words.len()
+    }
+}
+
+/// The per-call working buffers of [`JoinCounter::join_size`], kept between
+/// calls.
+#[derive(Default)]
+struct TreeScratch {
+    /// Parent of each node when the tree is rooted at node 0.
+    parent: Vec<usize>,
+    /// The nodes in pre-order from the root.
+    order: Vec<usize>,
+    stack: Vec<usize>,
+    visited: Vec<bool>,
+    /// Each node's separator with its parent; empty at the root.
+    seps: Vec<AttrSet>,
+    /// Every non-empty bag and separator of the call.
+    working_set: Vec<AttrSet>,
+    /// Join counts per group of every node, node after node.
+    counts: Vec<u128>,
+    /// Where each node's groups start in `counts`.
+    offsets: Vec<usize>,
+    /// Summed child counts per separator group of one edge.
+    message: Vec<u128>,
 }
 
 /// Distinct counts and acyclic join sizes over one relation, sharing the
@@ -173,6 +191,13 @@ impl Labeling {
 /// labellings the current call does not need. One call's own labels are
 /// always admitted, so a relation too large for the budget is measured
 /// correctly at the cost of relabelling per schema.
+///
+/// Construction reserves label buffers up to the budget and the key map;
+/// an evicted labelling's buffer takes the next labelling, and every
+/// per-call buffer is kept for the next call. Once the memo and those
+/// buffers have reached their working size a counter no longer allocates,
+/// so a counter built and dropped on one thread keeps its label memory with
+/// that thread's allocator while another thread measures with it.
 pub struct JoinCounter<'a> {
     rel: &'a Relation,
     memo: HashMap<AttrSet, Labeling>,
@@ -180,6 +205,15 @@ pub struct JoinCounter<'a> {
     budget_bytes: usize,
     /// Bumped once per call, to find the least recently used labels.
     clock: u64,
+    /// The buffer the next labelling is written into.
+    fresh: Labeling,
+    /// Buffers of evicted (or reserved) labellings, reused before allocating.
+    spare: Vec<Labeling>,
+    /// Distinct keys of one labelling round, cleared between rounds.
+    ids: FoldKeyMap<u32>,
+    /// Memo entries by last use, oldest first, while evicting.
+    victims: Vec<(u64, AttrSet)>,
+    scratch: TreeScratch,
 }
 
 impl<'a> JoinCounter<'a> {
@@ -189,10 +223,28 @@ impl<'a> JoinCounter<'a> {
     }
 
     /// A counter whose memo holds at most `budget_bytes` of labels beyond
-    /// the working set of the current call; tests use a tiny budget to force
-    /// relabelling before every schema.
+    /// the working set of the current call, with label buffers reserved up
+    /// to that budget. A one-shot count needs no budget; tests use a tiny
+    /// one to force relabelling before every schema.
     pub fn with_memo_budget(rel: &'a Relation, budget_bytes: usize) -> Self {
-        JoinCounter { rel, memo: HashMap::new(), memo_bytes: 0, budget_bytes, clock: 0 }
+        let n = rel.n_rows();
+        // A labelling holds 4n to 8n bytes in an 8n-byte buffer, and there
+        // are no more attribute sets to label than non-empty subsets of the
+        // signature. One call adds at most 2·arity sets past the budget.
+        let sets = 1usize.checked_shl(rel.arity() as u32).map_or(usize::MAX, |s| s - 1);
+        let fit = |bytes: usize| if n == 0 { 0 } else { (budget_bytes / bytes).min(sets) };
+        JoinCounter {
+            rel,
+            memo: HashMap::with_capacity(fit(4 * (n + 1)) + 2 * rel.arity()),
+            memo_bytes: 0,
+            budget_bytes,
+            clock: 0,
+            fresh: Labeling::with_rows(n),
+            spare: (0..fit(8 * n)).map(|_| Labeling::with_rows(n)).collect(),
+            ids: FoldKeyMap::with_capacity_and_hasher(n, Default::default()),
+            victims: Vec::new(),
+            scratch: TreeScratch::default(),
+        }
     }
 
     /// The relation this counter measures.
@@ -208,7 +260,7 @@ impl<'a> JoinCounter<'a> {
     pub fn distinct_count(&mut self, attrs: AttrSet) -> Result<usize, RelationError> {
         self.check_attrs(attrs)?;
         self.admit(&[attrs]);
-        Ok(self.memo[&attrs].groups())
+        Ok(self.memo[&attrs].groups(self.rel.n_rows()))
     }
 
     /// Computes `|R[Ω₁] ⋈ … ⋈ R[Ω_m]|` for the bags of `spec` by bottom-up
@@ -223,43 +275,48 @@ impl<'a> JoinCounter<'a> {
         if self.rel.n_rows() == 0 {
             return Ok(0);
         }
-        let (parent, order) = root_tree(spec);
-        let seps: Vec<AttrSet> = (0..spec.bags.len())
-            .map(|u| match u {
-                0 => AttrSet::empty(),
-                _ => spec.bags[u].intersect(spec.bags[parent[u]]),
-            })
-            .collect();
-        let working_set: Vec<AttrSet> =
-            spec.bags.iter().chain(&seps).copied().filter(|a| !a.is_empty()).collect();
-        self.admit(&working_set);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        root_tree(spec, &mut scratch);
+        let TreeScratch { parent, order, seps, working_set, counts, offsets, message, .. } =
+            &mut scratch;
+        seps.clear();
+        seps.extend((0..spec.bags.len()).map(|u| match u {
+            0 => AttrSet::empty(),
+            _ => spec.bags[u].intersect(spec.bags[parent[u]]),
+        }));
+        working_set.clear();
+        working_set.extend(spec.bags.iter().chain(seps.iter()).filter(|a| !a.is_empty()));
+        self.admit(working_set);
 
-        let memo = &self.memo;
-        let mut counts: Vec<Vec<u128>> =
-            spec.bags.iter().map(|b| vec![1; memo[b].groups()]).collect();
+        let (memo, n) = (&self.memo, self.rel.n_rows());
+        counts.clear();
+        offsets.clear();
+        for bag in &spec.bags {
+            offsets.push(counts.len());
+            counts.resize(counts.len() + memo[bag].groups(n), 1);
+        }
         // Children before parents: reverse pre-order works for trees.
         for &u in order.iter().rev().filter(|&&u| u != 0) {
             let p = parent[u];
+            // Each group reaches its separator label through its
+            // representative row; an empty separator is one group.
             let sep = memo.get(&seps[u]);
-            // The separator label of each group of `node`, read off the
-            // group's representative row; an empty separator is one group.
-            let sep_labels = |node: usize| -> Vec<u32> {
-                let reps = &memo[&spec.bags[node]].reps;
-                match sep {
-                    Some(sep) => reps.iter().map(|&r| sep.labels[r as usize]).collect(),
-                    None => vec![0; reps.len()],
-                }
-            };
-            let mut message = vec![0u128; sep.map_or(1, Labeling::groups)];
-            for (g, s) in sep_labels(u).into_iter().enumerate() {
-                message[s as usize] += counts[u][g];
+            let sep_labels = sep.map(|l| l.labels(n));
+            let sep_label = |r: u32| sep_labels.map_or(0, |l| l[r as usize] as usize);
+            message.clear();
+            message.resize(sep.map_or(1, |l| l.groups(n)), 0);
+            for (g, &r) in memo[&spec.bags[u]].reps(n).iter().enumerate() {
+                message[sep_label(r)] += counts[offsets[u] + g];
             }
             // Parent groups with no matching child group drop to zero.
-            for (h, s) in sep_labels(p).into_iter().enumerate() {
-                counts[p][h] = counts[p][h].saturating_mul(message[s as usize]);
+            for (h, &r) in memo[&spec.bags[p]].reps(n).iter().enumerate() {
+                let count = &mut counts[offsets[p] + h];
+                *count = count.saturating_mul(message[sep_label(r)]);
             }
         }
-        Ok(counts[0].iter().sum())
+        let size = counts[..memo[&spec.bags[0]].groups(n)].iter().sum();
+        self.scratch = scratch;
+        Ok(size)
     }
 
     fn check_attrs(&self, attrs: AttrSet) -> Result<(), RelationError> {
@@ -271,7 +328,8 @@ impl<'a> JoinCounter<'a> {
 
     /// Labels every set of `working_set` not yet in the memo and marks all
     /// of them used. A new labelling that would overflow the budget first
-    /// evicts labellings outside `working_set`, least recently used first.
+    /// evicts labellings outside `working_set`, least recently used first;
+    /// their buffers take the next labellings.
     fn admit(&mut self, working_set: &[AttrSet]) {
         self.clock += 1;
         for &attrs in working_set {
@@ -279,67 +337,105 @@ impl<'a> JoinCounter<'a> {
                 hit.last_use = self.clock;
                 continue;
             }
-            let mut labeling = self.label(attrs);
-            labeling.last_use = self.clock;
-            if self.memo_bytes + labeling.bytes() > self.budget_bytes {
-                let mut victims: Vec<(u64, AttrSet)> = self
-                    .memo
-                    .iter()
-                    .filter(|(kept, _)| !working_set.contains(kept))
-                    .map(|(&kept, l)| (l.last_use, kept))
-                    .collect();
-                victims.sort_unstable();
-                for (_, victim) in victims {
-                    if self.memo_bytes + labeling.bytes() <= self.budget_bytes {
+            label_into(self.rel, attrs, &mut self.ids, &mut self.fresh.words);
+            self.fresh.last_use = self.clock;
+            let bytes = self.fresh.bytes();
+            if self.memo_bytes + bytes > self.budget_bytes {
+                self.victims.clear();
+                self.victims.extend(
+                    self.memo
+                        .iter()
+                        .filter(|(kept, _)| !working_set.contains(kept))
+                        .map(|(&kept, l)| (l.last_use, kept)),
+                );
+                self.victims.sort_unstable();
+                for &(_, victim) in &self.victims {
+                    if self.memo_bytes + bytes <= self.budget_bytes {
                         break;
                     }
-                    self.memo_bytes -= self.memo.remove(&victim).map_or(0, |l| l.bytes());
+                    if let Some(evicted) = self.memo.remove(&victim) {
+                        self.memo_bytes -= evicted.bytes();
+                        self.spare.push(evicted);
+                    }
                 }
             }
-            self.memo_bytes += labeling.bytes();
-            self.memo.insert(attrs, labeling);
+            let next = self.spare.pop().unwrap_or_else(|| Labeling::with_rows(self.rel.n_rows()));
+            self.memo_bytes += bytes;
+            self.memo.insert(attrs, std::mem::replace(&mut self.fresh, next));
         }
     }
+}
 
-    /// Labels `R[attrs]` in rounds: each round folds the previous round's
-    /// label and as many further columns as fit into one exact mixed-radix
-    /// `u64` key, then numbers the distinct keys by first row.
-    fn label(&self, attrs: AttrSet) -> Labeling {
-        let n = self.rel.n_rows();
-        let cols = attrs.to_vec();
-        let mut done = 0;
-        let mut groups = 1;
-        let mut labels: Option<Vec<u32>> = None;
-        let mut reps = Vec::new();
-        while done < cols.len() {
-            // Group counts and cardinalities both stay below 2³², so every
-            // round takes at least one column.
-            let mut radix = groups.max(1) as u64;
-            let mut run: Vec<(&[u32], u64)> = Vec::new();
-            while let Some(&c) = cols.get(done) {
-                let card = self.rel.column_cardinality(c).max(1) as u64;
-                let Some(next) = radix.checked_mul(card) else { break };
-                run.push((self.rel.column_codes(c), radix));
-                radix = next;
-                done += 1;
+/// Roots the tree at node 0, filling `parent` and the pre-order `order`.
+/// Neighbours are visited in edge order.
+fn root_tree(spec: &JoinTreeSpec, scratch: &mut TreeScratch) {
+    let n = spec.bags.len();
+    let TreeScratch { parent, order, stack, visited, .. } = scratch;
+    parent.clear();
+    parent.resize(n, usize::MAX);
+    visited.clear();
+    visited.resize(n, false);
+    order.clear();
+    stack.clear();
+    stack.push(0);
+    visited[0] = true;
+    while let Some(u) = stack.pop() {
+        order.push(u);
+        for &(a, b) in &spec.edges {
+            let v = match (a == u, b == u) {
+                (true, _) => b,
+                (_, true) => a,
+                _ => continue,
+            };
+            if !visited[v] {
+                visited[v] = true;
+                parent[v] = u;
+                stack.push(v);
             }
-            let mut ids: FoldKeyMap<u32> = FoldKeyMap::default();
-            let mut next_labels = Vec::with_capacity(n);
-            reps.clear();
-            for r in 0..n {
-                let previous = labels.as_ref().map_or(0, |l| l[r] as u64);
-                let key = run.iter().fold(previous, |key, &(codes, m)| key + codes[r] as u64 * m);
-                let id = *ids.entry(key).or_insert_with(|| {
-                    reps.push(r as u32);
-                    reps.len() as u32 - 1
-                });
-                next_labels.push(id);
-            }
-            groups = reps.len();
-            labels = Some(next_labels);
         }
-        reps.shrink_to_fit();
-        Labeling { labels: labels.unwrap_or_default(), reps, last_use: 0 }
+    }
+}
+
+/// Labels `R[attrs]` into `words` as a [`Labeling`] lays them out. Each
+/// round folds the previous round's label and as many further columns as
+/// fit into one exact mixed-radix `u64` key, then numbers the distinct keys
+/// by first row, rewriting the labels in place; the representatives are the
+/// rows where the next group first appears.
+fn label_into(rel: &Relation, attrs: AttrSet, ids: &mut FoldKeyMap<u32>, words: &mut Vec<u32>) {
+    let n = rel.n_rows();
+    words.clear();
+    words.resize(n, 0);
+    let mut cols = attrs.iter().peekable();
+    let mut groups = 0;
+    let mut run: [(&[u32], u64); AttrSet::MAX_ATTRS] = [(&[], 0); AttrSet::MAX_ATTRS];
+    while cols.peek().is_some() {
+        // Group counts and cardinalities both stay below 2³², so every
+        // round takes at least one column.
+        let mut radix = groups.max(1) as u64;
+        let mut len = 0;
+        while let Some(&c) = cols.peek() {
+            let card = rel.column_cardinality(c).max(1) as u64;
+            let Some(next) = radix.checked_mul(card) else { break };
+            run[len] = (rel.column_codes(c), radix);
+            len += 1;
+            radix = next;
+            cols.next();
+        }
+        let run = &run[..len];
+        ids.clear();
+        for (r, label) in words.iter_mut().enumerate() {
+            let key = run.iter().fold(*label as u64, |key, &(codes, m)| key + codes[r] as u64 * m);
+            let next = ids.len() as u32;
+            *label = *ids.entry(key).or_insert(next);
+        }
+        groups = ids.len();
+    }
+    let mut next = 0;
+    for r in 0..n {
+        if words[r] == next {
+            words.push(r as u32);
+            next += 1;
+        }
     }
 }
 
@@ -349,7 +445,13 @@ impl<'a> JoinCounter<'a> {
 /// # Errors
 /// Returns an error if any bag is empty or out of range for the relation.
 pub fn acyclic_join_size(rel: &Relation, spec: &JoinTreeSpec) -> Result<u128, RelationError> {
-    JoinCounter::new(rel).join_size(spec)
+    one_shot(rel).join_size(spec)
+}
+
+/// A counter for a few calls: with no memo budget it keeps only each call's
+/// own labels and reserves no buffers up front.
+fn one_shot(rel: &Relation) -> JoinCounter<'_> {
+    JoinCounter::with_memo_budget(rel, 0)
 }
 
 /// Number of spurious tuples introduced by decomposing `rel` according to
@@ -359,7 +461,7 @@ pub fn acyclic_join_size(rel: &Relation, spec: &JoinTreeSpec) -> Result<u128, Re
 /// # Errors
 /// Returns an error if the join-size computation fails.
 pub fn spurious_tuple_count(rel: &Relation, spec: &JoinTreeSpec) -> Result<u128, RelationError> {
-    let mut counter = JoinCounter::new(rel);
+    let mut counter = one_shot(rel);
     let original = counter.distinct_count(rel.schema().all_attrs())? as u128;
     Ok(counter.join_size(spec)?.saturating_sub(original))
 }
@@ -376,7 +478,7 @@ pub fn satisfies_join_dependency(
     if !spec.all_attrs().is_superset_of(rel.schema().all_attrs()) {
         return Ok(false);
     }
-    let mut counter = JoinCounter::new(rel);
+    let mut counter = one_shot(rel);
     let original = counter.distinct_count(rel.schema().all_attrs())? as u128;
     // The join of projections always contains every original tuple, so
     // equality of sizes implies equality of sets.
@@ -454,6 +556,54 @@ mod tests {
             spec.bags.iter().map(|&b| rel.project_distinct(b).unwrap()).collect();
         let joined = natural_join_all(&projections).unwrap().n_rows() as u128;
         assert_eq!(counter.join_size(&spec).unwrap(), joined);
+    }
+
+    #[test]
+    fn a_reused_counter_matches_fresh_counters() {
+        // Budget 1 evicts every labelling the next call does not need, so
+        // every call relabels into buffers recycled from attribute sets of
+        // other group counts, and the wide sets refold in place past a u64
+        // key. Each count must equal a fresh counter's.
+        let schema = Schema::with_arity(12).unwrap();
+        let columns: Vec<Vec<u32>> = (0..12u32)
+            .map(|c| (0..300u32).map(|r| ((r * (c + 3) / 7) ^ (r % (c + 2))) % 64).collect())
+            .collect();
+        let rel = Relation::from_code_columns(schema, columns).unwrap();
+        let window = |from: usize, to: usize| (from..to).collect::<AttrSet>();
+        let mut specs = Vec::new();
+        for (width, overlap) in [(2, 1), (3, 1), (4, 2), (5, 0), (7, 3), (12, 0)] {
+            let mut bags = Vec::new();
+            let mut from = 0;
+            loop {
+                let to = (from + width).min(12);
+                bags.push(window(from, to));
+                if to == 12 {
+                    break;
+                }
+                from = to - overlap;
+            }
+            let edges = (1..bags.len()).map(|i| (i - 1, i)).collect();
+            specs.push(JoinTreeSpec::new(bags, edges).unwrap());
+        }
+        // A star whose leaves all meet the hub in one column.
+        let hub = window(0, 6);
+        let mut bags = vec![hub];
+        bags.extend((6..12).map(|c| AttrSet::singleton(c).with(c - 6)));
+        specs.push(JoinTreeSpec::new(bags, (1..7).map(|i| (0, i)).collect()).unwrap());
+
+        let mut reused = JoinCounter::with_memo_budget(&rel, 1);
+        for _ in 0..2 {
+            for spec in &specs {
+                let fresh = JoinCounter::new(&rel).join_size(spec).unwrap();
+                assert_eq!(reused.join_size(spec).unwrap(), fresh, "{:?}", spec.bags);
+                for &bag in &spec.bags {
+                    assert_eq!(
+                        reused.distinct_count(bag).unwrap(),
+                        rel.distinct_count(bag).unwrap()
+                    );
+                }
+            }
+        }
     }
 
     fn running_example(with_red_tuple: bool) -> Relation {

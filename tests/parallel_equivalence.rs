@@ -8,6 +8,10 @@
 //! threads ∈ {1, 2, 4, 8} on the Fig. 1 running example (both variants) and
 //! on all 20 datasets of the Table 2 catalog.
 //!
+//! The quality pass fans blocks of schemas out over the same worker count,
+//! each worker measuring through its own join counter; every schema's
+//! report and the pareto front must be the same bits at every thread count.
+//!
 //! Determinism rests on two mechanisms under test here: the oracle's
 //! compute-once sharded caches (each H(X) is materialized exactly once per
 //! run, bit-identically) and the miner's pair-ordered merge of per-worker
@@ -15,9 +19,14 @@
 //! that is inherently scheduling-dependent.
 
 use maimon::entropy::PliEntropyOracle;
-use maimon::relation::{AttrSet, Relation};
-use maimon::{mine_mvds, mine_schemas, AcyclicSchema, MaimonConfig, MiningLimits, MvdMiningResult};
-use maimon_datasets::{metanome_catalog, running_example, running_example_with_red_tuple};
+use maimon::relation::{relation_from_csv, relation_to_csv, AttrSet, CsvOptions, Relation};
+use maimon::{
+    mine_mvds, mine_schemas, AcyclicSchema, MaimonConfig, MaimonResult, MaimonSession,
+    MiningLimits, MvdMiningResult, SchemaQuality,
+};
+use maimon_datasets::{
+    dataset_by_name, metanome_catalog, running_example, running_example_with_red_tuple,
+};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -131,4 +140,60 @@ fn auto_thread_count_matches_explicit_single_thread() {
     assert_eq!(auto.mvds, baseline.mvds);
     assert_eq!(auto.separators, baseline.separators);
     assert!(auto.stats.threads >= 1);
+}
+
+/// Every field of a quality report, floats as their bits.
+type QualityBits = (usize, usize, usize, u64, u64, u128, u128, u128);
+
+fn quality_bits(q: &SchemaQuality) -> QualityBits {
+    (
+        q.n_relations,
+        q.width,
+        q.intersection_width,
+        q.storage_savings_pct.to_bits(),
+        q.spurious_tuples_pct.to_bits(),
+        q.original_cells,
+        q.decomposed_cells,
+        q.join_size,
+    )
+}
+
+/// `session.quality(ε)` of a fresh session at the given thread count, with
+/// the default limits (up to 10,000 schemas).
+fn quality(rel: &Relation, epsilon: f64, threads: usize) -> std::sync::Arc<MaimonResult> {
+    let config = MaimonConfig::builder().epsilon(epsilon).threads(Some(threads)).build().unwrap();
+    MaimonSession::new(rel.clone(), config).unwrap().quality(epsilon).unwrap()
+}
+
+/// Asserts that every thread count measures the same schemas to the same
+/// bits and keeps the same pareto front; returns the schema count.
+fn assert_quality_equivalent(rel: &Relation, epsilon: f64, label: &str) -> usize {
+    let baseline = quality(rel, epsilon, THREAD_COUNTS[0]);
+    for &threads in &THREAD_COUNTS[1..] {
+        let parallel = quality(rel, epsilon, threads);
+        assert_eq!(parallel.schemas.len(), baseline.schemas.len(), "{label} at {threads} threads");
+        for (i, (p, b)) in parallel.schemas.iter().zip(&baseline.schemas).enumerate() {
+            let at = format!("{label}: schema {i} at {threads} threads (ε = {epsilon})");
+            assert_eq!(p.discovered.schema, b.discovered.schema, "{at}");
+            assert_eq!(p.discovered.mvds, b.discovered.mvds, "{at}");
+            assert_eq!(p.discovered.j.map(f64::to_bits), b.discovered.j.map(f64::to_bits), "{at}");
+            assert_eq!(quality_bits(&p.quality), quality_bits(&b.quality), "{at}");
+        }
+        assert_eq!(parallel.pareto, baseline.pareto, "{label}: pareto front at {threads} threads");
+    }
+    baseline.schemas.len()
+}
+
+#[test]
+fn quality_pass_is_thread_count_invariant() {
+    let red = running_example_with_red_tuple();
+    assert!(assert_quality_equivalent(&red, 0.2, "Fig. 1 (red tuple)") > 0);
+    // The Abalone stand-in deduplicated by a CSV round trip: its 10,000
+    // schemas span 40 blocks, and its 1,775 rows turn each counter's memo
+    // over many times in a pass.
+    let abalone = dataset_by_name("Abalone").unwrap().generate(1.0);
+    let csv = relation_to_csv(&abalone, ',');
+    let abalone = relation_from_csv(&csv, CsvOptions::default()).unwrap();
+    assert_eq!(abalone.n_rows(), 1_775);
+    assert_eq!(assert_quality_equivalent(&abalone, 0.1, "Abalone"), 10_000);
 }
