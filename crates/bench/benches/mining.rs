@@ -209,8 +209,9 @@ fn session_sweep(c: &mut Criterion) {
 /// Delta-maintained append vs full rebuild: the maintenance cost of getting
 /// a *warm* oracle at the new data version after a 1% append batch. The warm
 /// pre-append state (partition cache + entropies, produced by mining ε=0.1)
-/// is fixed setup; the delta leg then carries it to the appended relation
-/// through `PliEntropyOracle::extend_to` (per-partition CSR merges), while
+/// is fixed setup; the delta leg then interns the batch into the tuples and
+/// carries the caches across through `PliEntropyOracle::extend_to`
+/// (per-partition CSR merges), while
 /// the full leg reproduces the same warm state the only way a non-
 /// incremental engine can — constructing a fresh oracle over the
 /// concatenated relation and re-running the mining workload that warmed the
@@ -245,7 +246,7 @@ fn incremental_append(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("append_batch_nursery_delta", |b| {
         b.iter(|| {
-            let oracle = warm.extend_to(Arc::clone(&appended));
+            let oracle = warm.extend_to(batch).unwrap();
             black_box(oracle.cached_pli_count())
         })
     });

@@ -102,7 +102,7 @@ fn main() {
 
     let session = MaimonSession::from_backend(Arc::clone(&backend), config).expect("paged session");
     let mine_started = Instant::now();
-    let (_, paged_schemas) = session.schemas_stamped(epsilon).expect("paged schema mining");
+    let paged_schemas = session.schemas(epsilon).expect("paged schema mining");
     println!(
         "paged mine: {} schemas at eps={epsilon} in {:.2}s",
         paged_schemas.schemas.len(),

@@ -51,16 +51,6 @@ pub enum MaimonError {
     /// message carries the underlying [`storage::StorageError`] rendering;
     /// the string keeps this enum `Clone + PartialEq`.
     Storage(String),
-    /// The operation needs random row access to the in-memory relation
-    /// (quality evaluation, decomposition, appends), but the session was
-    /// mounted on an out-of-core storage backend. Entropies, `M_ε` and
-    /// schema enumeration remain available.
-    UnsupportedByBackend {
-        /// The operation that was requested.
-        operation: String,
-        /// The storage backend kind that cannot serve it.
-        backend: &'static str,
-    },
 }
 
 impl fmt::Display for MaimonError {
@@ -82,14 +72,6 @@ impl fmt::Display for MaimonError {
             MaimonError::Store(msg) => write!(f, "decomposed store: {}", msg),
             MaimonError::Wire(msg) => write!(f, "wire format: {}", msg),
             MaimonError::Storage(msg) => write!(f, "storage backend error: {}", msg),
-            MaimonError::UnsupportedByBackend { operation, backend } => {
-                write!(
-                    f,
-                    "{} is not supported on the {:?} storage backend \
-                     (needs the in-memory relation)",
-                    operation, backend
-                )
-            }
         }
     }
 }

@@ -9,7 +9,9 @@
 //!
 //! 1. **Entropy oracle** (`maimon-entropy`): every algorithm interacts with
 //!    the data only through the empirical entropy `H(X)` of attribute sets,
-//!    computed with the PLI-cache engine of §6.3.
+//!    computed with the PLI-cache engine of §6.3 over the relation's
+//!    distinct tuples weighted by their multiplicities. Those tuples are the
+//!    one relation a session holds; stages 4 and 5 read them too.
 //! 2. **MVD mining** ([`mine_mvds`], §6): for every attribute pair, find the
 //!    minimal separators ([`mine_min_seps`]) and the full ε-MVDs keyed by
 //!    them ([`get_full_mvds`]); their union is `M_ε`. Pairs are mined on a
@@ -20,10 +22,11 @@
 //!    incompatibility graph) and synthesize an acyclic schema from each with
 //!    [`build_acyclic_schema`].
 //! 4. **Quality** ([`evaluate_schema`], §8): storage savings, spurious-tuple
-//!    rate, width, intersection width, pareto front. A session's quality
-//!    pass ([`measure_schemas`]) fans blocks of schemas out over the
-//!    session's workers, each sharing one `relation::JoinCounter` across
-//!    its schemas ([`evaluate_schema_with`]).
+//!    rate, width, intersection width, pareto front. Both metrics need only
+//!    distinct counts and the set join, so a session measures over its
+//!    distinct tuples. Its quality pass ([`measure_schemas`]) fans blocks of
+//!    schemas out over the session's workers, each sharing one
+//!    `relation::JoinCounter` across its schemas ([`evaluate_schema_with`]).
 //! 5. **Decomposed store** ([`AcyclicSchema::decompose`], §8.1): materialize
 //!    the per-bag projections, run the Yannakakis full reducer, stream the
 //!    reconstruction and answer selection/projection queries without ever

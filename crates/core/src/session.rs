@@ -9,7 +9,7 @@
 //! per threshold:
 //!
 //! ```text
-//! MaimonSession::new(rel, config)       // relation owned; oracle built once
+//! MaimonSession::new(rel, config)       // tuples owned; oracle built once
 //!     ├─ session.mvds(ε)        → Arc<MvdMiningResult>     (stage 1, cached)
 //!     ├─ session.schemas(ε)     → Arc<SchemaMiningResult>  (stage 2, cached)
 //!     ├─ session.quality(ε)     → Arc<MaimonResult>        (stage 3, cached)
@@ -31,16 +31,25 @@
 //! artifact caches, so one request's deadline cannot poison what every
 //! other clone of the session is served (see [`ArtifactCache`]).
 //!
-//! The session *owns* its relation (`Arc<Relation>`), so it is `'static`,
-//! `Send + Sync` and cheap to [`Clone`]: handles share the oracle and the
-//! artifact caches while each carries its own cancellation/deadline/progress
-//! plumbing. That is what lets a long-lived service register one session per
-//! dataset and serve every request from clones of it.
+//! The session holds its data one way, whatever it was mounted from: the
+//! oracle's distinct tuples, an in-memory `Arc<Relation>` in first-occurrence
+//! order ([`MaimonSession::tuples`]), with each tuple's multiplicity beside
+//! it. Entropies weight the tuples (Eq. 5 needs only the bag); quality and
+//! decomposition need only distinct counts and the set join, so they read
+//! the tuples directly. A paged backend is read once, at mount, and then
+//! serves every stage, appends included, exactly as an in-memory relation
+//! over the same rows would.
+//!
+//! The session owns that data, so it is `'static`, `Send + Sync` and cheap
+//! to [`Clone`]: handles share the oracle and the artifact caches while each
+//! carries its own cancellation/deadline/progress plumbing. That is what
+//! lets a long-lived service register one session per dataset and serve
+//! every request from clones of it.
 //!
 //! Sessions are also *incremental*: [`MaimonSession::append_rows`] installs a
-//! new relation version and a delta-refreshed oracle (see
+//! new data version and a delta-refreshed oracle (see
 //! [`PliEntropyOracle::extend_to`]) without interrupting in-flight requests —
-//! each public call snapshots one `(relation, oracle, version)` state and
+//! each public call snapshots one `(oracle, version)` state and
 //! works against it end-to-end. Every cached artifact is keyed by the
 //! `data_version` it was mined at, so a stale artifact is never served after
 //! an append; [`MaimonSession::delta_sweep`] additionally reports, per
@@ -375,22 +384,14 @@ impl<T> ArtifactCache<T> {
     }
 }
 
-/// One immutable generation of the session's data: the storage backend at a
-/// given data version and the oracle built over exactly that version.
-/// Appends install a *new* `Arc<VersionState>`; requests that already
-/// snapshotted the old one keep mining against it unharmed.
+/// One immutable generation of the session's data: the oracle, holding the
+/// distinct tuples and their multiplicities, at one data version. Appends
+/// install a *new* `Arc<VersionState>`; requests that already snapshotted
+/// the old one keep mining against it unharmed.
 struct VersionState {
-    /// The storage the oracle reads — the in-memory relation coerced to the
-    /// trait, or an out-of-core backend such as a paged column store.
-    backend: Arc<dyn RelationBackend>,
-    /// The in-memory twin when this session owns one; `None` for sessions
-    /// mounted on an out-of-core backend. Operations that need random row
-    /// access (quality evaluation, decomposition, appends) go through
-    /// [`VersionState::require_relation`].
-    relation: Option<Arc<Relation>>,
     oracle: PliEntropyOracle,
-    /// The backend's data version, hoisted so cache keys and responses don't
-    /// chase the backend pointer.
+    /// The data version, hoisted so cache keys and responses don't chase
+    /// the tuple relation.
     version: u64,
     /// The version this state was delta-extended from (`None` for the
     /// session's initial state). Bounds what `delta_sweep` compares against
@@ -399,35 +400,21 @@ struct VersionState {
 }
 
 impl VersionState {
-    /// The in-memory relation, or the typed error naming the operation that
-    /// needed it.
-    fn require_relation(&self, operation: &str) -> Result<&Arc<Relation>, MaimonError> {
-        self.relation.as_ref().ok_or_else(|| MaimonError::UnsupportedByBackend {
-            operation: operation.to_string(),
-            backend: self.backend.kind(),
-        })
-    }
-
-    /// Refuses to serve results derived from a faulted oracle. The oracle's
-    /// query API is infallible (a failed scan latches the error and
-    /// substitutes trivial partitions), so every mining stage checks this
-    /// latch on entry *and* after mining — a fault that trips mid-mine still
-    /// turns into a typed error, never into silently wrong entropies.
-    fn check_storage(&self) -> Result<(), MaimonError> {
-        match self.oracle.storage_fault() {
-            Some(e) => Err(MaimonError::Storage(e.to_string())),
-            None => Ok(()),
-        }
+    /// The distinct tuples every stage reads.
+    fn tuples(&self) -> &Arc<Relation> {
+        self.oracle.tuples()
     }
 }
 
 /// Everything a session shares between its cheap-clone handles: the current
-/// (relation, oracle) generation, and the version-stamped artifact caches.
+/// (tuples, oracle) generation, and the version-stamped artifact caches.
 struct SessionInner {
     config: MaimonConfig,
+    /// Kind of the storage backend the data was mounted from.
+    storage: &'static str,
     state: RwLock<Arc<VersionState>>,
     /// Serializes appends (writers); readers snapshot `state` and never wait
-    /// on an append's relation-clone + oracle-extension work.
+    /// on an append's tuple-clone + oracle-extension work.
     append_lock: Mutex<()>,
     construction_stats: OracleStats,
     mvd_cache: ArtifactCache<MvdMiningResult>,
@@ -437,8 +424,8 @@ struct SessionInner {
 
 /// A reusable mining session over one relation instance.
 ///
-/// Owns its relation (`Arc<Relation>`), the (single) shared
-/// [`PliEntropyOracle`] and the per-threshold artifact caches; see the module
+/// Owns the (single) shared [`PliEntropyOracle`], which holds the relation's
+/// distinct tuples, and the per-threshold artifact caches; see the module
 /// docs above for the staging diagram. The session is a `'static`,
 /// `Send + Sync`, **cheaply clonable handle**: [`Clone`] copies an `Arc` to
 /// the shared state, so clones share the oracle and every cached artifact
@@ -461,8 +448,11 @@ impl MaimonSession {
     ///
     /// The relation is taken by *ownership*: pass a `Relation` to move it in,
     /// an `Arc<Relation>` to share storage with other consumers, or a
-    /// `&Relation` to deep-clone the data once. The session is `'static`
-    /// either way — it outlives whatever binding produced the relation.
+    /// `&Relation` to deep-clone the data once. The session keeps only the
+    /// distinct tuples: a relation with no repeated row is kept as it is,
+    /// any other is read once into a copy of its distinct rows. The session
+    /// is `'static` either way — it outlives whatever binding produced the
+    /// relation.
     ///
     /// `config.epsilon` is only the *default* threshold (used by
     /// [`MaimonSession::mine_fds`]); every staged accessor takes its
@@ -476,33 +466,41 @@ impl MaimonSession {
         config: MaimonConfig,
     ) -> Result<Self, MaimonError> {
         let relation = relation.into();
-        Self::build(Arc::clone(&relation) as Arc<dyn RelationBackend>, Some(relation), config)
+        Self::build(
+            &*relation,
+            || PliEntropyOracle::new(Arc::clone(&relation), config.entropy),
+            config,
+        )
     }
 
     /// Creates a session over an arbitrary storage backend (e.g. a
     /// [`storage::PagedColumnarRelation`] mounted by the serve layer's
-    /// `--paged-dataset` flag). Entropy queries, `M_ε` mining and schema
-    /// enumeration behave exactly as on an in-memory session — partitions
-    /// are built from chunked scans, bit-identically — while operations that
-    /// need random row access (quality evaluation, decomposition, appends)
-    /// return [`MaimonError::UnsupportedByBackend`].
+    /// `--paged-dataset` flag). The backend is read once, into the oracle's
+    /// distinct tuples, and never again: every stage — quality,
+    /// decomposition and appends included — then behaves exactly as on an
+    /// in-memory session over the same rows.
     ///
     /// # Errors
-    /// Returns an error if the configuration is invalid or the backend is
+    /// Returns an error if the configuration is invalid, the backend is
     /// empty or has fewer than two attributes — the same contract as
-    /// [`MaimonSession::new`].
+    /// [`MaimonSession::new`] — or [`MaimonError::Storage`] if reading it
+    /// fails.
     pub fn from_backend(
         backend: Arc<dyn RelationBackend>,
         config: MaimonConfig,
     ) -> Result<Self, MaimonError> {
-        Self::build(backend, None, config)
+        Self::build(
+            &*backend,
+            || PliEntropyOracle::from_backend(Arc::clone(&backend), config.entropy),
+            config,
+        )
     }
 
-    /// Validates the inputs and builds the session's one oracle. `relation`
-    /// is the in-memory twin of `backend`, when there is one.
+    /// Validates the inputs and builds the session's one oracle over
+    /// `backend`.
     fn build(
-        backend: Arc<dyn RelationBackend>,
-        relation: Option<Arc<Relation>>,
+        backend: &dyn RelationBackend,
+        oracle: impl FnOnce() -> PliEntropyOracle,
         config: MaimonConfig,
     ) -> Result<Self, MaimonError> {
         config.validate()?;
@@ -514,22 +512,19 @@ impl MaimonSession {
         if backend.n_rows() == 0 {
             return Err(MaimonError::InvalidConfig("relation has no tuples".into()));
         }
-        let oracle = match &relation {
-            Some(relation) => PliEntropyOracle::new(Arc::clone(relation), config.entropy),
-            None => PliEntropyOracle::from_backend(Arc::clone(&backend), config.entropy),
-        };
+        let oracle = oracle();
         if let Some(e) = oracle.storage_fault() {
-            // A scan already failed while building the single-attribute
-            // partitions: the session would serve garbage, so refuse to
-            // mount it at all.
+            // The one read of the backend failed: the session would serve
+            // garbage, so refuse to mount it at all.
             return Err(MaimonError::Storage(e.to_string()));
         }
         let construction_stats = oracle.stats();
         let version = backend.data_version();
-        let state = VersionState { backend, relation, oracle, version, previous_version: None };
+        let state = VersionState { oracle, version, previous_version: None };
         Ok(MaimonSession {
             inner: Arc::new(SessionInner {
                 config,
+                storage: backend.kind(),
                 state: RwLock::new(Arc::new(state)),
                 append_lock: Mutex::new(()),
                 construction_stats,
@@ -580,56 +575,39 @@ impl MaimonSession {
         self
     }
 
-    /// The relation being profiled, at its current data version. Returns a
-    /// shared handle (not a borrow) because appends swap the session's
-    /// relation: the handle stays valid — and internally consistent — however
-    /// many appends land after it was taken.
-    ///
-    /// # Panics
-    /// Panics for sessions mounted on an out-of-core backend
-    /// ([`MaimonSession::from_backend`]); use [`MaimonSession::try_relation`]
-    /// when the backend kind is not statically known.
-    pub fn relation(&self) -> Arc<Relation> {
-        self.try_relation().expect("session was mounted on an out-of-core storage backend")
+    /// The distinct tuples of the relation being profiled, at its current
+    /// data version, in first-occurrence order and sharing its
+    /// dictionaries. Quality, decomposition and appends all work on this
+    /// relation; multiplicities live in the oracle, so
+    /// [`MaimonSession::n_rows`] still counts every row. Returns a shared
+    /// handle (not a borrow) because appends swap it: the handle stays valid
+    /// — and internally consistent — however many appends land after it
+    /// was taken.
+    pub fn tuples(&self) -> Arc<Relation> {
+        Arc::clone(self.state().tuples())
     }
 
-    /// The in-memory relation being profiled, if this session owns one
-    /// (`None` for sessions mounted on an out-of-core backend).
-    pub fn try_relation(&self) -> Option<Arc<Relation>> {
-        self.state().relation.as_ref().map(Arc::clone)
-    }
-
-    /// The storage backend being profiled, at its current data version.
-    pub fn backend(&self) -> Arc<dyn RelationBackend> {
-        Arc::clone(&self.state().backend)
-    }
-
-    /// Number of rows of the current data version, whatever the backend.
+    /// Number of rows of the current data version, repeats included.
     pub fn n_rows(&self) -> usize {
-        self.state().backend.n_rows()
+        self.state().oracle.n_rows()
     }
 
     /// Number of attributes of the current data version.
     pub fn arity(&self) -> usize {
-        self.state().backend.arity()
+        self.state().tuples().arity()
     }
 
-    /// The storage backend kind serving this session (`"in_memory"`,
-    /// `"paged"`, …), surfaced by the serve layer's `list`/`stats` ops.
+    /// The kind of storage backend the data was mounted from
+    /// (`"in_memory"`, `"paged"`, …), surfaced by the serve layer's
+    /// `list`/`stats` ops.
     pub fn storage_kind(&self) -> &'static str {
-        self.state().backend.kind()
+        self.inner.storage
     }
 
-    /// Approximate bytes of the backend resident in memory right now
-    /// (dictionaries plus cached/materialized code storage).
+    /// Approximate bytes of the session's data resident in memory right now:
+    /// the distinct tuples' dictionaries and codes.
     pub fn resident_bytes(&self) -> usize {
-        self.state().backend.resident_bytes()
-    }
-
-    /// Whether this session can run the full quality pipeline (stage three
-    /// and decomposition) — true exactly when it owns an in-memory relation.
-    pub fn supports_quality(&self) -> bool {
-        self.state().relation.is_some()
+        self.state().tuples().resident_bytes()
     }
 
     /// The monotone data version of the relation currently being served.
@@ -639,10 +617,12 @@ impl MaimonSession {
     }
 
     /// Appends a batch of rows, atomically installing a new data version
-    /// whose oracle is *delta-extended* from the current one (cached
-    /// partitions and entropies are refreshed in place where the fold keys
-    /// still cover the grown dictionaries — see [`PliEntropyOracle::extend_to`]
-    /// — instead of being rebuilt from scratch).
+    /// whose oracle is *delta-extended* from the current one: the batch is
+    /// interned into a copy of the distinct tuples, only fresh tuples get new
+    /// ids, and cached partitions and entropies are refreshed in place where
+    /// the fold keys still cover the grown dictionaries — see
+    /// [`PliEntropyOracle::extend_to`] — instead of being rebuilt from
+    /// scratch. The cost is O(tuples + batch), whatever the row count.
     ///
     /// Concurrency: appends serialize against each other; readers are never
     /// blocked — a request that snapshotted the pre-append state finishes
@@ -664,13 +644,9 @@ impl MaimonSession {
         if rows.is_empty() {
             return Ok(AppendSummary { rows_appended: 0, data_version: state.version });
         }
-        let mut relation = (**state.require_relation("append")?).clone();
-        let summary = relation.append_rows(rows)?;
-        let relation = Arc::new(relation);
-        let oracle = state.oracle.extend_to(Arc::clone(&relation));
+        let oracle = state.oracle.extend_to(rows)?;
+        let summary = AppendSummary { rows_appended: rows.len(), data_version: state.version + 1 };
         let next = VersionState {
-            backend: Arc::clone(&relation) as Arc<dyn RelationBackend>,
-            relation: Some(relation),
             oracle,
             version: summary.data_version,
             previous_version: Some(state.version),
@@ -796,14 +772,11 @@ impl MaimonSession {
             &self.control(),
             |result| result.stats.truncated,
             || {
-                state.check_storage()?;
-                let result = Arc::new(mine_mvds_with(
+                Ok(Arc::new(mine_mvds_with(
                     &state.oracle,
                     &self.config_at(epsilon),
                     &self.control(),
-                ));
-                state.check_storage()?;
-                Ok(result)
+                )))
             },
         )
     }
@@ -815,18 +788,6 @@ impl MaimonSession {
     /// Returns [`MaimonError::InvalidEpsilon`] for a negative or non-finite ε.
     pub fn schemas(&self, epsilon: f64) -> Result<Arc<SchemaMiningResult>, MaimonError> {
         self.schemas_at(&self.state(), epsilon)
-    }
-
-    /// [`MaimonSession::schemas`] plus the data version the result is valid
-    /// for. This is the deepest stage an out-of-core session can serve (the
-    /// quality pass needs the in-memory relation), so the serve layer's
-    /// `mine` op degrades to it on paged datasets.
-    pub fn schemas_stamped(
-        &self,
-        epsilon: f64,
-    ) -> Result<(u64, Arc<SchemaMiningResult>), MaimonError> {
-        let state = self.state();
-        Ok((state.version, self.schemas_at(&state, epsilon)?))
     }
 
     fn schemas_at(
@@ -843,7 +804,7 @@ impl MaimonSession {
                 let mvds = self.mvds_at(state, epsilon)?;
                 let mut schemas = mine_schemas_with(
                     &state.oracle,
-                    state.backend.schema().all_attrs(),
+                    state.tuples().schema().all_attrs(),
                     &mvds.mvds,
                     &self.config_at(epsilon),
                     &self.control(),
@@ -853,7 +814,6 @@ impl MaimonSession {
                 // yielded more schemas): flag it so it stays out of the
                 // shared cache and `quality` keeps reporting the truncation.
                 schemas.truncated |= mvds.stats.truncated;
-                state.check_storage()?;
                 Ok(Arc::new(schemas))
             },
         )
@@ -889,7 +849,6 @@ impl MaimonSession {
             &self.control(),
             |result| result.truncated,
             || {
-                let relation = state.require_relation("quality evaluation")?;
                 let mvds = self.mvds_at(state, epsilon)?;
                 let schemas_raw = self.schemas_at(state, epsilon)?;
                 // Only time the measurement pass when a collector is
@@ -899,7 +858,7 @@ impl MaimonSession {
                 let (schemas, pareto) = {
                     let _span = Span::enter(Stage::Measure, measure_target);
                     let qualities = measure_schemas(
-                        relation,
+                        state.tuples(),
                         &schemas_raw.schemas,
                         self.inner.config.effective_threads(),
                     )?;
@@ -928,7 +887,6 @@ impl MaimonSession {
                 let mut mvds_with_stages = (*mvds).clone();
                 mvds_with_stages.stats.stages.absorb(&schemas_raw.stages);
                 mvds_with_stages.stats.stages.absorb(&measure.breakdown());
-                state.check_storage()?;
                 Ok(Arc::new(MaimonResult {
                     truncated: mvds.stats.truncated || schemas_raw.truncated,
                     mvds: mvds_with_stages,
@@ -1034,7 +992,7 @@ impl MaimonSession {
         schema: &AcyclicSchema,
     ) -> Result<DecomposedInstance, MaimonError> {
         let _span = Span::enter(Stage::Decompose, self.stages.as_deref());
-        schema.decompose(self.state().require_relation("decomposition")?)
+        schema.decompose(self.state().tuples())
     }
 
     /// Stage four, driven by the pipeline: mines at `epsilon`, picks the
@@ -1073,10 +1031,10 @@ impl MaimonSession {
                     .expect("savings are finite")
             })
             .map(|ranked| ranked.discovered.schema.clone())
-            .map_or_else(|| AcyclicSchema::trivial(state.backend.schema().all_attrs()), Ok)?;
+            .map_or_else(|| AcyclicSchema::trivial(state.tuples().schema().all_attrs()), Ok)?;
         let instance = {
             let _span = Span::enter(Stage::Decompose, self.stages.as_deref());
-            schema.decompose(state.require_relation("decomposition")?)?
+            schema.decompose(state.tuples())?
         };
         Ok((state.version, schema, instance))
     }
@@ -1457,7 +1415,7 @@ mod tests {
         assert_eq!(summary.rows_appended, 1);
         assert_eq!(summary.data_version, v0 + 1);
         assert_eq!(session.data_version(), v0 + 1);
-        assert_eq!(session.relation().n_rows(), 5);
+        assert_eq!(session.n_rows(), 5);
         // The pre-append artifact is stale: not servable, not listed.
         assert!(session.cached_epsilons().is_empty());
 
@@ -1531,7 +1489,7 @@ mod tests {
     }
 
     #[test]
-    fn backend_sessions_serve_schemas_and_gate_relation_operations() {
+    fn backend_sessions_serve_every_stage() {
         use storage::{PagedColumnarRelation, PagedOptions};
         let rel = Arc::new(running_example(true));
         let store = PagedColumnarRelation::from_relation(
@@ -1542,38 +1500,30 @@ mod tests {
         let session =
             MaimonSession::from_backend(Arc::new(store), MaimonConfig::default()).unwrap();
         assert_eq!(session.storage_kind(), "paged");
-        assert!(!session.supports_quality());
-        assert!(session.try_relation().is_none());
         assert_eq!(session.n_rows(), rel.n_rows());
         assert_eq!(session.arity(), rel.arity());
 
-        // Stages 1–2 match an in-memory session over the same rows exactly.
+        // Every stage matches an in-memory session over the same rows.
         let mem = MaimonSession::new(Arc::clone(&rel), MaimonConfig::default()).unwrap();
         let m_paged = session.mvds(0.1).unwrap();
         let m_mem = mem.mvds(0.1).unwrap();
         assert_eq!(m_paged.mvds, m_mem.mvds);
         assert_eq!(m_paged.separators, m_mem.separators);
-        let (version, schemas) = session.schemas_stamped(0.1).unwrap();
+        let (version, result) = session.quality_stamped(0.1).unwrap();
         assert_eq!(version, session.data_version());
-        assert_eq!(schemas.schemas, mem.schemas(0.1).unwrap().schemas);
+        assert_eq!(result.schemas, mem.quality(0.1).unwrap().schemas);
+        let (schema, store) = session.decompose_best(0.1).unwrap();
+        let (mem_schema, mem_store) = mem.decompose_best(0.1).unwrap();
+        assert_eq!(schema, mem_schema);
+        assert_eq!(store.total_cells(), mem_store.total_cells());
 
-        // Relation-dependent operations fail with the typed gate, not a panic.
-        let unsupported = |r: Result<(), MaimonError>, wanted: &str| match r {
-            Err(MaimonError::UnsupportedByBackend { operation, backend }) => {
-                assert_eq!(backend, "paged");
-                assert_eq!(operation, wanted);
-            }
-            other => panic!("expected UnsupportedByBackend({wanted}), got {other:?}"),
-        };
-        unsupported(session.quality(0.1).map(|_| ()), "quality evaluation");
-        unsupported(
-            session.append_rows(&[vec!["a1", "b2", "c1", "d2", "e2", "f1"]]).map(|_| ()),
-            "append",
-        );
-        let mined = schemas.schemas.first().expect("running example mines schemas");
-        unsupported(session.decompose_schema(&mined.schema).map(|_| ()), "decomposition");
-        // decompose_best goes through quality first, so it reports that gate.
-        unsupported(session.decompose_best(0.1).map(|_| ()), "quality evaluation");
+        // Appends land on the tuples, exactly as in memory.
+        let batch =
+            [vec!["a1", "b2", "c1", "d2", "e2", "f1"], vec!["a9", "b2", "c1", "d2", "e2", "f1"]];
+        assert_eq!(session.append_rows(&batch).unwrap(), mem.append_rows(&batch).unwrap());
+        assert_eq!(session.n_rows(), rel.n_rows() + 2);
+        assert_eq!(session.tuples().n_rows(), mem.tuples().n_rows());
+        assert_eq!(session.quality(0.1).unwrap().schemas, mem.quality(0.1).unwrap().schemas);
     }
 
     #[test]

@@ -41,7 +41,8 @@ pub struct OracleStats {
     /// (`Pli::intersect_counts`): group sizes were computed for Eq. (5)
     /// without materializing — or caching — the refined partition.
     pub count_only_intersections: u64,
-    /// Full group-by scans over the relation (naive oracle, or PLI fallback).
+    /// Full group-by passes over the relation (naive oracle) or its distinct
+    /// tuples (PLI fallback for a piece missing from the cache).
     pub full_scans: u64,
     /// Cached partitions carried across an append by the delta path
     /// (`PliEntropyOracle::extend_to`) instead of being regrouped from

@@ -192,14 +192,15 @@ impl Pli {
     pub fn extended(&self, old: &Relation, new: &Relation, attrs: AttrSet) -> Option<Pli> {
         assert_eq!(self.n_rows, old.n_rows(), "partition must belong to the pre-append relation");
         assert!(new.n_rows() >= old.n_rows(), "extended() only handles appends");
-        self.grown(attrs, old, new, |r| r as usize, unit_weights(new.n_rows()), new.n_rows(), &[])
+        self.grown(attrs, old, new, unit_weights(new.n_rows()), new.n_rows(), &[])
     }
 
-    /// The delta path shared by row and tuple partitions. `new` is `old`
-    /// plus appended rows; `weights` are the grown element weights (old
-    /// elements keep their ids, new ones follow), `first_row` maps an
-    /// element to a row of `new` holding its values, and `repeated` lists,
-    /// in ascending order, the old elements whose weight rose.
+    /// The delta path shared by row and tuple partitions. The elements are
+    /// the rows of `new`, which is `old` plus appended rows (for tuple
+    /// partitions, the tuple relations before and after an append);
+    /// `weights` are the grown element weights (old elements keep their
+    /// ids, new ones follow), and `repeated` lists, in ascending order, the
+    /// old elements whose weight rose.
     ///
     /// New elements are scattered into the existing clusters they extend,
     /// promote an old stripped element into a fresh cluster when they match
@@ -214,13 +215,11 @@ impl Pli {
     /// exactly here, whatever the batch holds. Appends never renumber
     /// existing dictionary codes, so the new fold is exact on old elements
     /// too.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn grown(
         &self,
         attrs: AttrSet,
         old: &Relation,
         new: &Relation,
-        first_row: impl Fn(u32) -> usize,
         weights: Arc<[u32]>,
         n_rows: usize,
         repeated: &[u32],
@@ -232,7 +231,7 @@ impl Pli {
         if new_n == old_n && repeated.is_empty() {
             return Some(Pli { weights, n_rows, ..self.clone() });
         }
-        let key = |e: u32| new.fold_key(first_row(e), &fold);
+        let key = |e: u32| new.fold_key(e as usize, &fold);
         // Key every existing cluster by its first element under the *new*
         // fold; distinct clusters disagree on some attribute, so keys are
         // unique.
@@ -267,11 +266,10 @@ impl Pli {
                     // An element carrying a brand-new dictionary code on any
                     // attribute cannot equal any old element, so only groups
                     // whose codes all pre-date the append can absorb one.
-                    let row = first_row(e);
                     let maybe_old = cluster.is_none()
-                        && attrs
-                            .iter()
-                            .all(|c| (new.code(row, c) as usize) < old.column_cardinality(c));
+                        && attrs.iter().all(|c| {
+                            (new.code(e as usize, c) as usize) < old.column_cardinality(c)
+                        });
                     scan_singletons |= maybe_old;
                     let gi = groups.len() as u32;
                     groups.push(NewGroup {

@@ -49,9 +49,9 @@ use crate::concurrent::{AtomicOracleStats, ShardedCache};
 use crate::oracle::{EntropyOracle, OracleStats};
 use crate::partition::{IntersectScratch, Pli};
 use crate::tuples::TupleTable;
-use relation::{AttrSet, Relation};
+use relation::{AttrSet, Relation, RelationError};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use storage::{RelationBackend, StorageError};
 
 /// Configuration for [`PliEntropyOracle`].
@@ -93,29 +93,24 @@ impl EntropyConfig {
 
 /// Entropy oracle backed by cached stripped partitions (the §6.3 engine).
 ///
-/// The oracle *owns* its storage as an `Arc<dyn RelationBackend>`, so it is
-/// `'static` and `Send + Sync`: a long-lived session (or server) can hold it
-/// after the binding that loaded the relation is gone. [`PliEntropyOracle::new`]
-/// takes the in-memory store (`&Relation` arguments still work — they
-/// deep-clone the data once at construction — while `Relation` /
-/// `Arc<Relation>` arguments move or share storage);
+/// Construction reads the relation once, in one chunked scan, into a tuple
+/// table: the distinct tuples in first-occurrence order with their
+/// multiplicities. The tuples are kept as an in-memory [`Relation`] sharing
+/// the source's dictionaries ([`PliEntropyOracle::tuples`]), and nothing
+/// reads the source again, so the oracle is `'static` and `Send + Sync`
+/// whatever it was built from. [`PliEntropyOracle::new`] takes the
+/// in-memory store (`&Relation` arguments deep-clone the data once, while
+/// `Relation` / `Arc<Relation>` arguments move or share it; a relation
+/// with no repeated row is itself the tuple relation and is shared);
 /// [`PliEntropyOracle::from_backend`] accepts any backend, e.g. a paged
 /// out-of-core column store.
 ///
-/// Construction reads the relation once, in one chunked scan, into a tuple
-/// table: the distinct tuples in first-occurrence order with their
-/// multiplicities. Every partition the oracle holds groups tuple ids, each
-/// weighted by its multiplicity, so a relation of `N` rows and `G` distinct
-/// tuples intersects `O(G)` ids per miss while entropies stay bit-identical
-/// to grouping rows (Eq. 5 needs only the tuple histogram; see the
-/// `partition` module docs). Only the append-delta path
-/// ([`PliEntropyOracle::extend_to`]) needs the random row access of the
-/// in-memory store.
+/// Every partition the oracle holds groups tuple ids, each weighted by its
+/// multiplicity, so a relation of `N` rows and `G` distinct tuples
+/// intersects `O(G)` ids per miss while entropies stay bit-identical to
+/// grouping rows (Eq. 5 needs only the tuple histogram; see the `partition`
+/// module docs).
 pub struct PliEntropyOracle {
-    source: Arc<dyn RelationBackend>,
-    /// The in-memory twin when the oracle was built from one — required by
-    /// [`PliEntropyOracle::extend_to`], `None` for out-of-core backends.
-    rel: Option<Arc<Relation>>,
     /// The relation's distinct tuples and their multiplicities; every
     /// partition below groups its tuple ids.
     table: TupleTable,
@@ -132,29 +127,12 @@ pub struct PliEntropyOracle {
     scratches: Mutex<Vec<IntersectScratch>>,
     config: EntropyConfig,
     stats: AtomicOracleStats,
-    /// The first [`StorageError`] a partition build hit, if any. The oracle's
+    /// The [`StorageError`] the construction scan hit, if any. The oracle's
     /// query API is infallible by design (entropies are plain `f64`s on hot
-    /// paths), so a failed scan latches here and the build substitutes a
-    /// trivial partition to stay structurally sound; callers that need
-    /// correctness (the session layer) check [`PliEntropyOracle::storage_fault`]
-    /// and refuse to serve results derived from a faulted oracle.
-    storage_fault: OnceLock<Arc<StorageError>>,
-}
-
-/// Unwraps a partition build, latching the first error into `fault` and
-/// degrading to the trivial partition so construction can continue.
-fn unwrap_or_trivial(
-    fault: &OnceLock<Arc<StorageError>>,
-    table: &TupleTable,
-    result: Result<Pli, StorageError>,
-) -> Pli {
-    match result {
-        Ok(pli) => pli,
-        Err(e) => {
-            let _ = fault.set(Arc::new(e));
-            table.trivial()
-        }
-    }
+    /// paths), so a failed scan leaves an oracle over no tuples and latches
+    /// the error here; callers that need correctness (the session layer)
+    /// check [`PliEntropyOracle::storage_fault`] and refuse to mount it.
+    storage_fault: Option<Arc<StorageError>>,
 }
 
 impl PliEntropyOracle {
@@ -162,38 +140,27 @@ impl PliEntropyOracle {
     /// partitions and (if configured) the per-block subset precomputation.
     pub fn new(rel: impl Into<Arc<Relation>>, config: EntropyConfig) -> Self {
         let rel = rel.into();
-        Self::build(Arc::clone(&rel) as Arc<dyn RelationBackend>, Some(rel), config)
+        Self::build(&*rel, Some(&rel), config)
     }
 
     /// Creates the oracle over an arbitrary storage backend (e.g. a
-    /// [`storage::PagedColumnarRelation`]). Identical to
-    /// [`PliEntropyOracle::new`] except that the append-delta path
-    /// ([`PliEntropyOracle::extend_to`]) is unavailable — it needs random
-    /// row access only the in-memory store provides.
+    /// [`storage::PagedColumnarRelation`]), read once here and never again.
+    /// Identical to [`PliEntropyOracle::new`] over the same rows.
     pub fn from_backend(source: Arc<dyn RelationBackend>, config: EntropyConfig) -> Self {
-        Self::build(source, None, config)
+        Self::build(&*source, None, config)
     }
 
     fn build(
-        source: Arc<dyn RelationBackend>,
-        rel: Option<Arc<Relation>>,
+        source: &dyn RelationBackend,
+        twin: Option<&Arc<Relation>>,
         config: EntropyConfig,
     ) -> Self {
-        let storage_fault: OnceLock<Arc<StorageError>> = OnceLock::new();
-        let arity = source.arity();
-        let (table, codes) = TupleTable::scan(&*source).unwrap_or_else(|e| {
-            let _ = storage_fault.set(Arc::new(e));
-            (TupleTable::empty(arity), vec![Vec::new(); arity])
-        });
-        let singles: Vec<Arc<Pli>> = codes
-            .iter()
-            .enumerate()
-            .map(|(a, codes)| Arc::new(table.single(codes, source.column_cardinality(a))))
-            .collect();
-        drop(codes);
+        let (table, storage_fault) = match TupleTable::scan(source, twin) {
+            Ok(table) => (table, None),
+            Err(e) => (TupleTable::empty(source.schema()), Some(Arc::new(e))),
+        };
+        let singles = (0..source.arity()).map(|a| Arc::new(table.single(a))).collect();
         let oracle = PliEntropyOracle {
-            source,
-            rel,
             table,
             singles,
             pli_cache: ShardedCache::new(),
@@ -218,7 +185,7 @@ impl PliEntropyOracle {
         );
         registry
             .gauge("maimon_oracle_relation_rows", &[])
-            .set(i64::try_from(oracle.source.n_rows()).unwrap_or(i64::MAX));
+            .set(i64::try_from(oracle.n_rows()).unwrap_or(i64::MAX));
         oracle
     }
 
@@ -227,54 +194,46 @@ impl PliEntropyOracle {
         Self::new(rel, EntropyConfig::default())
     }
 
-    /// Builds the successor oracle after an append. `new_rel` must be this
-    /// oracle's relation plus a batch of appended rows (same schema, same
-    /// row prefix — the contract [`Relation::append_rows`] guarantees).
+    /// Builds the successor oracle after appending `rows` to this oracle's
+    /// relation.
     ///
-    /// The appended rows go through the retained tuple index: a repeated
+    /// The batch is interned into a copy of the tuple relation: a repeated
     /// tuple gets its multiplicity bumped, a new one the next tuple id, and
     /// old tuples are never renumbered. Every cached partition — the
     /// single-attribute partitions and every composite in the partition
     /// cache — is then carried across the append by the delta path
     /// (the tuple counterpart of [`Pli::extended`], counted as a
-    /// `delta_refresh`), falling back to a from-scratch regroup only when
-    /// the grown relation's cardinality product overflows the `u64` fold
-    /// (`full_rebuild`). Cached *entropies* are re-derived from the
-    /// refreshed partitions, never copied: an entropy memoized for the old
-    /// relation is stale for the new one, so only attribute sets whose
-    /// partitions are held come across — everything else recomputes lazily
-    /// on first request, exactly as a fresh oracle would.
+    /// `delta_refresh`), falling back to a from-scratch regroup of the
+    /// tuples only when the grown relation's cardinality product overflows
+    /// the `u64` fold (`full_rebuild`). Cached *entropies* are re-derived
+    /// from the refreshed partitions, never copied: an entropy memoized for
+    /// the old relation is stale for the new one, so only attribute sets
+    /// whose partitions are held come across — everything else recomputes
+    /// lazily on first request, exactly as a fresh oracle would.
     ///
     /// Work counters are seeded from this oracle's
     /// ([`AtomicOracleStats::seeded`]), so `stats()` stays cumulative across
     /// the lineage — which is what makes the `delta_refreshes` /
     /// `full_rebuilds` split observable over a session's lifetime.
     ///
-    /// # Panics
-    /// Panics if `new_rel` has a different arity or fewer rows, or if this
-    /// oracle was built over an out-of-core backend
-    /// ([`PliEntropyOracle::from_backend`]) — the delta path keys rows by
-    /// random access, which only the in-memory store supports.
-    pub fn extend_to(&self, new_rel: impl Into<Arc<Relation>>) -> PliEntropyOracle {
-        let old =
-            self.rel.as_ref().expect("extend_to requires an oracle built over the in-memory store");
-        let new_rel = new_rel.into();
-        assert_eq!(new_rel.arity(), old.arity(), "append cannot change the schema");
-        assert!(new_rel.n_rows() >= old.n_rows(), "extend_to() only handles appends");
+    /// # Errors
+    /// Returns the [`RelationError`] of a row whose arity mismatches the
+    /// schema; this oracle is untouched either way.
+    pub fn extend_to<S: AsRef<str>>(
+        &self,
+        rows: &[Vec<S>],
+    ) -> Result<PliEntropyOracle, RelationError> {
+        let (table, repeated) = self.table.extended(rows)?;
         let stats = AtomicOracleStats::seeded(self.stats.snapshot());
-        // The successor inherits any latched fault: results derived from a
-        // faulted lineage stay refusable at the session layer.
-        let storage_fault = self.storage_fault.clone();
-        let (table, repeated) = self.table.extended(&new_rel);
         let carry = |pli: &Pli, attrs: AttrSet| -> Arc<Pli> {
-            Arc::new(match table.carry(pli, attrs, old, &new_rel, &repeated) {
+            Arc::new(match table.carry(pli, attrs, &self.table, &repeated) {
                 Some(p) => {
                     stats.record_delta_refresh();
                     p
                 }
                 None => {
                     stats.record_full_rebuild();
-                    unwrap_or_trivial(&storage_fault, &table, table.partition(&*new_rel, attrs))
+                    table.partition(attrs)
                 }
             })
         };
@@ -288,9 +247,7 @@ impl PliEntropyOracle {
             entropy_cache.insert(attrs, refreshed.entropy());
             pli_cache.insert_bounded(attrs, refreshed, &pli_count, self.config.max_cached_plis);
         }
-        PliEntropyOracle {
-            source: Arc::clone(&new_rel) as Arc<dyn RelationBackend>,
-            rel: Some(new_rel),
+        Ok(PliEntropyOracle {
             table,
             singles,
             pli_cache,
@@ -299,22 +256,23 @@ impl PliEntropyOracle {
             scratches: Mutex::new(Vec::new()),
             config: self.config,
             stats,
-            storage_fault,
-        }
+            // A successor of a faulted oracle stays refusable.
+            storage_fault: self.storage_fault.clone(),
+        })
     }
 
-    /// The first storage error any partition build hit, if one did. A
-    /// non-`None` return means entropies served by this oracle may be
-    /// derived from substituted trivial partitions and must not be trusted;
-    /// the session layer surfaces this as a typed error instead of serving
-    /// garbage.
+    /// The error the construction scan hit, if it failed. A non-`None`
+    /// return means this oracle holds no tuples and its entropies must not
+    /// be trusted; the session layer refuses to mount such an oracle.
     pub fn storage_fault(&self) -> Option<Arc<StorageError>> {
-        self.storage_fault.get().cloned()
+        self.storage_fault.clone()
     }
 
-    /// The storage backend this oracle reads from.
-    pub fn source(&self) -> &Arc<dyn RelationBackend> {
-        &self.source
+    /// The relation's distinct tuples in first-occurrence order, sharing
+    /// its dictionaries: the elements every partition of this oracle
+    /// groups, tuple id `t` being row `t`.
+    pub fn tuples(&self) -> &Arc<Relation> {
+        self.table.tuples()
     }
 
     /// Number of distinct tuples of the relation — the elements every
@@ -357,7 +315,7 @@ impl PliEntropyOracle {
 
     fn precompute_blocks(&self, block: usize) {
         let mut scratch = self.take_scratch();
-        let n = self.source.arity();
+        let n = self.arity();
         let mut start = 0;
         'blocks: while start < n {
             let end = (start + block).min(n);
@@ -376,7 +334,7 @@ impl PliEntropyOracle {
                 let rest_pli = if rest.len() == 1 {
                     Arc::clone(&self.singles[rest.min_attr().unwrap()])
                 } else {
-                    self.pli_cache.get(rest).unwrap_or_else(|| Arc::new(self.rescan(rest)))
+                    self.pli_cache.get(rest).unwrap_or_else(|| Arc::new(self.table.partition(rest)))
                 };
                 let combined = rest_pli.intersect_with(&self.singles[last], &mut scratch);
                 self.stats.record_intersection();
@@ -393,16 +351,6 @@ impl PliEntropyOracle {
         self.return_scratch(scratch);
     }
 
-    /// Builds the partition of `attrs` by rescanning the source — the
-    /// fallback for a piece the budget kept out of the cache.
-    fn rescan(&self, attrs: AttrSet) -> Pli {
-        unwrap_or_trivial(
-            &self.storage_fault,
-            &self.table,
-            self.table.partition(&*self.source, attrs),
-        )
-    }
-
     /// Looks up an already-cached partition for exactly `attrs`. The shared
     /// `Arc` is cloned — cache reads never copy a partition arena.
     fn cached_pli(&self, attrs: AttrSet) -> Option<Arc<Pli>> {
@@ -416,7 +364,7 @@ impl PliEntropyOracle {
     /// when block precomputation is enabled, by single attribute otherwise.
     fn decompose(&self, attrs: AttrSet) -> Vec<AttrSet> {
         if let Some(block) = self.config.block_size {
-            let n = self.source.arity();
+            let n = self.arity();
             let mut pieces = Vec::new();
             let mut start = 0;
             while start < n {
@@ -453,10 +401,10 @@ impl PliEntropyOracle {
                     Some(p) => p,
                     None => {
                         // A piece can miss the cache when block precomputation
-                        // was truncated by the budget; fall back to a direct
-                        // scan.
+                        // was truncated by the budget; fall back to grouping
+                        // the tuples directly.
                         self.stats.record_full_scan();
-                        Arc::new(self.rescan(piece))
+                        Arc::new(self.table.partition(piece))
                     }
                 };
                 (piece, pli)
@@ -522,11 +470,11 @@ impl EntropyOracle for PliEntropyOracle {
     }
 
     fn n_rows(&self) -> usize {
-        self.source.n_rows()
+        self.table.n_rows()
     }
 
     fn arity(&self) -> usize {
-        self.source.arity()
+        self.table.tuples().arity()
     }
 
     fn stats(&self) -> OracleStats {
@@ -738,7 +686,7 @@ mod tests {
         for attrs in AttrSet::full(6).subsets().filter(|s| s.len() >= 2 && s.len() <= 4) {
             oracle.entropy(attrs);
         }
-        let successor = oracle.extend_to(&grown);
+        let successor = oracle.extend_to(&batch).unwrap();
         let fresh = PliEntropyOracle::with_defaults(&grown);
         for attrs in AttrSet::full(6).subsets() {
             assert_eq!(
@@ -775,7 +723,7 @@ mod tests {
         oracle.entropy(full); // caches composite prefixes, incl. unfoldable ones
         let mut grown = rel.clone();
         grown.append_rows(&[rel.row(0)]).unwrap();
-        let successor = oracle.extend_to(&grown);
+        let successor = oracle.extend_to(&[rel.row(0)]).unwrap();
         let stats = successor.stats();
         assert_eq!(stats.delta_refreshes + stats.full_rebuilds, 12 + 10);
         assert!(stats.full_rebuilds >= 1, "the widest prefixes cannot fold: {stats:?}");

@@ -14,7 +14,7 @@
 //! [`relation::JoinCounter`] labels wide projections.
 
 use crate::partition::Pli;
-use relation::{AttrSet, FoldKeyMap, Relation};
+use relation::{AttrSet, FoldKeyMap, Relation, RelationError, Schema};
 use std::sync::Arc;
 use storage::{RelationBackend, StorageError};
 
@@ -79,17 +79,6 @@ impl Keyer {
         (label as u32, fresh)
     }
 
-    /// The label of the code vector `code(position)`, if it was inserted.
-    #[inline]
-    pub(crate) fn find(&self, code: impl Fn(usize) -> u32) -> Option<u32> {
-        let mut label = 0u64;
-        for round in &self.rounds {
-            let key = round.factors.iter().fold(label, |key, &(p, m, _)| key + code(p) as u64 * m);
-            label = *round.labels.get(&key)? as u64;
-        }
-        Some(label as u32)
-    }
-
     /// Number of distinct labels handed out.
     pub(crate) fn len(&self) -> usize {
         self.rounds.last().map_or(0, |r| r.labels.len())
@@ -107,39 +96,46 @@ impl Keyer {
 
 /// The distinct tuples of a relation in first-occurrence order, each with
 /// its multiplicity, plus the index that maps a row to its tuple id.
+///
+/// The tuples themselves are a [`Relation`] sharing the source's
+/// dictionaries: tuple id `t` is its row `t`. Every partition the oracle
+/// builds, every quality measurement and every decomposition reads that
+/// relation, never the rows it was scanned from.
 #[derive(Debug)]
 pub(crate) struct TupleTable {
+    /// The distinct tuples, one row each, in first-occurrence order.
+    tuples: Arc<Relation>,
     /// Multiplicity of each tuple; shared with every partition over it.
     weights: Arc<[u32]>,
-    /// First row of each tuple, ascending.
-    first_rows: Vec<u32>,
     /// Full-row key → tuple id.
     index: Keyer,
+    /// Rows of the relation the tuples were counted from: the total weight.
     n_rows: usize,
 }
 
 impl TupleTable {
-    /// Builds the table in one chunked pass over every column, returning
-    /// beside it each column's code per tuple (what the single-attribute
-    /// partitions are grouped from).
+    /// Builds the table in one chunked pass over every column of `source`.
+    /// `twin` is `source` itself when the caller holds it as an in-memory
+    /// relation: if no row repeats, it already is the tuple relation and is
+    /// shared rather than copied.
     ///
     /// # Errors
     /// Propagates the backend's [`StorageError`] when a chunk cannot be read.
     pub(crate) fn scan(
         source: &dyn RelationBackend,
-    ) -> Result<(TupleTable, Vec<Vec<u32>>), StorageError> {
-        let cols: Vec<usize> = (0..source.arity()).collect();
+        twin: Option<&Arc<Relation>>,
+    ) -> Result<TupleTable, StorageError> {
+        let arity = source.arity();
+        let cols: Vec<usize> = (0..arity).collect();
         let mut index = Keyer::new(cols.iter().map(|&c| source.column_cardinality(c)));
         let mut weights: Vec<u32> = Vec::new();
-        let mut first_rows: Vec<u32> = Vec::new();
-        let mut codes: Vec<Vec<u32>> = vec![Vec::new(); cols.len()];
-        source.scan_columns(&cols, &mut |start, slices| {
+        let mut codes: Vec<Vec<u32>> = vec![Vec::new(); arity];
+        source.scan_columns(&cols, &mut |_, slices| {
             let len = slices.first().map_or(0, |s| s.len());
             for i in 0..len {
                 let (tuple, fresh) = index.insert(|c| slices[c][i]);
                 if fresh {
                     weights.push(1);
-                    first_rows.push((start + i) as u32);
                     for (column, slice) in codes.iter_mut().zip(slices) {
                         column.push(slice[i]);
                     }
@@ -148,20 +144,40 @@ impl TupleTable {
                 }
             }
         })?;
-        let table =
-            TupleTable { weights: weights.into(), first_rows, index, n_rows: source.n_rows() };
-        Ok((table, codes))
+        let tuples = match twin {
+            Some(rel) if rel.n_rows() == weights.len() => Arc::clone(rel),
+            _ => {
+                let dicts = (0..arity)
+                    .map(|c| {
+                        (0..source.column_cardinality(c) as u32)
+                            .map(|code| source.dict_value(c, code).to_string())
+                            .collect()
+                    })
+                    .collect();
+                let schema = source.schema().clone();
+                Arc::new(
+                    Relation::from_encoded_parts(schema, dicts, codes, source.data_version())
+                        .map_err(StorageError::Relation)?,
+                )
+            }
+        };
+        Ok(TupleTable { tuples, weights: weights.into(), index, n_rows: source.n_rows() })
     }
 
     /// The table of a relation whose scan failed: no tuples and no rows, so
     /// every partition over it is empty and every entropy is 0.
-    pub(crate) fn empty(arity: usize) -> TupleTable {
+    pub(crate) fn empty(schema: &Schema) -> TupleTable {
         TupleTable {
+            tuples: Arc::new(Relation::empty(schema.clone())),
             weights: Arc::from([]),
-            first_rows: Vec::new(),
-            index: Keyer::new(std::iter::repeat_n(1, arity)),
+            index: Keyer::new(std::iter::repeat_n(1, schema.arity())),
             n_rows: 0,
         }
+    }
+
+    /// The distinct tuples as a relation: tuple id `t` is row `t`.
+    pub(crate) fn tuples(&self) -> &Arc<Relation> {
+        &self.tuples
     }
 
     /// Number of distinct tuples.
@@ -169,81 +185,49 @@ impl TupleTable {
         self.weights.len()
     }
 
-    /// The partition of a single attribute, from its code per tuple.
-    pub(crate) fn single(&self, codes: &[u32], cardinality: usize) -> Pli {
+    /// Number of rows counted, multiplicities included.
+    pub(crate) fn n_rows(&self) -> usize {
+        self.n_rows
+    }
+
+    /// The partition of a single attribute. Dictionaries number values by
+    /// first appearance, so the codes label the tuples in first-tuple order.
+    pub(crate) fn single(&self, attr: usize) -> Pli {
+        let (codes, cardinality) =
+            (self.tuples.column_codes(attr), self.tuples.column_cardinality(attr));
         Pli::from_labels(codes, cardinality, Arc::clone(&self.weights), self.n_rows)
     }
 
-    /// The partition of the empty attribute set: every tuple in one group.
-    pub(crate) fn trivial(&self) -> Pli {
-        let labels = vec![0; self.len()];
-        Pli::from_labels(&labels, 1, Arc::clone(&self.weights), self.n_rows)
+    /// The partition of `attrs` over the tuples, labelling each tuple by its
+    /// `attrs` codes.
+    pub(crate) fn partition(&self, attrs: AttrSet) -> Pli {
+        let columns: Vec<&[u32]> = attrs.iter().map(|c| self.tuples.column_codes(c)).collect();
+        let mut keyer = Keyer::new(attrs.iter().map(|c| self.tuples.column_cardinality(c)));
+        let labels: Vec<u32> = (0..self.len()).map(|t| keyer.insert(|p| columns[p][t]).0).collect();
+        Pli::from_labels(&labels, keyer.len(), Arc::clone(&self.weights), self.n_rows)
     }
 
-    /// Builds the partition of `attrs` over the tuples by rescanning
-    /// `source`, which must hold the rows this table was built from: each
-    /// row is mapped to its tuple id, and each tuple is labelled by its
-    /// `attrs` codes at its first row.
+    /// The table after appending `rows`: each row bumps its tuple's weight
+    /// or opens a new tuple; old tuples keep their ids. Also returns the old
+    /// tuples whose weight rose, ascending. Clones the tuples, not the rows:
+    /// O(tuples + batch).
     ///
     /// # Errors
-    /// Propagates the backend's [`StorageError`]; a row that is not in the
-    /// table is reported as [`StorageError::Corrupt`].
-    pub(crate) fn partition(
+    /// Returns the [`RelationError`] of a row whose arity mismatches; no row
+    /// is appended then.
+    pub(crate) fn extended<S: AsRef<str>>(
         &self,
-        source: &dyn RelationBackend,
-        attrs: AttrSet,
-    ) -> Result<Pli, StorageError> {
-        let all: Vec<usize> = (0..source.arity()).collect();
-        let cols = attrs.to_vec();
-        let mut keyer = Keyer::new(cols.iter().map(|&c| source.column_cardinality(c)));
-        let mut labels: Vec<u32> = Vec::with_capacity(self.len());
-        let mut unknown = false;
-        source.scan_columns(&all, &mut |_, slices| {
-            let len = slices.first().map_or(0, |s| s.len());
-            for i in 0..len {
-                match self.index.find(|c| slices[c][i]) {
-                    // Tuple ids rise with first row, so a tuple's first row
-                    // is exactly where the next unlabelled id turns up.
-                    Some(t) if t as usize == labels.len() => {
-                        labels.push(keyer.insert(|p| slices[cols[p]][i]).0);
-                    }
-                    Some(_) => {}
-                    None => unknown = true,
-                }
-            }
-        })?;
-        if unknown || labels.len() != self.len() {
-            return Err(StorageError::Corrupt(
-                "relation rows no longer match the oracle's tuple table".into(),
-            ));
-        }
-        Ok(Pli::from_labels(&labels, keyer.len(), Arc::clone(&self.weights), self.n_rows))
-    }
-
-    /// The table of `new`, which must be this table's relation plus
-    /// appended rows. Each appended row bumps its tuple's weight or opens a
-    /// new tuple; old tuples keep their ids. Also returns the old tuples
-    /// whose weight rose, ascending.
-    pub(crate) fn extended(&self, new: &Relation) -> (TupleTable, Vec<u32>) {
-        let mut index = if self.index.covers(|c| new.column_cardinality(c)) {
-            self.index.clone()
-        } else {
-            // A dictionary outgrew its radix: rekey the old tuples, in id
-            // order so they keep their ids.
-            let mut index = Keyer::new((0..new.arity()).map(|c| new.column_cardinality(c)));
-            for &r in &self.first_rows {
-                index.insert(|c| new.code(r as usize, c));
-            }
-            index
-        };
+        rows: &[Vec<S>],
+    ) -> Result<(TupleTable, Vec<u32>), RelationError> {
+        let mut tuples = (*self.tuples).clone();
         let mut weights = self.weights.to_vec();
-        let mut first_rows = self.first_rows.clone();
+        let mut index: Option<Keyer> = None;
         let mut repeated = Vec::new();
-        for r in self.n_rows..new.n_rows() {
-            let (tuple, fresh) = index.insert(|c| new.code(r, c));
+        tuples.append_rows_where(rows, |grown, codes| {
+            let index = index.get_or_insert_with(|| self.rekeyed(grown));
+            let (tuple, fresh) = index.insert(|c| codes[c]);
             if fresh {
                 weights.push(1);
-                first_rows.push(r as u32);
             } else {
                 let t = tuple as usize;
                 if t < self.len() && weights[t] == self.weights[t] {
@@ -251,33 +235,57 @@ impl TupleTable {
                 }
                 weights[t] += 1;
             }
-        }
+            fresh
+        })?;
         repeated.sort_unstable();
-        let table = TupleTable { weights: weights.into(), first_rows, index, n_rows: new.n_rows() };
-        (table, repeated)
+        let table = TupleTable {
+            tuples: Arc::new(tuples),
+            weights: weights.into(),
+            index: index.unwrap_or_else(|| self.index.clone()),
+            n_rows: self.n_rows + rows.len(),
+        };
+        Ok((table, repeated))
     }
 
-    /// Carries `pli`, the partition of `attrs` over the table of `old`,
-    /// onto this table, which [`TupleTable::extended`] built for `new` with
-    /// `repeated` the old tuples whose weight rose. `None` when the delta
-    /// path cannot key `attrs` exactly ([`Pli::grown`]).
+    /// This table's index, valid for `grown`: the tuples plus a freshly
+    /// interned batch. A dictionary that outgrew its radix rekeys the old
+    /// tuples, in id order so they keep their ids.
+    fn rekeyed(&self, grown: &Relation) -> Keyer {
+        if self.index.covers(|c| grown.column_cardinality(c)) {
+            return self.index.clone();
+        }
+        let mut index = Keyer::new((0..grown.arity()).map(|c| grown.column_cardinality(c)));
+        for t in 0..self.len() {
+            index.insert(|c| grown.code(t, c));
+        }
+        index
+    }
+
+    /// Carries `pli`, the partition of `attrs` over `old`, onto this table,
+    /// which [`TupleTable::extended`] built from `old` with `repeated` the
+    /// old tuples whose weight rose. `None` when the delta path cannot key
+    /// `attrs` exactly ([`Pli::grown`]).
     pub(crate) fn carry(
         &self,
         pli: &Pli,
         attrs: AttrSet,
-        old: &Relation,
-        new: &Relation,
+        old: &TupleTable,
         repeated: &[u32],
     ) -> Option<Pli> {
-        let first_row = |t: u32| self.first_rows[t as usize] as usize;
-        pli.grown(attrs, old, new, first_row, Arc::clone(&self.weights), self.n_rows, repeated)
+        pli.grown(
+            attrs,
+            &old.tuples,
+            &self.tuples,
+            Arc::clone(&self.weights),
+            self.n_rows,
+            repeated,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relation::Schema;
 
     #[test]
     fn keyer_refolds_past_a_u64_overflow_and_stays_exact() {
@@ -290,11 +298,11 @@ mod tests {
         assert_eq!(keyer.insert(|p| a[p]), (0, true));
         assert_eq!(keyer.insert(|p| b[p]), (1, true));
         assert_eq!(keyer.insert(|p| a[p]), (0, false));
-        assert_eq!(keyer.find(|p| b[p]), Some(1));
+        assert_eq!(keyer.insert(|p| b[p]), (1, false));
         let mut c = a.clone();
         c[0] = 5;
-        assert_eq!(keyer.find(|p| c[p]), None);
-        assert_eq!(keyer.len(), 2);
+        assert_eq!(keyer.insert(|p| c[p]), (2, true));
+        assert_eq!(keyer.len(), 3);
         assert!(keyer.covers(|_| 64));
         assert!(!keyer.covers(|p| if p == 3 { 65 } else { 64 }));
     }
@@ -307,17 +315,32 @@ mod tests {
             &[vec!["x", "1"], vec!["y", "2"], vec!["x", "1"], vec!["z", "2"], vec!["x", "1"]],
         )
         .unwrap();
-        let (table, codes) = TupleTable::scan(&rel).unwrap();
+        let table = TupleTable::scan(&rel, None).unwrap();
         assert_eq!(&*table.weights, &[3, 1, 1]);
-        assert_eq!(table.first_rows, vec![0, 1, 3]);
-        assert_eq!(codes, vec![vec![0, 1, 2], vec![0, 1, 1]]);
+        assert_eq!(table.tuples.column_codes(0), &[0, 1, 2]);
+        assert_eq!(table.tuples.column_codes(1), &[0, 1, 1]);
+        assert_eq!(table.tuples.column_values(0), rel.column_values(0));
 
-        let mut grown = rel.clone();
-        grown.append_rows(&[vec!["y", "2"], vec!["w", "9"], vec!["y", "2"]]).unwrap();
-        let (next, repeated) = table.extended(&grown);
+        let (next, repeated) =
+            table.extended(&[vec!["y", "2"], vec!["w", "9"], vec!["y", "2"]]).unwrap();
         assert_eq!(&*next.weights, &[3, 3, 1, 1]);
-        assert_eq!(next.first_rows, vec![0, 1, 3, 6]);
+        assert_eq!(next.tuples.row(3), vec!["w", "9"]);
+        assert_eq!(next.tuples.data_version(), rel.data_version() + 1);
         assert_eq!(repeated, vec![1], "only tuple 1 repeats, once listed");
         assert_eq!(next.n_rows, 8);
+        assert!(table.extended(&[vec!["y"]]).is_err());
+    }
+
+    #[test]
+    fn a_duplicate_free_twin_is_shared_not_copied() {
+        let rel = Arc::new(
+            Relation::from_rows(
+                Schema::new(["A", "B"]).unwrap(),
+                &[vec!["x", "1"], vec!["y", "2"]],
+            )
+            .unwrap(),
+        );
+        let table = TupleTable::scan(&*rel, Some(&rel)).unwrap();
+        assert!(Arc::ptr_eq(table.tuples(), &rel));
     }
 }

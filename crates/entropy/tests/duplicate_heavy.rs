@@ -43,7 +43,7 @@ fn configs() -> [EntropyConfig; 4] {
         EntropyConfig::no_precompute(),
         EntropyConfig { block_size: None, max_cached_plis: 10_000 },
         // A budget this small truncates precomputation, so pieces miss the
-        // cache and go through the rescan fallback.
+        // cache and go through the regroup fallback.
         EntropyConfig { block_size: Some(3), max_cached_plis: 2 },
     ]
 }
@@ -101,7 +101,7 @@ fn assert_extend_matches_fresh(base: &Relation, batch: &[Vec<String>], label: &s
         for attrs in AttrSet::full(base.arity()).subsets().filter(|s| s.len() >= 2) {
             oracle.entropy(attrs);
         }
-        let successor = oracle.extend_to(&grown);
+        let successor = oracle.extend_to(batch).unwrap();
         let fresh = PliEntropyOracle::new(&grown, config);
         assert_eq!(successor.distinct_tuples(), fresh.distinct_tuples(), "{label}");
         for attrs in AttrSet::full(base.arity()).subsets() {

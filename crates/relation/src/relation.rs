@@ -480,25 +480,52 @@ impl Relation {
         &mut self,
         rows: &[Vec<S>],
     ) -> Result<AppendSummary, RelationError> {
+        self.append_rows_where(rows, |_, _| true)
+    }
+
+    /// [`Relation::append_rows`], storing only the rows `keep` accepts.
+    ///
+    /// The whole batch is interned first, so every dictionary (and every
+    /// [`Relation::column_cardinality`]) has its final size when `keep`
+    /// first runs. `keep` then sees, in batch order, the relation so far
+    /// and each row's codes. A dropped row's values stay in the
+    /// dictionaries, so callers should drop only rows whose values the
+    /// relation already holds, such as repeats of a stored row. The version
+    /// still bumps once per non-empty batch; `rows_appended` counts the
+    /// stored rows.
+    ///
+    /// # Errors
+    /// Returns an error if any row's arity differs from the schema's; no
+    /// value is interned then.
+    pub fn append_rows_where<S: AsRef<str>>(
+        &mut self,
+        rows: &[Vec<S>],
+        mut keep: impl FnMut(&Relation, &[u32]) -> bool,
+    ) -> Result<AppendSummary, RelationError> {
+        let arity = self.arity();
+        if let Some(row) = rows.iter().find(|row| row.len() != arity) {
+            return Err(RelationError::ArityMismatch { expected: arity, got: row.len() });
+        }
+        let mut codes = Vec::with_capacity(rows.len() * arity);
         for row in rows {
-            if row.len() != self.arity() {
-                return Err(RelationError::ArityMismatch {
-                    expected: self.arity(),
-                    got: row.len(),
-                });
+            for (column, v) in self.columns.iter_mut().zip(row) {
+                codes.push(column.intern(v.as_ref()));
             }
         }
-        for row in rows {
-            for (c, v) in row.iter().enumerate() {
-                let code = self.columns[c].intern(v.as_ref());
-                self.columns[c].codes.push(code);
+        let mut stored = 0;
+        for row in codes.chunks_exact(arity) {
+            if keep(self, row) {
+                for (column, &code) in self.columns.iter_mut().zip(row) {
+                    column.codes.push(code);
+                }
+                self.n_rows += 1;
+                stored += 1;
             }
         }
-        self.n_rows += rows.len();
         if !rows.is_empty() {
             self.data_version += 1;
         }
-        Ok(AppendSummary { rows_appended: rows.len(), data_version: self.data_version })
+        Ok(AppendSummary { rows_appended: stored, data_version: self.data_version })
     }
 
     fn validate_attrs(&self, attrs: AttrSet) -> Result<(), RelationError> {
@@ -1003,6 +1030,24 @@ mod tests {
                                                 // push_row also bumps the version.
         r.push_row(["x", "9"]).unwrap();
         assert_eq!(r.data_version(), 2);
+    }
+
+    #[test]
+    fn append_rows_where_stores_only_kept_rows_and_sees_final_dictionaries() {
+        let schema = Schema::new(["A", "B"]).unwrap();
+        let mut r = Relation::from_rows(schema, &[vec!["x", "1"]]).unwrap();
+        let mut seen = Vec::new();
+        let s = r
+            .append_rows_where(&[vec!["x", "1"], vec!["y", "2"], vec!["x", "1"]], |rel, codes| {
+                // Every value of the batch is interned before the first call.
+                seen.push((rel.n_rows(), rel.column_cardinality(0), codes.to_vec()));
+                codes != [0, 0]
+            })
+            .unwrap();
+        assert_eq!(seen, vec![(1, 2, vec![0, 0]), (1, 2, vec![1, 1]), (2, 2, vec![0, 0])]);
+        assert_eq!(s, AppendSummary { rows_appended: 1, data_version: 1 });
+        assert_eq!(r.row(1), vec!["y", "2"]);
+        assert_eq!(r.n_rows(), 2);
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //!
 //! `--paged-dataset` mounts a CSV through the out-of-core paged columnar
 //! backend: the file is streamed (never fully resident) into per-column code
-//! pages spilled to a temp file, and mining reads them back through a small
-//! LRU page cache sized by `--page-rows` × `--cache-pages`. Such datasets
-//! serve `entropy`/`mine` (schemas-only) but reject `append`/`decompose`.
+//! pages spilled to a temp file, read back once through a small LRU page
+//! cache sized by `--page-rows` × `--cache-pages`, into the session's
+//! in-memory distinct tuples. Such datasets then serve every op, `mine`,
+//! `decompose` and `append` included, like an in-memory dataset.
 //!
 //! `--demo` registers the paper's running example plus the `Bridges`
 //! synthetic catalog dataset, so the server is probe-able with no files at
@@ -32,7 +33,8 @@
 //! by `--dataset`/`--demo` that have *no* durable state yet are seeded with
 //! an initial snapshot. Every acknowledged `append` is then fsync'd to the
 //! WAL before the response goes out, so a kill -9 loses at most unacked
-//! batches. Paged datasets are read-only and stay non-durable.
+//! batches. Paged datasets stay non-durable: appends to them live in the
+//! session only, like appends to any dataset without durable state.
 //!
 //! `--metrics-addr` additionally serves the process-wide metrics registry
 //! as Prometheus text exposition over plain HTTP GET (any path), announced

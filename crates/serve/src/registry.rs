@@ -73,13 +73,16 @@ impl DatasetRegistry {
 
     /// Registers an out-of-core storage backend under `name` (e.g. a
     /// [`maimon::storage::PagedColumnarRelation`] mounted from a large CSV).
-    /// The session serves entropies, `M_ε` and schema enumeration exactly
-    /// like an in-memory dataset; quality evaluation, decomposition and
-    /// appends report [`MaimonError::UnsupportedByBackend`].
+    /// The session reads the backend once, into its distinct tuples, and
+    /// then serves every operation exactly like an in-memory dataset.
+    /// Appends live in the session only, like appends to any dataset
+    /// without durable state.
     ///
     /// # Errors
     /// Returns the session constructor's error for an invalid configuration
-    /// or a backend that cannot be profiled (empty, arity < 2).
+    /// or a backend that cannot be profiled (empty, arity < 2), and
+    /// [`MaimonError::Storage`] when reading the backend fails; nothing is
+    /// registered then.
     pub fn register_backend(
         &self,
         name: impl Into<String>,

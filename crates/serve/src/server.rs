@@ -625,33 +625,6 @@ fn handle_mine(
             format!("tenant {tenant:?} is at its in-flight cap"),
         );
     };
-    if !session.supports_quality() {
-        // Out-of-core datasets stop after schema enumeration: the quality
-        // pass needs random row access only the in-memory store provides.
-        // Still a complete, version-stamped mining result — just schemas-only.
-        return match session.schemas_stamped(epsilon) {
-            Ok((data_version, result)) => {
-                if result.truncated {
-                    shared.counters.truncated.fetch_add(1, Ordering::Relaxed);
-                }
-                ok_response(
-                    "mine",
-                    [
-                        ("dataset", Json::from(dataset)),
-                        ("epsilon", Json::from(epsilon)),
-                        ("data_version", Json::from(data_version)),
-                        ("truncated", Json::from(result.truncated)),
-                        ("stage", Json::from("schemas")),
-                        ("result", result.to_json()),
-                    ],
-                )
-            }
-            Err(e) => {
-                shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                error_response(ErrorKind::Internal, e.to_string())
-            }
-        };
-    }
     match session.quality_stamped(epsilon) {
         Ok((data_version, result)) => {
             if result.truncated {
@@ -727,12 +700,8 @@ fn handle_append(shared: &Arc<Shared>, dataset: &str, rows: &[Vec<String>], tena
                 ],
             )
         }
-        Err(
-            e @ (maimon::MaimonError::Relation(_)
-            | maimon::MaimonError::UnsupportedByBackend { .. }),
-        ) => {
-            // Malformed rows (arity mismatch) and writes against a read-only
-            // out-of-core dataset are the client's fault.
+        Err(e @ maimon::MaimonError::Relation(_)) => {
+            // Malformed rows (arity mismatch) are the client's fault.
             shared.counters.errors.fetch_add(1, Ordering::Relaxed);
             error_response(ErrorKind::BadRequest, e.to_string())
         }

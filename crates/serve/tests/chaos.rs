@@ -96,12 +96,11 @@ fn panicking_request_returns_internal_envelope_and_server_survives() {
 }
 
 #[test]
-fn page_read_fault_degrades_one_dataset_and_spares_the_rest() {
+fn page_read_fault_at_mount_refuses_one_dataset_and_spares_the_rest() {
     let _guard = fault_lock();
 
-    // A paged dataset small enough to mine instantly but with a one-page
-    // cache, so mining must go back to the spill file (where the failpoint
-    // lives) rather than serve everything from cache.
+    // A paged dataset with a one-page cache, so mounting it must go back to
+    // the spill file (where the failpoint lives) for most pages.
     let mut csv = String::from("a,b,c\n");
     for i in 0..64 {
         csv.push_str(&format!("a{},b{},c{}\n", i % 5, (i / 2) % 7, i % 3));
@@ -113,30 +112,26 @@ fn page_read_fault_degrades_one_dataset_and_spares_the_rest() {
     let store = ingest_csv(csv.as_bytes(), &ingest).unwrap();
 
     let registry = Arc::new(DatasetRegistry::new());
-    // A zero-size PLI cache forces every multi-attribute entropy through a
-    // fresh backend scan instead of in-memory intersections of cached
-    // partitions — mining *must* touch the (faulted) page store.
-    let no_pli_cache = MaimonConfig::builder()
-        .entropy(maimon::entropy::EntropyConfig { block_size: Some(2), max_cached_plis: 0 })
-        .build()
-        .unwrap();
-    // Session construction scans the columns once (pre-fault, succeeds).
-    registry.register_backend("chaos-paged", Arc::new(store), no_pli_cache).unwrap();
     registry.register("running", running_example(), MaimonConfig::default()).unwrap();
+    // The mount is the one time a session reads its backend: a failing page
+    // read there is a typed storage error, and nothing is registered.
+    fault::global().arm("paged_read@chaos-paged", 0, u64::MAX);
+    let mounted =
+        registry.register_backend("chaos-paged", Arc::new(store), MaimonConfig::default());
+    fault::global().disarm("paged_read@chaos-paged");
+    match mounted {
+        Err(maimon::MaimonError::Storage(message)) => {
+            assert!(message.contains("paged_read"), "{message}")
+        }
+        other => panic!("expected a storage error, got {other:?}"),
+    }
+    assert_eq!(registry.names(), vec!["running".to_string()]);
+
+    // Every other dataset is untouched, and the refused one is unknown.
     let handle = start_server(registry);
     let addr = handle.local_addr();
-
-    // Every subsequent page read on this dataset fails with a typed error.
-    fault::global().arm("paged_read@chaos-paged", 0, u64::MAX);
-    let faulted = roundtrip(addr, r#"{"op":"mine","dataset":"chaos-paged","epsilon":0.0}"#);
-    fault::global().disarm("paged_read@chaos-paged");
-    assert_error(&faulted, "internal", "storage backend error");
-
-    // The fault is latched per-dataset: the faulted dataset keeps reporting
-    // a typed error instead of serving answers computed from degraded
-    // partitions, while every other dataset is untouched.
-    let still_faulted = roundtrip(addr, r#"{"op":"mine","dataset":"chaos-paged","epsilon":0.0}"#);
-    assert_error(&still_faulted, "internal", "storage backend error");
+    let refused = roundtrip(addr, r#"{"op":"mine","dataset":"chaos-paged","epsilon":0.0}"#);
+    assert_error(&refused, "not_found", "unknown dataset");
     let healthy = roundtrip(addr, r#"{"op":"mine","dataset":"running","epsilon":0.0}"#);
     assert_eq!(healthy.get("ok").and_then(Json::as_bool), Some(true), "{healthy}");
 

@@ -558,9 +558,8 @@ fn over_cap_line_without_newline_is_a_bad_request_and_the_server_keeps_serving()
 }
 
 #[test]
-fn paged_backend_serves_schemas_only_and_rejects_mutation() {
+fn paged_backend_serves_quality_and_appends() {
     use maimon::storage::{PagedColumnarRelation, PagedOptions};
-    use maimon::SchemaMiningResult;
 
     let rel = bridges();
     let store = PagedColumnarRelation::from_relation(
@@ -589,24 +588,22 @@ fn paged_backend_serves_schemas_only_and_rejects_mutation() {
     assert_eq!(storage_of("bridges"), Some("in_memory".to_string()), "{list}");
     assert_eq!(storage_of("bridges-paged"), Some("paged".to_string()), "{list}");
 
-    // `mine` degrades to the schema stage and matches a direct in-memory
-    // session's schema enumeration bit-for-bit.
+    // `mine` serves the full quality result, identical to a direct
+    // in-memory session's.
     let mine = roundtrip(addr, r#"{"op":"mine","dataset":"bridges-paged","epsilon":0.0}"#);
     assert_ok(&mine, "mine");
-    assert_eq!(mine.get("stage").and_then(Json::as_str), Some("schemas"), "{mine}");
-    let served = SchemaMiningResult::from_json(mine.get("result").unwrap()).unwrap();
-    let direct = MaimonSession::new(rel, MaimonConfig::default()).unwrap().schemas(0.0).unwrap();
-    assert_eq!(served.schemas, direct.schemas, "paged schemas differ from in-memory");
+    let served = MaimonResult::from_json(mine.get("result").unwrap()).unwrap();
+    let direct = MaimonSession::new(rel, MaimonConfig::default()).unwrap();
+    assert_same_mining(&served, &direct.quality(0.0).unwrap(), "paged mine");
 
-    // Mutating / relation-dependent operations are explicit bad requests.
+    // Appends are accepted and land in the session.
     let append = roundtrip(
         addr,
         r#"{"op":"append","dataset":"bridges-paged","rows":[["a","b","c","d","e","f","g","h"]]}"#,
     );
-    assert_eq!(append.get("ok").and_then(Json::as_bool), Some(false), "{append}");
-    assert_eq!(append.get("kind").and_then(Json::as_str), Some("bad_request"), "{append}");
-    let message = append.get("error").and_then(Json::as_str).unwrap_or_default();
-    assert!(message.contains("paged"), "error should name the backend: {append}");
+    assert_ok(&append, "append");
+    assert_eq!(append.get("appended").and_then(Json::as_i128), Some(1), "{append}");
+    assert_eq!(append.get("data_version").and_then(Json::as_i128), Some(1), "{append}");
 
     // The storage gauges/counters flow through the shared registry: visible
     // in the `metrics` op and in the Prometheus text exposition.
@@ -629,7 +626,7 @@ fn paged_backend_serves_schemas_only_and_rejects_mutation() {
         .unwrap_or_else(|| panic!("no page-cache miss counter in {metrics}"));
     let total = hits.get("value").and_then(Json::as_i128).unwrap()
         + misses.get("value").and_then(Json::as_i128).unwrap();
-    assert!(total > 0, "mining must have touched the page cache: {metrics}");
+    assert!(total > 0, "mounting must have read the page cache: {metrics}");
     let exposition = maimon::obs::render_prometheus(maimon::obs::global());
     for needle in [
         "maimon_dataset_resident_bytes{dataset=\"bridges-paged\"}",

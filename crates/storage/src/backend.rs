@@ -5,18 +5,20 @@ use relation::{Relation, Schema};
 
 /// What the mining engine needs from a stored relation — nothing more.
 ///
-/// The entropy oracle's tuple-table build and PLI construction
-/// (`entropy::Pli::from_column`/`from_attrs` in the entropy crate) consume
-/// columns as *chunk streams*: `scan_column` / `scan_columns` invoke the
-/// visitor with consecutive, ascending-row slices of dictionary codes. A
-/// backend is free to chunk however it stores data (the in-memory store
-/// yields one whole-column slice; the paged store yields one slice per
-/// page), and consumers must be chunk-size invariant — which grouping rows
-/// in first-occurrence order is by construction.
+/// The engine reads a backend once, when the entropy oracle builds its
+/// tuple table (`entropy::PliEntropyOracle::from_backend`); from then on it
+/// works on the in-memory distinct tuples. The build (and the row-level
+/// `entropy::Pli::from_column`/`from_attrs`) consume columns as *chunk
+/// streams*: `scan_column` / `scan_columns` invoke the visitor with
+/// consecutive, ascending-row slices of dictionary codes. A backend is free
+/// to chunk however it stores data (the in-memory store yields one
+/// whole-column slice; the paged store yields one slice per page), and
+/// consumers must be chunk-size invariant — which grouping rows in
+/// first-occurrence order is by construction.
 ///
-/// The trait is dyn-compatible (visitors are `&mut dyn FnMut`) so sessions
-/// can hold `Arc<dyn RelationBackend>`, and `Send + Sync` so one backend can
-/// serve concurrent mining threads.
+/// The trait is dyn-compatible (visitors are `&mut dyn FnMut`) so callers
+/// can hand over `Arc<dyn RelationBackend>`, and `Send + Sync` so one
+/// backend can be shared across threads.
 pub trait RelationBackend: Send + Sync {
     /// The relation's schema.
     fn schema(&self) -> &Schema;
@@ -41,11 +43,6 @@ pub trait RelationBackend: Send + Sync {
     /// # Panics
     /// Panics if `c` or `code` is out of range.
     fn dict_value(&self, c: usize, code: u32) -> &str;
-
-    /// The backend's preferred chunk size in rows — a sizing hint for
-    /// consumers that pre-allocate per-chunk state; scans may still deliver
-    /// shorter chunks (the final page usually is).
-    fn chunk_rows(&self) -> usize;
 
     /// Streams column `c` as consecutive code chunks in ascending row
     /// order. The visitor receives `(chunk_start_row, codes)`; chunk starts
@@ -112,10 +109,6 @@ impl RelationBackend for Relation {
         &self.column_values(c)[code as usize]
     }
 
-    fn chunk_rows(&self) -> usize {
-        Relation::n_rows(self).max(1)
-    }
-
     fn scan_column(
         &self,
         c: usize,
@@ -175,7 +168,6 @@ mod tests {
         assert_eq!(chunks.len(), 1);
         assert_eq!(chunks[0].0, 0);
         assert_eq!(chunks[0].1, rel.column_codes(0));
-        assert_eq!(backend.chunk_rows(), rel.n_rows());
     }
 
     #[test]

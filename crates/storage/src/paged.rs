@@ -123,8 +123,8 @@ impl PagedMetrics {
 /// temp file, with resident dictionaries and a small LRU page cache.
 ///
 /// The store is immutable once built (`data_version` is 0): it exists to
-/// mine large static datasets, not to serve appends — sessions gate the
-/// incremental path to the in-memory backend.
+/// mount large static datasets. A session reads it once, into its
+/// in-memory distinct tuples, and appends go to those tuples.
 pub struct PagedColumnarRelation {
     schema: Schema,
     n_rows: usize,
@@ -283,10 +283,6 @@ impl RelationBackend for PagedColumnarRelation {
 
     fn dict_value(&self, c: usize, code: u32) -> &str {
         &self.dicts[c][code as usize]
-    }
-
-    fn chunk_rows(&self) -> usize {
-        self.page_rows
     }
 
     fn scan_column(

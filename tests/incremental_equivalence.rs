@@ -91,7 +91,7 @@ fn assert_incremental_equivalent(
         })
         .collect();
     assert!(versions.windows(2).all(|w| w[0] < w[1]), "{label}: versions are monotone");
-    assert_eq!(session.relation().n_rows(), rel.n_rows(), "{label}");
+    assert_eq!(session.n_rows(), rel.n_rows(), "{label}");
     assert_eq!(expected_rows, rel.n_rows(), "{label}");
 
     // The reference session mines the concatenated rows from scratch.

@@ -9,11 +9,19 @@
 //! * Theorem 5.1 (J of a join tree is sandwiched by its support MVDs),
 //! * Lee's theorem direction: J(S) = 0 implies the join dependency holds
 //!   exactly (no spurious tuples), and J(S) > 0 implies it does not,
+//! * the join bound log₂|⋈ R[Ωᵢ]| ≥ H(Ω) + J(S), which ties the join counter
+//!   to the entropy oracle,
+//! * quality and decomposition depend only on the distinct tuples,
 //! * AttrSet algebra sanity.
 
 use maimon::entropy::{EntropyOracle, NaiveEntropyOracle, PliEntropyOracle};
-use maimon::relation::{acyclic_join_size, natural_join_all, AttrSet, Relation, Schema};
-use maimon::{j_join_tree, j_mvd, AcyclicSchema, MaimonConfig, MaimonSession, MiningLimits, Mvd};
+use maimon::relation::{
+    acyclic_join_size, natural_join_all, AttrSet, JoinCounter, Relation, Schema,
+};
+use maimon::{
+    j_join_tree, j_mvd, measure_schemas, AcyclicSchema, MaimonConfig, MaimonSession, MiningLimits,
+    Mvd, EPSILON_TOLERANCE,
+};
 use proptest::prelude::*;
 
 /// Strategy: a random small relation with `cols` columns (2–6), 5–60 rows and
@@ -309,5 +317,95 @@ proptest! {
         prop_assert!(join.refines(&psi));
         // Joining with a coarsening of itself gives back the finer MVD.
         prop_assert_eq!(join, phi);
+    }
+}
+
+/// A random acyclic schema over `0..n`, grown bag by bag: each new bag takes
+/// the next one to three fresh attributes plus a subset of an earlier bag.
+/// That keeps the running-intersection property, so a join tree exists.
+fn random_acyclic_schema(n: usize, choices: &[u32]) -> AcyclicSchema {
+    let mut bags: Vec<AttrSet> = Vec::new();
+    let mut choice = choices.iter().copied().cycle();
+    let mut next = 0;
+    while next < n {
+        let c = choice.next().expect("at least one choice");
+        let fresh = 1 + (c as usize % 3).min(n - next - 1);
+        let mut bag: AttrSet = (next..next + fresh).collect();
+        next += fresh;
+        if !bags.is_empty() {
+            let parent = bags[(c as usize >> 2) % bags.len()];
+            for (i, attr) in parent.iter().enumerate() {
+                if (c >> (8 + i % 24)) & 1 == 1 {
+                    bag.insert(attr);
+                }
+            }
+        }
+        bags.push(bag);
+    }
+    AcyclicSchema::new(bags).unwrap()
+}
+
+proptest! {
+    #[test]
+    fn join_size_bounds_entropy_plus_j(
+        rel in relation_strategy(),
+        choices in proptest::collection::vec(any::<u32>(), 1..8),
+    ) {
+        // The product of the bag marginals along a join tree is supported on
+        // ⋈ R[Ωᵢ] and has entropy H(Ω) + J(S), so log₂|⋈ R[Ωᵢ]| ≥ H(Ω) + J(S).
+        // The join count and the entropies come from independent engines.
+        for rel in [rel.clone(), rel.distinct()] {
+            let schema = random_acyclic_schema(rel.arity(), &choices);
+            let tree = schema.join_tree().expect("grown schemas are acyclic");
+            let oracle = PliEntropyOracle::with_defaults(&rel);
+            let join = JoinCounter::new(oracle.tuples()).join_size(&tree.to_spec()).unwrap();
+            let h = oracle.entropy(AttrSet::full(rel.arity()));
+            let j = j_join_tree(&oracle, &tree);
+            prop_assert!(
+                (join as f64).log2() >= h + j - EPSILON_TOLERANCE,
+                "{:?}: log2 {} < H {} + J {}", schema.bags(), join, h, j
+            );
+        }
+    }
+
+    #[test]
+    fn quality_and_decomposition_need_only_the_distinct_tuples(
+        rel in relation_strategy(),
+        eps_millis in 0usize..=300,
+    ) {
+        // S and E count distinct projections and the set join, so measuring
+        // or decomposing the rows gives the same bits as the distinct tuples.
+        let epsilon = eps_millis as f64 / 1000.0;
+        let config = MaimonConfig::builder()
+            .epsilon(epsilon)
+            .limits(MiningLimits::small())
+            .max_schemas(Some(16))
+            .build()
+            .unwrap();
+        let mined = MaimonSession::new(&rel, config).unwrap().schemas(epsilon).unwrap();
+        let distinct = rel.distinct();
+        let rows = measure_schemas(&rel, &mined.schemas, 1).unwrap();
+        let tuples = measure_schemas(&distinct, &mined.schemas, 1).unwrap();
+        for ((a, b), d) in rows.iter().zip(&tuples).zip(&mined.schemas) {
+            let bags = d.schema.bags();
+            prop_assert_eq!(a.n_relations, b.n_relations, "{:?}", bags);
+            prop_assert_eq!(a.width, b.width, "{:?}", bags);
+            prop_assert_eq!(a.intersection_width, b.intersection_width, "{:?}", bags);
+            prop_assert_eq!(
+                a.storage_savings_pct.to_bits(), b.storage_savings_pct.to_bits(), "{:?}", bags
+            );
+            prop_assert_eq!(
+                a.spurious_tuples_pct.to_bits(), b.spurious_tuples_pct.to_bits(), "{:?}", bags
+            );
+            prop_assert_eq!(a.original_cells, b.original_cells, "{:?}", bags);
+            prop_assert_eq!(a.decomposed_cells, b.decomposed_cells, "{:?}", bags);
+            prop_assert_eq!(a.join_size, b.join_size, "{:?}", bags);
+
+            let over_rows = d.schema.decompose(&rel).unwrap();
+            let over_tuples = d.schema.decompose(&distinct).unwrap();
+            prop_assert_eq!(over_rows.bags(), over_tuples.bags(), "{:?}", bags);
+            prop_assert_eq!(over_rows.edges(), over_tuples.edges(), "{:?}", bags);
+            prop_assert_eq!(over_rows.original_rows(), over_tuples.original_rows(), "{:?}", bags);
+        }
     }
 }

@@ -56,7 +56,7 @@ fn session_returned_from_a_function_keeps_its_relation() {
         MaimonSession::new(rel, MaimonConfig::default()).unwrap()
     }
     let session = build();
-    assert_eq!(session.relation().n_rows(), 4);
+    assert_eq!(session.n_rows(), 4);
     assert!(!session.quality(0.0).unwrap().schemas.is_empty());
 }
 
@@ -65,8 +65,8 @@ fn clones_share_oracle_and_artifact_caches() {
     let session = MaimonSession::new(running_example(), MaimonConfig::default()).unwrap();
     let clone = session.clone();
 
-    // Same relation storage, not a copy.
-    assert!(Arc::ptr_eq(&session.relation(), &clone.relation()));
+    // Same tuple storage, not a copy.
+    assert!(Arc::ptr_eq(&session.tuples(), &clone.tuples()));
 
     // Mining through the clone fills the shared cache…
     let mined_via_clone = clone.mvds(0.0).unwrap();

@@ -2,9 +2,10 @@
 //! [`PagedColumnarRelation`] (any page size, tiny LRU cache, spilled pages)
 //! must be observationally identical to the in-memory [`Relation`] it was
 //! built from — bit-identical entropies over random attribute subsets,
-//! identical minimal-separator sets `M_ε`, and identical mined schemas —
-//! plus the same guarantee for the streaming CSV ingest path, and a
-//! catalog-wide sweep over all twenty paper datasets.
+//! identical minimal-separator sets `M_ε`, identical mined schemas, and a
+//! session over it must measure quality, decompose and take appends exactly
+//! as an in-memory session does — plus the same guarantee for the streaming
+//! CSV ingest path, and a catalog-wide sweep over all twenty paper datasets.
 //!
 //! Page sizes cover the three interesting regimes: 64 (many pages, heavy
 //! cache eviction with a 2-page cache), 4096 (few pages), and `n_rows + 1`
@@ -15,7 +16,7 @@ use maimon::relation::{relation_to_csv, AttrSet, Relation, Schema};
 use maimon::storage::{
     ingest_csv, IngestOptions, PagedColumnarRelation, PagedOptions, RelationBackend,
 };
-use maimon::{MaimonConfig, MaimonSession};
+use maimon::{MaimonConfig, MaimonResult, MaimonSession};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -52,6 +53,72 @@ fn probe_subsets(arity: usize) -> Vec<AttrSet> {
     AttrSet::full(arity).subsets().filter(|s| !s.is_empty() && s.len() <= 2).collect()
 }
 
+/// The string rows of `rel`.
+fn rows_of(rel: &Relation) -> Vec<Vec<String>> {
+    (0..rel.n_rows()).map(|r| rel.row(r).into_iter().map(str::to_string).collect()).collect()
+}
+
+/// Two append batches: the first repeats every third row (bumping existing
+/// tuples); the second adds a row with a brand-new value, twice, and
+/// repeats the first row.
+fn append_batches(rel: &Relation) -> [Vec<Vec<String>>; 2] {
+    let rows = rows_of(rel);
+    let repeats: Vec<Vec<String>> = rows.iter().step_by(3).take(10).cloned().collect();
+    let mut novel = rows[0].clone();
+    novel[0] = "novel".to_string();
+    [repeats, vec![novel.clone(), rows[0].clone(), novel]]
+}
+
+/// Every schema, J-measure and quality figure bit for bit, plus `M_ε` and
+/// the pareto front.
+fn assert_same_result(a: &MaimonResult, b: &MaimonResult, what: &str) {
+    assert_eq!(a.mvds.mvds, b.mvds.mvds, "{what}: M_ε differs");
+    assert_eq!(a.mvds.separators, b.mvds.separators, "{what}: separators differ");
+    assert_eq!(a.schemas.len(), b.schemas.len(), "{what}: schema count differs");
+    for (x, y) in a.schemas.iter().zip(&b.schemas) {
+        let bags = x.discovered.schema.bags();
+        assert_eq!(bags, y.discovered.schema.bags(), "{what}: schema bags differ");
+        assert_eq!(x.discovered.j.map(f64::to_bits), y.discovered.j.map(f64::to_bits), "{what}");
+        let (p, q) = (&x.quality, &y.quality);
+        assert_eq!(
+            (p.n_relations, p.width, p.intersection_width),
+            (q.n_relations, q.width, q.intersection_width),
+            "{what}: structure of {bags:?}"
+        );
+        assert_eq!(
+            (p.original_cells, p.decomposed_cells, p.join_size),
+            (q.original_cells, q.decomposed_cells, q.join_size),
+            "{what}: counts of {bags:?}"
+        );
+        assert_eq!(
+            (p.storage_savings_pct.to_bits(), p.spurious_tuples_pct.to_bits()),
+            (q.storage_savings_pct.to_bits(), q.spurious_tuples_pct.to_bits()),
+            "{what}: S and E of {bags:?}"
+        );
+    }
+    assert_eq!(a.pareto, b.pareto, "{what}: pareto front differs");
+    assert_eq!(a.truncated, b.truncated, "{what}: truncation differs");
+}
+
+/// `quality` and `decompose_best` of `session` against `reference`, at
+/// both thresholds.
+fn assert_same_sessions(session: &MaimonSession, reference: &MaimonSession, what: &str) {
+    for epsilon in [0.0, 0.05] {
+        let what = format!("{what} eps={epsilon}");
+        assert_same_result(
+            &session.quality(epsilon).unwrap(),
+            &reference.quality(epsilon).unwrap(),
+            &what,
+        );
+        let (schema, store) = session.decompose_best(epsilon).unwrap();
+        let (ref_schema, ref_store) = reference.decompose_best(epsilon).unwrap();
+        assert_eq!(schema, ref_schema, "{what}: decompose_best schema differs");
+        assert_eq!(store.bags(), ref_store.bags(), "{what}: decomposed bags differ");
+        assert_eq!(store.edges(), ref_store.edges(), "{what}: join tree differs");
+        assert_eq!(store.original_rows(), ref_store.original_rows(), "{what}");
+    }
+}
+
 fn assert_backend_matches(rel: &Arc<Relation>, backend: Arc<dyn RelationBackend>, what: &str) {
     let config = MaimonConfig::default();
     let mem = PliEntropyOracle::new(Arc::clone(rel), config.entropy);
@@ -85,6 +152,25 @@ fn assert_backend_matches(rel: &Arc<Relation>, backend: Arc<dyn RelationBackend>
             );
         }
     }
+    assert_same_sessions(&paged_session, &mem_session, what);
+
+    // Two appends land identically on both, and equal a fresh session over
+    // the concatenated rows.
+    let batches = append_batches(rel);
+    let mut all = rows_of(rel);
+    for batch in &batches {
+        let summary = paged_session.append_rows(batch).unwrap();
+        assert_eq!(summary, mem_session.append_rows(batch).unwrap(), "{what}: append summary");
+        all.extend(batch.iter().cloned());
+    }
+    assert_eq!(paged_session.n_rows(), all.len(), "{what}: rows after appends");
+    assert_eq!(paged_session.data_version(), mem_session.data_version(), "{what}");
+    let fresh =
+        MaimonSession::new(Relation::from_rows(rel.schema().clone(), &all).unwrap(), config)
+            .unwrap();
+    let what = format!("{what} after appends");
+    assert_same_sessions(&paged_session, &fresh, &what);
+    assert_same_sessions(&mem_session, &fresh, &what);
 }
 
 proptest! {
