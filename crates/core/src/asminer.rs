@@ -16,7 +16,7 @@ use crate::compat::incompatibility_graph;
 use crate::config::MaimonConfig;
 use crate::measure::j_schema;
 use crate::mvd::Mvd;
-use crate::progress::{ProgressEvent, RunControl};
+use crate::progress::RunControl;
 use crate::schema::AcyclicSchema;
 use entropy::EntropyOracle;
 use hypergraph::{for_each_maximal_independent_set, Control};
@@ -102,7 +102,7 @@ fn build_in_order<'a>(
 /// Schemas are deduplicated (different MVD sets can synthesize the same
 /// schema); enumeration stops at `config.max_schemas`.
 ///
-/// Convenience form of [`mine_schemas_with`] without cancellation or progress
+/// Convenience form of [`mine_schemas_with`] without cancellation or deadline
 /// plumbing.
 pub fn mine_schemas<O: EntropyOracle + ?Sized>(
     oracle: &O,
@@ -113,11 +113,10 @@ pub fn mine_schemas<O: EntropyOracle + ?Sized>(
     mine_schemas_with(oracle, universe, mvds, config, &RunControl::NONE)
 }
 
-/// [`mine_schemas`] with cancellation, deadline and progress plumbing.
+/// [`mine_schemas`] with cancellation and deadline plumbing.
 ///
 /// When `ctl` fires mid-enumeration the schemas discovered so far are
 /// returned flagged `truncated`, like the `max_schemas` path.
-/// [`ProgressEvent::SchemaFound`] fires once per deduplicated schema.
 pub fn mine_schemas_with<O: EntropyOracle + ?Sized>(
     oracle: &O,
     universe: AttrSet,
@@ -135,7 +134,6 @@ pub fn mine_schemas_with<O: EntropyOracle + ?Sized>(
         Some(_) => ctl.clone().with_stages(&collector),
         None => ctl.clone(),
     };
-    ctl.emit(ProgressEvent::SchemaMiningStarted { mvds: mvds.len() });
     if mvds.is_empty() {
         // No MVDs: the only schema is the trivial one.
         if let Ok(schema) = AcyclicSchema::trivial(universe) {
@@ -144,16 +142,11 @@ pub fn mine_schemas_with<O: EntropyOracle + ?Sized>(
                 j_schema(oracle, &schema)
             };
             result.schemas.push(DiscoveredSchema { schema, mvds: Vec::new(), j });
-            ctl.emit(ProgressEvent::SchemaFound { discovered: 1 });
         }
         if let Some(outer) = outer_stages {
             result.stages = collector.breakdown();
             outer.absorb(&result.stages);
         }
-        ctl.emit(ProgressEvent::SchemaMiningFinished {
-            schemas: result.schemas.len(),
-            truncated: false,
-        });
         return result;
     }
 
@@ -188,7 +181,6 @@ pub fn mine_schemas_with<O: EntropyOracle + ?Sized>(
             };
             let selected = independent.iter().map(|&i| mvds[i].clone()).collect();
             schemas.push(DiscoveredSchema { schema, mvds: selected, j });
-            ctl.emit(ProgressEvent::SchemaFound { discovered: schemas.len() });
         }
         if let Some(max) = config.max_schemas {
             if schemas.len() >= max {
@@ -210,10 +202,6 @@ pub fn mine_schemas_with<O: EntropyOracle + ?Sized>(
         result.stages = collector.breakdown();
         outer.absorb(&result.stages);
     }
-    ctl.emit(ProgressEvent::SchemaMiningFinished {
-        schemas: result.schemas.len(),
-        truncated: result.truncated,
-    });
     result
 }
 

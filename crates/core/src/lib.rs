@@ -40,8 +40,9 @@
 //! `session.mvds(ε)` → `session.schemas(ε)` → `session.quality(ε)` →
 //! `session.decompose_best(ε)`, with [`MaimonSession::epsilon_sweep`] mining
 //! many thresholds over the same oracle, [`CancelToken`] / deadlines /
-//! [`ProgressSink`] for service-grade control, and a stable JSON wire format
-//! ([`wire`]) for every result type:
+//! [`RunControl`] for service-grade control, the `obs` stage spans for
+//! telemetry, and a stable JSON wire format ([`wire`]) for every result
+//! type:
 //!
 //! ```
 //! use maimon::{MaimonConfig, MaimonSession};
@@ -98,7 +99,7 @@ pub use measure::{
 pub use miner::{fan_out_pairs, mine_mvds, mine_mvds_with, MiningStats, MvdMiningResult};
 pub use minsep::{mine_min_seps, minimal_separators_bruteforce, reduce_min_sep, MinSepResult};
 pub use mvd::Mvd;
-pub use progress::{CancelToken, CountingSink, ProgressEvent, ProgressSink, RunControl};
+pub use progress::{CancelToken, RunControl};
 pub use quality::{
     evaluate_schema, evaluate_schema_checked, evaluate_schema_with, measure_schemas, pareto_front,
     SchemaQuality,

@@ -21,7 +21,7 @@ use crate::full_mvd::PairSearch;
 use crate::measure::is_full_mvd;
 use crate::minsep::mine_min_seps_in;
 use crate::mvd::Mvd;
-use crate::progress::{ProgressEvent, RunControl};
+use crate::progress::RunControl;
 use entropy::{EntropyOracle, OracleStats};
 use obs::{Span, Stage, StageBreakdown, StageCollector};
 use relation::AttrSet;
@@ -207,20 +207,17 @@ where
 /// fanning out over `config.effective_threads()` workers (1 = the sequential
 /// path) and merging the per-pair outcomes deterministically.
 ///
-/// Convenience form of [`mine_mvds_with`] without cancellation or progress
+/// Convenience form of [`mine_mvds_with`] without cancellation or deadline
 /// plumbing.
 pub fn mine_mvds<O: EntropyOracle + ?Sized>(oracle: &O, config: &MaimonConfig) -> MvdMiningResult {
     mine_mvds_with(oracle, config, &RunControl::NONE)
 }
 
-/// [`mine_mvds`] with cancellation, deadline and progress plumbing.
+/// [`mine_mvds`] with cancellation and deadline plumbing.
 ///
 /// When `ctl` fires mid-run the fan-out stops claiming pairs, in-flight pairs
 /// wind down at their next check, and the merged partial result is returned
-/// flagged `truncated`, like a count limit. Progress events
-/// ([`ProgressEvent::MvdMiningStarted`], [`ProgressEvent::PairMined`],
-/// [`ProgressEvent::MvdMiningFinished`]) fire on the attached sink; the
-/// per-pair events fire from worker threads in completion order.
+/// flagged `truncated`, like a count limit.
 pub fn mine_mvds_with<O: EntropyOracle + ?Sized>(
     oracle: &O,
     config: &MaimonConfig,
@@ -245,19 +242,8 @@ pub fn mine_mvds_with<O: EntropyOracle + ?Sized>(
         None => ctl.clone(),
     };
 
-    ctl.emit(ProgressEvent::MvdMiningStarted { pairs: pair_count });
-    let done = AtomicUsize::new(0);
-    let (outcomes, stopped) = fan_out_pairs(n, threads, ctl, |pair, _index| {
-        let outcome = mine_pair(oracle, config, pair, ctl);
-        ctl.emit(ProgressEvent::PairMined {
-            pair,
-            done: done.fetch_add(1, Ordering::Relaxed) + 1,
-            total: pair_count,
-            separators: outcome.separators.len(),
-            mvds: outcome.mvds.len(),
-        });
-        outcome
-    });
+    let (outcomes, stopped) =
+        fan_out_pairs(n, threads, ctl, |pair, _index| mine_pair(oracle, config, pair, ctl));
     result.stats.truncated |= stopped;
 
     // Deterministic merge in pair order — the same accumulation the
@@ -283,10 +269,6 @@ pub fn mine_mvds_with<O: EntropyOracle + ?Sized>(
         result.stats.stages = collector.breakdown();
         outer.absorb(&result.stats.stages);
     }
-    ctl.emit(ProgressEvent::MvdMiningFinished {
-        mvds: result.mvds.len(),
-        truncated: result.stats.truncated,
-    });
     result
 }
 

@@ -1,23 +1,26 @@
-//! Progress reporting and cooperative cancellation for long mining runs.
+//! Cooperative cancellation and deadlines for long mining runs.
 //!
 //! The paper's experiments bound every run by wall-clock time (a deadline
-//! here); a production service additionally needs *external* cancellation (a client disconnects,
-//! a scheduler preempts the request) and live progress so a many-minute run
-//! over a wide relation is observable. Three pieces provide that:
+//! here); a production service additionally needs *external* cancellation
+//! (a client disconnects, a scheduler preempts the request). Two pieces
+//! provide that:
 //!
 //! * [`CancelToken`] — a cheap, cloneable flag shared between the caller and
 //!   the mining algorithms. Firing it makes every plumbed loop stop at its
 //!   next check and return a *well-formed partial result* flagged
 //!   `truncated`, exactly like a count limit; it is never surfaced as an
 //!   error.
-//! * [`ProgressSink`] — a `Sync` callback observing [`ProgressEvent`]s
-//!   (per-pair completions during MVD mining, per-schema discoveries during
-//!   enumeration). Sinks are invoked from worker threads, so they must be
-//!   cheap and thread-safe.
 //! * [`RunControl`] — the bundle threaded through [`crate::mine_min_seps`],
 //!   [`crate::get_full_mvds`], [`crate::mine_schemas`] and the drivers: an
-//!   optional token, an optional deadline and an optional sink.
-//!   [`RunControl::NONE`] is the no-op used by the convenience entry points.
+//!   optional token, an optional deadline and an optional
+//!   [`obs::StageCollector`] that the stage spans record into (the one
+//!   telemetry channel out of a run). [`RunControl::NONE`] is the no-op used
+//!   by the convenience entry points.
+//!
+//! The deadline's clock reads consult the `deadline_clock` failpoint of
+//! [`storage::fault`]: armed to skip `k` reads, it reports the deadline as
+//! passed on every read after those, so tests can cut a run at an exact
+//! poll without sleeping.
 //!
 //! ```
 //! use maimon::{CancelToken, RunControl};
@@ -29,8 +32,8 @@
 //! assert!(ctl.should_stop());
 //! ```
 
-use obs::{Stage, StageCollector};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use obs::StageCollector;
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -80,163 +83,6 @@ impl CancelToken {
     }
 }
 
-/// Events emitted while mining. Matched non-exhaustively by sinks — future
-/// phases may add variants without a breaking release.
-#[derive(Clone, Debug, PartialEq)]
-#[non_exhaustive]
-pub enum ProgressEvent {
-    /// Phase one started: `pairs` attribute pairs will be examined.
-    MvdMiningStarted {
-        /// Total canonical attribute pairs to mine.
-        pairs: usize,
-    },
-    /// One attribute pair finished mining (fires from worker threads; `done`
-    /// counts completions in completion order, not pair order).
-    PairMined {
-        /// The attribute pair `(a, b)` with `a < b`.
-        pair: (usize, usize),
-        /// Pairs completed so far, including this one.
-        done: usize,
-        /// Total pairs of the run.
-        total: usize,
-        /// Minimal separators found for this pair.
-        separators: usize,
-        /// Full ε-MVDs mined for this pair (before global deduplication).
-        mvds: usize,
-    },
-    /// Phase one finished.
-    MvdMiningFinished {
-        /// Size of the deduplicated set `M_ε`.
-        mvds: usize,
-        /// `true` if a limit, deadline or cancellation truncated the phase.
-        truncated: bool,
-    },
-    /// Phase two started over a support of `mvds` MVDs.
-    SchemaMiningStarted {
-        /// Number of MVDs in the mined support `M_ε`.
-        mvds: usize,
-    },
-    /// A new (deduplicated) schema was synthesized.
-    SchemaFound {
-        /// Distinct schemas discovered so far, including this one.
-        discovered: usize,
-    },
-    /// Phase two finished.
-    SchemaMiningFinished {
-        /// Distinct schemas discovered.
-        schemas: usize,
-        /// `true` if a limit, deadline or cancellation truncated the phase.
-        truncated: bool,
-    },
-}
-
-impl ProgressEvent {
-    /// The pipeline stage this event originates from, using the same
-    /// [`Stage`] vocabulary as the span instrumentation, so sinks can
-    /// aggregate events per stage without matching every variant.
-    ///
-    /// Phase-one events (`MvdMining*`, `PairMined`) are driven by minimal
-    /// separator mining; phase-two events (`SchemaMining*`, `SchemaFound`)
-    /// by the independent-set / transversal enumeration.
-    pub fn stage(&self) -> Stage {
-        match self {
-            ProgressEvent::MvdMiningStarted { .. }
-            | ProgressEvent::PairMined { .. }
-            | ProgressEvent::MvdMiningFinished { .. } => Stage::MineMinSeps,
-            ProgressEvent::SchemaMiningStarted { .. }
-            | ProgressEvent::SchemaFound { .. }
-            | ProgressEvent::SchemaMiningFinished { .. } => Stage::Transversal,
-        }
-    }
-}
-
-/// Observer of [`ProgressEvent`]s. Implementations must be `Sync`: events
-/// fire from the mining worker pool.
-///
-/// ```
-/// use maimon::{ProgressEvent, ProgressSink};
-/// use std::sync::atomic::{AtomicUsize, Ordering};
-///
-/// #[derive(Default)]
-/// struct PairCounter(AtomicUsize);
-/// impl ProgressSink for PairCounter {
-///     fn report(&self, event: ProgressEvent) {
-///         if let ProgressEvent::PairMined { .. } = event {
-///             self.0.fetch_add(1, Ordering::Relaxed);
-///         }
-///     }
-/// }
-/// ```
-pub trait ProgressSink: Sync {
-    /// Called once per event, possibly concurrently from several threads.
-    fn report(&self, event: ProgressEvent);
-}
-
-/// A [`ProgressSink`] that counts events per kind — handy default observer
-/// for tests, examples and smoke monitoring.
-#[derive(Debug, Default)]
-pub struct CountingSink {
-    pairs: AtomicUsize,
-    schemas: AtomicUsize,
-    phases_started: AtomicUsize,
-    phases_finished: AtomicUsize,
-    stages: [AtomicUsize; Stage::COUNT],
-}
-
-impl CountingSink {
-    /// Creates a sink with all counters at zero.
-    pub fn new() -> Self {
-        CountingSink::default()
-    }
-
-    /// `PairMined` events observed.
-    pub fn pairs_mined(&self) -> usize {
-        self.pairs.load(Ordering::Relaxed)
-    }
-
-    /// `SchemaFound` events observed.
-    pub fn schemas_found(&self) -> usize {
-        self.schemas.load(Ordering::Relaxed)
-    }
-
-    /// `*Started` events observed.
-    pub fn phases_started(&self) -> usize {
-        self.phases_started.load(Ordering::Relaxed)
-    }
-
-    /// `*Finished` events observed.
-    pub fn phases_finished(&self) -> usize {
-        self.phases_finished.load(Ordering::Relaxed)
-    }
-
-    /// Events observed that originate from `stage` (see
-    /// [`ProgressEvent::stage`]).
-    pub fn stage_events(&self, stage: Stage) -> usize {
-        self.stages[stage.index()].load(Ordering::Relaxed)
-    }
-}
-
-impl ProgressSink for CountingSink {
-    fn report(&self, event: ProgressEvent) {
-        self.stages[event.stage().index()].fetch_add(1, Ordering::Relaxed);
-        match event {
-            ProgressEvent::PairMined { .. } => {
-                self.pairs.fetch_add(1, Ordering::Relaxed);
-            }
-            ProgressEvent::SchemaFound { .. } => {
-                self.schemas.fetch_add(1, Ordering::Relaxed);
-            }
-            ProgressEvent::MvdMiningStarted { .. } | ProgressEvent::SchemaMiningStarted { .. } => {
-                self.phases_started.fetch_add(1, Ordering::Relaxed);
-            }
-            ProgressEvent::MvdMiningFinished { .. }
-            | ProgressEvent::SchemaMiningFinished { .. } => {
-                self.phases_finished.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
 /// An absolute deadline plus the per-handle throttle state that keeps
 /// [`RunControl::should_stop`] off the wall clock (see
 /// [`DEADLINE_POLL_STRIDE`]).
@@ -268,7 +114,8 @@ impl Clone for DeadlineState {
     }
 }
 
-/// Cancellation, deadline and progress plumbing for one mining invocation.
+/// Cancellation, deadline and stage-timing plumbing for one mining
+/// invocation.
 ///
 /// Built fluently and passed by reference down the call tree. The deadline is
 /// an *absolute* instant: it bounds an entire multi-phase run, which is what
@@ -278,20 +125,12 @@ impl Clone for DeadlineState {
 pub struct RunControl<'a> {
     cancel: Option<CancelToken>,
     deadline: Option<DeadlineState>,
-    progress: Option<&'a dyn ProgressSink>,
     stages: Option<&'a StageCollector>,
 }
 
-impl std::fmt::Debug for dyn ProgressSink + '_ {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("dyn ProgressSink")
-    }
-}
-
 impl RunControl<'static> {
-    /// The no-op control: never cancelled, no deadline, no progress sink.
-    pub const NONE: RunControl<'static> =
-        RunControl { cancel: None, deadline: None, progress: None, stages: None };
+    /// The no-op control: never cancelled, no deadline, no stage collector.
+    pub const NONE: RunControl<'static> = RunControl { cancel: None, deadline: None, stages: None };
 
     /// Creates an empty control (same as [`RunControl::NONE`], but `self`-
     /// extensible with the `with_*` builders).
@@ -319,19 +158,6 @@ impl<'a> RunControl<'a> {
         self.with_deadline(Instant::now() + timeout)
     }
 
-    /// Attaches a progress sink (borrowed for the duration of the run).
-    pub fn with_progress<'b>(self, sink: &'b dyn ProgressSink) -> RunControl<'b>
-    where
-        'a: 'b,
-    {
-        RunControl {
-            cancel: self.cancel,
-            deadline: self.deadline,
-            progress: Some(sink),
-            stages: self.stages,
-        }
-    }
-
     /// Attaches a per-run stage collector (borrowed for the duration of the
     /// run). The span instrumentation in the mining loops records each
     /// stage's exclusive self-time into it; drivers read it back as an
@@ -340,12 +166,7 @@ impl<'a> RunControl<'a> {
     where
         'a: 'b,
     {
-        RunControl {
-            cancel: self.cancel,
-            deadline: self.deadline,
-            progress: self.progress,
-            stages: Some(collector),
-        }
+        RunControl { cancel: self.cancel, deadline: self.deadline, stages: Some(collector) }
     }
 
     /// The attached stage collector, if any — passed to [`obs::Span::enter`]
@@ -366,7 +187,8 @@ impl<'a> RunControl<'a> {
     /// Wall-clock reads are throttled: the first poll always consults the
     /// clock, subsequent polls only every `DEADLINE_POLL_STRIDE`-th time
     /// (currently 64), and an observed expiry is latched so the clock is
-    /// never read again.
+    /// never read again. Each clock read also consults the `deadline_clock`
+    /// failpoint (see the module docs).
     pub fn should_stop(&self) -> bool {
         if self.is_cancelled() {
             return true;
@@ -381,7 +203,8 @@ impl<'a> RunControl<'a> {
         if polls % DEADLINE_POLL_STRIDE != 0 {
             return false;
         }
-        let passed = Instant::now() >= state.at;
+        let passed = Instant::now() >= state.at
+            || storage::fault::global().should_fail("deadline_clock", "run");
         if passed {
             state.passed.store(true, Ordering::Relaxed);
         }
@@ -408,18 +231,12 @@ impl<'a> RunControl<'a> {
         }
         passed
     }
-
-    /// Reports an event to the attached sink, if any.
-    pub fn emit(&self, event: ProgressEvent) {
-        if let Some(sink) = self.progress {
-            sink.report(event);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::Stage;
 
     #[test]
     fn token_clones_share_the_flag() {
@@ -437,7 +254,6 @@ mod tests {
     fn none_control_never_stops() {
         assert!(!RunControl::NONE.should_stop());
         assert!(!RunControl::NONE.is_cancelled());
-        RunControl::NONE.emit(ProgressEvent::MvdMiningStarted { pairs: 3 });
     }
 
     #[test]
@@ -500,61 +316,12 @@ mod tests {
     }
 
     #[test]
-    fn counting_sink_tallies_events() {
-        let sink = CountingSink::new();
-        let ctl = RunControl::new().with_progress(&sink);
-        ctl.emit(ProgressEvent::MvdMiningStarted { pairs: 2 });
-        ctl.emit(ProgressEvent::PairMined {
-            pair: (0, 1),
-            done: 1,
-            total: 2,
-            separators: 1,
-            mvds: 2,
-        });
-        ctl.emit(ProgressEvent::SchemaFound { discovered: 1 });
-        ctl.emit(ProgressEvent::MvdMiningFinished { mvds: 2, truncated: false });
-        assert_eq!(sink.pairs_mined(), 1);
-        assert_eq!(sink.schemas_found(), 1);
-        assert_eq!(sink.phases_started(), 1);
-        assert_eq!(sink.phases_finished(), 1);
-        // Events are attributable to their originating stage (satellite of
-        // the telemetry PR): three phase-one events, one phase-two event.
-        assert_eq!(sink.stage_events(Stage::MineMinSeps), 3);
-        assert_eq!(sink.stage_events(Stage::Transversal), 1);
-        assert_eq!(sink.stage_events(Stage::Measure), 0);
-    }
-
-    #[test]
     fn stage_collector_rides_the_control() {
         let collector = StageCollector::new();
         assert!(RunControl::NONE.stages().is_none());
         let ctl = RunControl::new().with_stages(&collector);
-        let sink = CountingSink::new();
-        let ctl = ctl.with_progress(&sink);
-        ctl.stages().expect("with_progress preserves the collector").add(Stage::Reduce, 42);
+        let ctl = ctl.with_cancel(CancelToken::new()).with_timeout(Duration::from_secs(3600));
+        ctl.stages().expect("the other builders preserve the collector").add(Stage::Reduce, 42);
         assert_eq!(collector.breakdown().reduce.as_nanos(), 42);
-    }
-
-    #[test]
-    fn sink_is_usable_from_threads() {
-        let sink = CountingSink::new();
-        let ctl = RunControl::new().with_progress(&sink);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let ctl = ctl.clone();
-                scope.spawn(move || {
-                    for i in 0..50 {
-                        ctl.emit(ProgressEvent::PairMined {
-                            pair: (0, 1),
-                            done: i,
-                            total: 50,
-                            separators: 0,
-                            mvds: 0,
-                        });
-                    }
-                });
-            }
-        });
-        assert_eq!(sink.pairs_mined(), 200);
     }
 }

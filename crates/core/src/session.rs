@@ -25,8 +25,8 @@
 //!
 //! Sessions also carry the service-boundary plumbing: a [`CancelToken`] and
 //! an optional deadline make any stage wind down early with a well-formed
-//! result flagged `truncated`, and a [`ProgressSink`] observes per-pair and
-//! per-schema progress (see [`crate::progress`]). Truncated partials are
+//! result flagged `truncated` (see [`crate::progress`]), and an attached
+//! [`StageCollector`] records where the time went. Truncated partials are
 //! served to the requesting handle only — they never enter the shared
 //! artifact caches, so one request's deadline cannot poison what every
 //! other clone of the session is served (see [`ArtifactCache`]).
@@ -42,7 +42,7 @@
 //!
 //! The session owns that data, so it is `'static`, `Send + Sync` and cheap
 //! to [`Clone`]: handles share the oracle and the artifact caches while each
-//! carries its own cancellation/deadline/progress plumbing. That is what
+//! carries its own cancellation/deadline/stage-timing plumbing. That is what
 //! lets a long-lived service register one session per dataset and serve
 //! every request from clones of it.
 //!
@@ -86,7 +86,7 @@ use crate::error::MaimonError;
 use crate::fd::{mine_fds, FdMiningResult};
 use crate::measure::{j_mvd, within_epsilon};
 use crate::miner::{mine_mvds_with, MvdMiningResult};
-use crate::progress::{CancelToken, ProgressSink, RunControl};
+use crate::progress::{CancelToken, RunControl};
 use crate::quality::{measure_schemas, pareto_front, SchemaQuality};
 use crate::schema::AcyclicSchema;
 use crate::wire::ToJson;
@@ -229,8 +229,8 @@ enum ArtifactSlot<T> {
 /// A per-threshold compute-once artifact cache. The map lock is held only to
 /// look up or transition a slot; an `InFlight` slot serializes the
 /// (potentially minutes-long) computation so concurrent callers for the same
-/// threshold share one run instead of duplicating it, and mining work and
-/// progress events fire once per *complete* artifact.
+/// threshold share one run instead of duplicating it, and mining work
+/// happens once per *complete* artifact.
 ///
 /// Two rules keep per-request control plumbing out of the shared state
 /// (`registry` promises "a per-request deadline never bleeds into another
@@ -430,7 +430,7 @@ struct SessionInner {
 /// `Send + Sync`, **cheaply clonable handle**: [`Clone`] copies an `Arc` to
 /// the shared state, so clones share the oracle and every cached artifact
 /// while each handle carries its *own* cancellation token, deadline and
-/// progress sink — exactly the shape a multi-tenant server needs (one
+/// stage collector — exactly the shape a multi-tenant server needs (one
 /// registered session per dataset, one `session.clone().with_deadline(…)`
 /// per request). Stages may be invoked from several request threads and each
 /// artifact is still computed exactly once.
@@ -438,7 +438,6 @@ struct SessionInner {
 pub struct MaimonSession {
     inner: Arc<SessionInner>,
     cancel: Option<CancelToken>,
-    progress: Option<Arc<dyn ProgressSink + Send + Sync>>,
     deadline: Option<Instant>,
     stages: Option<Arc<StageCollector>>,
 }
@@ -533,7 +532,6 @@ impl MaimonSession {
                 result_cache: ArtifactCache::new(),
             }),
             cancel: None,
-            progress: None,
             deadline: None,
             stages: None,
         })
@@ -551,12 +549,6 @@ impl MaimonSession {
     /// winds down with a `truncated` partial result once fired.
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
-        self
-    }
-
-    /// Attaches a progress sink observing [`crate::ProgressEvent`]s.
-    pub fn with_progress(mut self, sink: Arc<dyn ProgressSink + Send + Sync>) -> Self {
-        self.progress = Some(sink);
         self
     }
 
@@ -742,10 +734,6 @@ impl MaimonSession {
         if let Some(deadline) = self.deadline {
             ctl = ctl.with_deadline(deadline);
         }
-        let ctl = match &self.progress {
-            Some(sink) => ctl.with_progress(sink.as_ref()),
-            None => ctl,
-        };
         match &self.stages {
             Some(collector) => ctl.with_stages(collector),
             None => ctl,
@@ -1049,7 +1037,6 @@ impl MaimonSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::progress::CountingSink;
     use relation::Schema;
 
     fn running_example(with_red_tuple: bool) -> Relation {
@@ -1211,19 +1198,6 @@ mod tests {
         let empty = Relation::empty(Schema::new(["A", "B"]).unwrap());
         assert!(MaimonSession::new(&empty, MaimonConfig::default()).is_err());
         assert!(MaimonSession::new(&rel, MaimonConfig::with_epsilon(-1.0)).is_err());
-    }
-
-    #[test]
-    fn progress_events_fire_through_the_session() {
-        let rel = running_example(false);
-        let sink = Arc::new(CountingSink::new());
-        let session =
-            MaimonSession::new(&rel, MaimonConfig::default()).unwrap().with_progress(sink.clone());
-        session.quality(0.0).unwrap();
-        assert_eq!(sink.pairs_mined(), 15, "6 attributes → 15 pairs");
-        assert!(sink.schemas_found() >= 1);
-        assert_eq!(sink.phases_started(), 2);
-        assert_eq!(sink.phases_finished(), 2);
     }
 
     #[test]

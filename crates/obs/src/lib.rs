@@ -22,8 +22,9 @@
 //! * [`render_prometheus`] — Prometheus text exposition (`# HELP`/`# TYPE`,
 //!   label escaping, cumulative histogram buckets with `_sum`/`_count`) for
 //!   the `--metrics-addr` endpoint of `maimon-served`.
-//! * [`global`] — the process-wide registry every layer records into, plus
-//!   [`next_trace_id`] for per-request trace IDs on the serve path.
+//! * [`global`] — the process-wide registry the library layers record into,
+//!   plus [`next_trace_id`] for per-request trace IDs on the serve path.
+//!   Request-level series live in each server's own registry instead.
 //!
 //! The crate is intentionally free of dependencies (std only) so every
 //! workspace crate — relation, entropy, core, decompose, serve, bench — can
@@ -48,12 +49,15 @@ use std::sync::OnceLock;
 
 static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
 
-/// The process-wide metrics registry.
+/// The process-wide metrics registry of the library layers.
 ///
-/// Every layer of the pipeline records into this registry; the serve
-/// `metrics` op and the `--metrics-addr` Prometheus endpoint render it.
-/// Unit tests that need exact counts should construct a private
-/// [`MetricsRegistry`] instead.
+/// The relation, entropy, core, storage and decompose layers record into it
+/// (oracle builds, CSV loads, stage spans, page cache, WAL, ingest,
+/// decompositions). A server keeps its request-level series in a registry
+/// of its own, so several servers in one process count apart; the serve
+/// `metrics` op and the `--metrics-addr` Prometheus endpoint render this
+/// registry followed by the server's. Unit tests that need exact counts
+/// should construct a private [`MetricsRegistry`] instead.
 pub fn global() -> &'static MetricsRegistry {
     GLOBAL.get_or_init(MetricsRegistry::new)
 }

@@ -36,11 +36,13 @@
 //! batches. Paged datasets stay non-durable: appends to them live in the
 //! session only, like appends to any dataset without durable state.
 //!
-//! `--metrics-addr` additionally serves the process-wide metrics registry
-//! as Prometheus text exposition over plain HTTP GET (any path), announced
-//! as `maimon-served metrics on ADDR` before the main banner.
+//! `--metrics-addr` additionally serves Prometheus text exposition over
+//! plain HTTP GET (any path), announced as `maimon-served metrics on ADDR`
+//! before the main banner: the process-wide registry of the library layers
+//! (oracle, CSV, page cache, WAL, ingest, decompose), then the server's own
+//! registry of request-level series, the one `stats` is a view over.
 
-use maimon::obs;
+use maimon::obs::{self, MetricsRegistry};
 use maimon::relation::{relation_from_csv, CsvOptions};
 use maimon::storage::{ingest_csv_file, IngestOptions, PagedOptions, RelationBackend};
 use maimon::{CancelToken, MaimonConfig};
@@ -210,11 +212,12 @@ fn parse_options() -> Options {
 
 /// Serves Prometheus text exposition over plain HTTP GET on `addr` until
 /// `shutdown` fires. Hand-rolled HTTP/1.1: read the request head, answer
-/// `200 text/plain` with the rendered registry, close. Any path works —
+/// `200 text/plain` with the rendered registries, close. Any path works —
 /// scrapers conventionally use `/metrics`.
 fn spawn_metrics_listener(
     addr: &str,
     shutdown: CancelToken,
+    server_metrics: Arc<MetricsRegistry>,
 ) -> std::io::Result<(SocketAddr, JoinHandle<()>)> {
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
@@ -222,7 +225,7 @@ fn spawn_metrics_listener(
     let thread = std::thread::spawn(move || {
         while !shutdown.is_cancelled() {
             match listener.accept() {
-                Ok((stream, _peer)) => serve_metrics_request(stream),
+                Ok((stream, _peer)) => serve_metrics_request(stream, &server_metrics),
                 // Non-blocking: nothing pending — nap and re-check shutdown.
                 Err(_) => std::thread::sleep(Duration::from_millis(20)),
             }
@@ -231,7 +234,7 @@ fn spawn_metrics_listener(
     Ok((local, thread))
 }
 
-fn serve_metrics_request(mut stream: TcpStream) {
+fn serve_metrics_request(mut stream: TcpStream, server_metrics: &MetricsRegistry) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
     // Drain the request head; the response is the same whatever it says.
     let mut head = Vec::new();
@@ -248,7 +251,9 @@ fn serve_metrics_request(mut stream: TcpStream) {
             Err(_) => break,
         }
     }
-    let body = obs::render_prometheus(obs::global());
+    // The two registries' names are disjoint, so the concatenation is one
+    // valid exposition.
+    let body = obs::render_prometheus(obs::global()) + &obs::render_prometheus(server_metrics);
     let response = format!(
         "HTTP/1.1 200 OK\r\n\
          Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
@@ -407,10 +412,12 @@ fn main() {
 
     let metrics_thread = options.metrics_addr.as_deref().map(|addr| {
         let (local, thread) =
-            spawn_metrics_listener(addr, handle.shutdown_token()).unwrap_or_else(|e| {
-                eprintln!("cannot bind metrics listener: {e}");
-                std::process::exit(1);
-            });
+            spawn_metrics_listener(addr, handle.shutdown_token(), handle.metrics()).unwrap_or_else(
+                |e| {
+                    eprintln!("cannot bind metrics listener: {e}");
+                    std::process::exit(1);
+                },
+            );
         // Announced before the main banner so scripts that wait for
         // "listening on" can already read the resolved metrics address.
         println!("maimon-served metrics on {local}");

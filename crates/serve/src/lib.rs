@@ -16,7 +16,7 @@
 //!   session share the oracle and artifact caches while carrying their own
 //!   per-request deadline/cancellation ([`registry`]).
 //! * [`protocol`] — the line-delimited request/response JSON shapes
-//!   (`ping`, `list`, `mine`, `decompose`, `stats`, `metrics`).
+//!   (`ping`, `list`, `mine`, `decompose`, `append`, `stats`, `metrics`).
 //! * [`AdmissionController`] — per-tenant in-flight caps and the connection
 //!   queue bound; shed requests get explicit `overloaded` responses
 //!   ([`admission`]).
@@ -25,10 +25,20 @@
 //!   well-formed partial flagged `truncated`, never an error
 //!   ([`server`]).
 //!
+//! Each server owns one [`maimon::obs::MetricsRegistry`]
+//! ([`ServerHandle::metrics`]) holding every request-level series:
+//! requests per op, latency, errors, truncations, sheds, admissions,
+//! panics, appended rows, reducer totals and dataset lookups. `stats` is a
+//! JSON view over a snapshot of it plus each dataset's live session state;
+//! `metrics` renders [`maimon::obs::global`] (the library layers' series)
+//! followed by it. The registry is per server, not process-wide, so servers
+//! sharing a process never count each other's requests.
+//!
 //! The layer is built to degrade, not abort: request handling runs under
 //! `catch_unwind` (a panicking handler yields a well-formed `internal`
 //! envelope that keeps its `trace_id`, counted by
-//! `maimon_requests_panicked_total{op}`), storage faults surface as typed
+//! `maimon_requests_panicked_total{op}` in the server's registry), storage
+//! faults surface as typed
 //! `internal` errors scoped to their dataset, and datasets registered
 //! through [`DatasetRegistry::register_durable`] /
 //! [`DatasetRegistry::open_durable`] (the `maimon-served --data-dir` path)
@@ -58,9 +68,8 @@ pub mod registry;
 pub mod server;
 
 pub use admission::{
-    AdmissionConfig, AdmissionController, AdmissionPermit, AdmissionStats, TenantAdmissionStats,
-    MAX_TENANTS, OTHER_TENANT,
+    AdmissionConfig, AdmissionController, AdmissionPermit, MAX_TENANTS, OTHER_TENANT,
 };
 pub use protocol::{error_response, ok_response, ErrorKind, Request, MAX_TENANT_BYTES};
-pub use registry::{DatasetRegistry, RegistryStats};
+pub use registry::DatasetRegistry;
 pub use server::{serve, ServerConfig, ServerHandle, MAX_LINE_BYTES};

@@ -14,20 +14,7 @@ use maimon::storage::{DurableDataset, RecoveryInfo, RelationBackend};
 use maimon::{MaimonConfig, MaimonError, MaimonSession};
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-
-/// Lookup/registration counters of a [`DatasetRegistry`], exported by the
-/// server's `stats` operation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RegistryStats {
-    /// Datasets currently registered.
-    pub datasets: usize,
-    /// Successful session lookups (each one handed out a session clone).
-    pub session_hits: u64,
-    /// Lookups for a name that was not registered.
-    pub session_misses: u64,
-}
 
 /// A named collection of relations, each served by one shared
 /// [`MaimonSession`].
@@ -40,8 +27,6 @@ pub struct DatasetRegistry {
     /// Durable (snapshot + WAL) state for datasets mounted from a
     /// `--data-dir`; in-memory-only and paged datasets have no entry.
     durables: RwLock<HashMap<String, Arc<DurableDataset>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl DatasetRegistry {
@@ -176,17 +161,7 @@ impl DatasetRegistry {
     /// the dataset's oracle and artifact caches; attach per-request deadlines
     /// or tokens to it freely.
     pub fn get(&self, name: &str) -> Option<MaimonSession> {
-        let found = self
-            .sessions
-            .read()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .get(name)
-            .cloned();
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
+        self.sessions.read().unwrap_or_else(|poisoned| poisoned.into_inner()).get(name).cloned()
     }
 
     /// Registered dataset names, sorted.
@@ -211,15 +186,6 @@ impl DatasetRegistry {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Current lookup/registration counters.
-    pub fn stats(&self) -> RegistryStats {
-        RegistryStats {
-            datasets: self.len(),
-            session_hits: self.hits.load(Ordering::Relaxed),
-            session_misses: self.misses.load(Ordering::Relaxed),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -240,11 +206,7 @@ mod tests {
         // Clones share the oracle: mining through one is visible to the other.
         a.mvds(0.0).unwrap();
         assert_eq!(b.cached_epsilons(), vec![0.0]);
-
-        let stats = registry.stats();
-        assert_eq!(stats.datasets, 1);
-        assert_eq!(stats.session_hits, 2);
-        assert_eq!(stats.session_misses, 1);
+        assert_eq!(registry.len(), 1);
     }
 
     #[test]

@@ -11,17 +11,16 @@
 //! [`CancelToken`] — they return well-formed `truncated` partials, never
 //! broken pipes.
 
-use crate::admission::{AdmissionConfig, AdmissionController, AdmissionStats};
+use crate::admission::{AdmissionConfig, AdmissionController, AdmissionPermit};
 use crate::protocol::{error_response, ok_response, ErrorKind, Request};
 use crate::registry::DatasetRegistry;
 use maimon::json::Json;
-use maimon::obs::{self, MetricValue, StageCollector};
+use maimon::obs::{self, MetricSnapshot, MetricValue, MetricsRegistry, StageCollector};
 use maimon::wire::{FromJson, ToJson};
 use maimon::{CancelToken, MaimonSession};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -52,30 +51,72 @@ impl Default for ServerConfig {
     }
 }
 
-/// Request counters, exported by the `stats` operation.
-#[derive(Debug, Default)]
-struct ServeCounters {
-    ping: AtomicU64,
-    list: AtomicU64,
-    stats: AtomicU64,
-    metrics: AtomicU64,
-    mine: AtomicU64,
-    decompose: AtomicU64,
-    append: AtomicU64,
-    rows_appended: AtomicU64,
-    truncated: AtomicU64,
-    errors: AtomicU64,
-    reducer_semijoins: AtomicU64,
-    reducer_bottom_up: AtomicU64,
-    reducer_top_down: AtomicU64,
-}
+/// Every series a server records into its own [`MetricsRegistry`], with its
+/// help text. The `stats` operation is a view over these; none of the names
+/// occurs in [`obs::global`], which holds the library layers' series.
+const SERVER_SERIES: &[(&str, &str)] = &[
+    ("maimon_requests_total", "Requests received, by operation"),
+    (
+        "maimon_request_duration_ns",
+        "Served request latency in nanoseconds, by operation and tenant",
+    ),
+    ("maimon_request_errors_total", "Failed requests, by error kind"),
+    (
+        "maimon_responses_truncated_total",
+        "Responses whose mining result was truncated by a deadline or limit",
+    ),
+    ("maimon_requests_shed_total", "Requests shed by admission control, by reason"),
+    ("maimon_requests_admitted_total", "Dataset requests admitted past the tenant cap, by tenant"),
+    (
+        "maimon_requests_panicked_total",
+        "Requests whose handler panicked; the panic was contained and served as an internal error",
+    ),
+    (
+        "maimon_request_lines_too_long_total",
+        "Request lines refused for exceeding the line-length cap",
+    ),
+    ("maimon_rows_appended_total", "Rows appended through the append operation"),
+    ("maimon_reducer_semijoins_total", "Semijoins run by decompose's full reducer"),
+    ("maimon_reducer_bottom_up_removed_total", "Tuples the reducer's bottom-up pass removed"),
+    ("maimon_reducer_top_down_removed_total", "Tuples the reducer's top-down pass removed"),
+    ("maimon_registry_lookups_total", "Dataset lookups, by outcome (hit or miss)"),
+];
 
 struct Shared {
     registry: Arc<DatasetRegistry>,
     admission: Arc<AdmissionController>,
-    counters: ServeCounters,
+    /// The server's request-level series (see [`SERVER_SERIES`]).
+    metrics: Arc<MetricsRegistry>,
     shutdown: CancelToken,
     read_timeout: Duration,
+}
+
+impl Shared {
+    /// The registry's session for `dataset`, counting the hit or miss.
+    fn lookup(&self, dataset: &str) -> Option<MaimonSession> {
+        let session = self.registry.get(dataset);
+        let outcome = if session.is_some() { "hit" } else { "miss" };
+        self.metrics.counter("maimon_registry_lookups_total", &[("outcome", outcome)]).inc();
+        session
+    }
+
+    /// Admits one dataset request of `tenant`, or answers `overloaded`.
+    fn admit(&self, tenant: &str) -> Result<AdmissionPermit, Json> {
+        match self.admission.try_admit(tenant) {
+            Some(permit) => {
+                self.metrics.counter("maimon_requests_admitted_total", &[("tenant", tenant)]).inc();
+                Ok(permit)
+            }
+            None => {
+                let labels = [("reason", "tenant_cap"), ("tenant", tenant)];
+                self.metrics.counter("maimon_requests_shed_total", &labels).inc();
+                Err(error_response(
+                    ErrorKind::Overloaded,
+                    format!("tenant {tenant:?} is at its in-flight cap"),
+                ))
+            }
+        }
+    }
 }
 
 struct ConnQueue {
@@ -88,6 +129,7 @@ struct ConnQueue {
 pub struct ServerHandle {
     local_addr: SocketAddr,
     shutdown: CancelToken,
+    metrics: Arc<MetricsRegistry>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -95,6 +137,15 @@ impl ServerHandle {
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
+    }
+
+    /// This server's own metrics registry: every request-level series
+    /// (latency, requests per op, errors, truncations, sheds, admissions,
+    /// panics, appended rows, reducer totals, dataset lookups). The `stats`
+    /// operation is a view over it; the `metrics` operation renders
+    /// [`obs::global`] followed by it.
+    pub fn metrics(&self) -> Arc<MetricsRegistry> {
+        Arc::clone(&self.metrics)
     }
 
     /// A clone of the shutdown token; firing it (e.g. from a signal handler
@@ -132,10 +183,14 @@ pub fn serve(
     listener.set_nonblocking(true)?;
     let local_addr = listener.local_addr()?;
 
+    let metrics = Arc::new(MetricsRegistry::new());
+    for &(name, help) in SERVER_SERIES {
+        metrics.describe(name, help);
+    }
     let shared = Arc::new(Shared {
         registry,
         admission: Arc::new(AdmissionController::new(config.admission)),
-        counters: ServeCounters::default(),
+        metrics: Arc::clone(&metrics),
         shutdown: CancelToken::new(),
         read_timeout: config.read_timeout,
     });
@@ -160,7 +215,7 @@ pub fn serve(
         }));
     }
 
-    Ok(ServerHandle { local_addr, shutdown, threads })
+    Ok(ServerHandle { local_addr, shutdown, metrics, threads })
 }
 
 fn accept_loop(
@@ -180,7 +235,10 @@ fn accept_loop(
                     queue.pending.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
                 if pending.len() >= max_queue_depth {
                     drop(pending);
-                    shared.admission.note_queue_shed();
+                    shared
+                        .metrics
+                        .counter("maimon_requests_shed_total", &[("reason", "queue_full")])
+                        .inc();
                     shed_connection(stream);
                 } else {
                     pending.push_back(stream);
@@ -256,7 +314,10 @@ fn worker_loop(shared: &Arc<Shared>, queue: &Arc<ConnQueue>) {
                     handle_connection(shared, stream);
                 }));
                 if result.is_err() {
-                    note_panic("connection");
+                    shared
+                        .metrics
+                        .counter("maimon_requests_panicked_total", &[("op", "connection")])
+                        .inc();
                 }
             }
             None => return,
@@ -272,14 +333,8 @@ pub const MAX_LINE_BYTES: usize = 4 << 20;
 
 /// Answers a request line longer than [`MAX_LINE_BYTES`].
 fn reject_long_line(shared: &Arc<Shared>, stream: &mut TcpStream) -> std::io::Result<()> {
-    shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-    note_error("bad_request");
-    let registry = obs::global();
-    registry.describe(
-        "maimon_request_lines_too_long_total",
-        "Request lines refused for exceeding the line-length cap",
-    );
-    registry.counter("maimon_request_lines_too_long_total", &[]).inc();
+    shared.metrics.counter("maimon_request_errors_total", &[("kind", "bad_request")]).inc();
+    shared.metrics.counter("maimon_request_lines_too_long_total", &[]).inc();
     let message = format!("request line exceeds {MAX_LINE_BYTES} bytes");
     write_line(
         stream,
@@ -383,8 +438,10 @@ fn with_trace(mut response: Json, trace_id: &str) -> Json {
 ///
 /// Every response envelope carries a `trace_id`: the client's, echoed, when
 /// the request had a string `trace_id` field, or a server-generated one
-/// otherwise. Latency lands in the `maimon_request_duration_ns{op,tenant}`
-/// histogram; requests slower than `MAIMON_SLOW_MS` additionally emit one
+/// otherwise. The request counts in `maimon_requests_total{op}` as it
+/// arrives, and its latency lands in the
+/// `maimon_request_duration_ns{op,tenant}` histogram of the server's
+/// registry; requests slower than `MAIMON_SLOW_MS` additionally emit one
 /// structured stderr line with the trace ID and the per-stage breakdown.
 fn dispatch(shared: &Arc<Shared>, line: &str) -> Json {
     let start = Instant::now();
@@ -397,13 +454,11 @@ fn dispatch(shared: &Arc<Shared>, line: &str) -> Json {
     let request = match parsed.as_ref().map(Request::from_json) {
         Some(Ok(request)) => request,
         Some(Err(e)) => {
-            shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-            note_error("bad_request");
+            shared.metrics.counter("maimon_request_errors_total", &[("kind", "bad_request")]).inc();
             return with_trace(error_response(ErrorKind::BadRequest, e.to_string()), &trace_id);
         }
         None => {
-            shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-            note_error("bad_request");
+            shared.metrics.counter("maimon_request_errors_total", &[("kind", "bad_request")]).inc();
             return with_trace(error_response(ErrorKind::BadRequest, "invalid JSON"), &trace_id);
         }
     };
@@ -416,6 +471,7 @@ fn dispatch(shared: &Arc<Shared>, line: &str) -> Json {
         Request::Decompose { .. } => "decompose",
         Request::Append { .. } => "append",
     };
+    shared.metrics.counter("maimon_requests_total", &[("op", op)]).inc();
     let tenant_label = match &request {
         Request::Mine { tenant, .. }
         | Request::Decompose { tenant, .. }
@@ -437,39 +493,24 @@ fn dispatch(shared: &Arc<Shared>, line: &str) -> Json {
     // answered as a well-formed `internal` envelope that still carries the
     // request's trace_id — the connection, the worker and every other
     // dataset keep serving. The shared state is sound across the unwind:
-    // registry and artifact-cache locks recover from poisoning, and counters
+    // registry and artifact-cache locks recover from poisoning, and metrics
     // are atomics.
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if maimon::storage::fault::global().should_fail("request_panic", op) {
             panic!("injected failpoint panic ({op})");
         }
         match request {
-            Request::Ping => {
-                shared.counters.ping.fetch_add(1, Ordering::Relaxed);
-                ok_response("ping", [])
-            }
-            Request::List => {
-                shared.counters.list.fetch_add(1, Ordering::Relaxed);
-                handle_list(shared)
-            }
-            Request::Stats => {
-                shared.counters.stats.fetch_add(1, Ordering::Relaxed);
-                handle_stats(shared)
-            }
-            Request::Metrics => {
-                shared.counters.metrics.fetch_add(1, Ordering::Relaxed);
-                handle_metrics()
-            }
+            Request::Ping => ok_response("ping", []),
+            Request::List => handle_list(shared),
+            Request::Stats => handle_stats(shared),
+            Request::Metrics => handle_metrics(shared),
             Request::Mine { dataset, epsilon, timeout_ms, .. } => {
-                shared.counters.mine.fetch_add(1, Ordering::Relaxed);
                 handle_mine(shared, &dataset, epsilon, timeout_ms, &tenant_label, &stages)
             }
             Request::Decompose { dataset, epsilon, timeout_ms, .. } => {
-                shared.counters.decompose.fetch_add(1, Ordering::Relaxed);
                 handle_decompose(shared, &dataset, epsilon, timeout_ms, &tenant_label, &stages)
             }
             Request::Append { dataset, rows, .. } => {
-                shared.counters.append.fetch_add(1, Ordering::Relaxed);
                 handle_append(shared, &dataset, &rows, &tenant_label)
             }
         }
@@ -477,8 +518,7 @@ fn dispatch(shared: &Arc<Shared>, line: &str) -> Json {
     let response = match outcome {
         Ok(response) => response,
         Err(panic) => {
-            shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-            note_panic(op);
+            shared.metrics.counter("maimon_requests_panicked_total", &[("op", op)]).inc();
             error_response(
                 ErrorKind::Internal,
                 format!("request handler panicked: {}", panic_message(&panic)),
@@ -486,28 +526,20 @@ fn dispatch(shared: &Arc<Shared>, line: &str) -> Json {
         }
     };
     let elapsed = start.elapsed();
-    let registry = obs::global();
-    registry.describe(
-        "maimon_request_duration_ns",
-        "Served request latency in nanoseconds, by operation and tenant",
-    );
-    registry
+    shared
+        .metrics
         .histogram("maimon_request_duration_ns", &[("op", op), ("tenant", &tenant_label)])
         .record_duration(elapsed);
     if response.get("ok").and_then(Json::as_bool) == Some(false) {
         let kind = response.get("kind").and_then(Json::as_str).unwrap_or("internal");
-        // Overload sheds are already attributed (with tenant) by the
-        // admission controller; count only genuine failures here.
+        // Overload sheds are already counted (with tenant) as sheds; count
+        // only genuine failures here.
         if kind != ErrorKind::Overloaded.label() {
-            note_error(kind);
+            shared.metrics.counter("maimon_request_errors_total", &[("kind", kind)]).inc();
         }
     }
     if response.get("truncated").and_then(Json::as_bool) == Some(true) {
-        registry.describe(
-            "maimon_responses_truncated_total",
-            "Responses whose mining result was truncated by a deadline or limit",
-        );
-        registry.counter("maimon_responses_truncated_total", &[("op", op)]).inc();
+        shared.metrics.counter("maimon_responses_truncated_total", &[("op", op)]).inc();
     }
     if let Some(threshold) = slow_threshold() {
         if elapsed >= threshold {
@@ -527,17 +559,6 @@ fn dispatch(shared: &Arc<Shared>, line: &str) -> Json {
     with_trace(response, &trace_id)
 }
 
-/// Counts one contained handler panic, labeled by the operation (or
-/// `"connection"` when the panic escaped the per-request guard).
-fn note_panic(op: &str) {
-    let registry = obs::global();
-    registry.describe(
-        "maimon_requests_panicked_total",
-        "Requests whose handler panicked; the panic was contained and served as an internal error",
-    );
-    registry.counter("maimon_requests_panicked_total", &[("op", op)]).inc();
-}
-
 /// Best-effort rendering of a caught panic payload.
 fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
     if let Some(s) = panic.downcast_ref::<&str>() {
@@ -549,19 +570,14 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-/// Bumps the registry's error counter for one failure class.
-fn note_error(kind: &str) {
-    let registry = obs::global();
-    registry.describe("maimon_request_errors_total", "Failed requests, by error kind");
-    registry.counter("maimon_request_errors_total", &[("kind", kind)]).inc();
-}
-
-/// The `metrics` operation: the process-wide registry as a JSON document
-/// (the same data `--metrics-addr` renders as Prometheus text).
-fn handle_metrics() -> Json {
+/// The `metrics` operation: the process-wide registry of the library
+/// layers, then the server's own, as one JSON document (the same data
+/// `--metrics-addr` renders as Prometheus text).
+fn handle_metrics(shared: &Arc<Shared>) -> Json {
     let metrics: Vec<Json> = obs::global()
         .snapshot()
         .into_iter()
+        .chain(shared.metrics.snapshot())
         .map(|snapshot| {
             let labels = Json::Object(
                 snapshot
@@ -599,7 +615,7 @@ fn request_session(
     dataset: &str,
     timeout_ms: Option<u64>,
 ) -> Option<MaimonSession> {
-    let mut session = shared.registry.get(dataset)?.with_cancel(shared.shutdown.clone());
+    let mut session = shared.lookup(dataset)?.with_cancel(shared.shutdown.clone());
     if let Some(ms) = timeout_ms {
         session = session.with_deadline(Instant::now() + Duration::from_millis(ms));
     }
@@ -615,36 +631,25 @@ fn handle_mine(
     stages: &Arc<StageCollector>,
 ) -> Json {
     let Some(session) = request_session(shared, dataset, timeout_ms) else {
-        shared.counters.errors.fetch_add(1, Ordering::Relaxed);
         return error_response(ErrorKind::NotFound, format!("unknown dataset {dataset:?}"));
     };
     let session = session.with_stages(Arc::clone(stages));
-    let Some(_permit) = shared.admission.try_admit(tenant) else {
-        return error_response(
-            ErrorKind::Overloaded,
-            format!("tenant {tenant:?} is at its in-flight cap"),
-        );
+    let _permit = match shared.admit(tenant) {
+        Ok(permit) => permit,
+        Err(overloaded) => return overloaded,
     };
     match session.quality_stamped(epsilon) {
-        Ok((data_version, result)) => {
-            if result.truncated {
-                shared.counters.truncated.fetch_add(1, Ordering::Relaxed);
-            }
-            ok_response(
-                "mine",
-                [
-                    ("dataset", Json::from(dataset)),
-                    ("epsilon", Json::from(epsilon)),
-                    ("data_version", Json::from(data_version)),
-                    ("truncated", Json::from(result.truncated)),
-                    ("result", result.to_json()),
-                ],
-            )
-        }
-        Err(e) => {
-            shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-            error_response(ErrorKind::Internal, e.to_string())
-        }
+        Ok((data_version, result)) => ok_response(
+            "mine",
+            [
+                ("dataset", Json::from(dataset)),
+                ("epsilon", Json::from(epsilon)),
+                ("data_version", Json::from(data_version)),
+                ("truncated", Json::from(result.truncated)),
+                ("result", result.to_json()),
+            ],
+        ),
+        Err(e) => error_response(ErrorKind::Internal, e.to_string()),
     }
 }
 
@@ -652,15 +657,12 @@ fn handle_mine(
 /// same per-tenant admission as mining: an oracle delta-refresh is real work,
 /// and a tenant should not dodge its in-flight cap by reshaping writes.
 fn handle_append(shared: &Arc<Shared>, dataset: &str, rows: &[Vec<String>], tenant: &str) -> Json {
-    let Some(session) = shared.registry.get(dataset) else {
-        shared.counters.errors.fetch_add(1, Ordering::Relaxed);
+    let Some(session) = shared.lookup(dataset) else {
         return error_response(ErrorKind::NotFound, format!("unknown dataset {dataset:?}"));
     };
-    let Some(_permit) = shared.admission.try_admit(tenant) else {
-        return error_response(
-            ErrorKind::Overloaded,
-            format!("tenant {tenant:?} is at its in-flight cap"),
-        );
+    let _permit = match shared.admit(tenant) {
+        Ok(permit) => permit,
+        Err(overloaded) => return overloaded,
     };
     // Durable datasets: hold the ordering guard across apply + WAL append so
     // concurrent appends reach the log in the order their versions were
@@ -678,7 +680,6 @@ fn handle_append(shared: &Arc<Shared>, dataset: &str, rows: &[Vec<String>], tena
                         // WAL is now fail-stop for this dataset (restart
                         // recovers to the last acknowledged state); every
                         // other dataset keeps serving.
-                        shared.counters.errors.fetch_add(1, Ordering::Relaxed);
                         return error_response(
                             ErrorKind::Internal,
                             format!("append could not be made durable: {e}"),
@@ -687,9 +688,9 @@ fn handle_append(shared: &Arc<Shared>, dataset: &str, rows: &[Vec<String>], tena
                 }
             }
             shared
-                .counters
-                .rows_appended
-                .fetch_add(summary.rows_appended as u64, Ordering::Relaxed);
+                .metrics
+                .counter("maimon_rows_appended_total", &[])
+                .add(summary.rows_appended as u64);
             ok_response(
                 "append",
                 [
@@ -702,13 +703,9 @@ fn handle_append(shared: &Arc<Shared>, dataset: &str, rows: &[Vec<String>], tena
         }
         Err(e @ maimon::MaimonError::Relation(_)) => {
             // Malformed rows (arity mismatch) are the client's fault.
-            shared.counters.errors.fetch_add(1, Ordering::Relaxed);
             error_response(ErrorKind::BadRequest, e.to_string())
         }
-        Err(e) => {
-            shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-            error_response(ErrorKind::Internal, e.to_string())
-        }
+        Err(e) => error_response(ErrorKind::Internal, e.to_string()),
     }
 }
 
@@ -721,23 +718,23 @@ fn handle_decompose(
     stages: &Arc<StageCollector>,
 ) -> Json {
     let Some(session) = request_session(shared, dataset, timeout_ms) else {
-        shared.counters.errors.fetch_add(1, Ordering::Relaxed);
         return error_response(ErrorKind::NotFound, format!("unknown dataset {dataset:?}"));
     };
     let session = session.with_stages(Arc::clone(stages));
-    let Some(_permit) = shared.admission.try_admit(tenant) else {
-        return error_response(
-            ErrorKind::Overloaded,
-            format!("tenant {tenant:?} is at its in-flight cap"),
-        );
+    let _permit = match shared.admit(tenant) {
+        Ok(permit) => permit,
+        Err(overloaded) => return overloaded,
     };
     match session.decompose_best_stamped(epsilon) {
         Ok((data_version, schema, instance)) => {
             let (_reduced, reducer) = instance.full_reduce();
-            let c = &shared.counters;
-            c.reducer_semijoins.fetch_add(reducer.semijoins as u64, Ordering::Relaxed);
-            c.reducer_bottom_up.fetch_add(reducer.bottom_up_removed as u64, Ordering::Relaxed);
-            c.reducer_top_down.fetch_add(reducer.top_down_removed as u64, Ordering::Relaxed);
+            for (name, n) in [
+                ("maimon_reducer_semijoins_total", reducer.semijoins),
+                ("maimon_reducer_bottom_up_removed_total", reducer.bottom_up_removed),
+                ("maimon_reducer_top_down_removed_total", reducer.top_down_removed),
+            ] {
+                shared.metrics.counter(name, &[]).add(n as u64);
+            }
             ok_response(
                 "decompose",
                 [
@@ -750,10 +747,7 @@ fn handle_decompose(
                 ],
             )
         }
-        Err(e) => {
-            shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-            error_response(ErrorKind::Internal, e.to_string())
-        }
+        Err(e) => error_response(ErrorKind::Internal, e.to_string()),
     }
 }
 
@@ -763,7 +757,7 @@ fn handle_list(shared: &Arc<Shared>) -> Json {
         .names()
         .into_iter()
         .filter_map(|name| {
-            let session = shared.registry.get(&name)?;
+            let session = shared.lookup(&name)?;
             Some(Json::object([
                 ("name", Json::from(name.as_str())),
                 ("rows", Json::from(session.n_rows())),
@@ -776,41 +770,75 @@ fn handle_list(shared: &Arc<Shared>) -> Json {
     ok_response("list", [("datasets", Json::Array(datasets))])
 }
 
-fn admission_stats_json(admission: &AdmissionController) -> Json {
-    let stats: AdmissionStats = admission.stats();
-    let tenants: Vec<Json> = admission
-        .tenant_stats()
-        .into_iter()
-        .map(|(tenant, t)| {
-            Json::object([
-                ("tenant", Json::from(tenant.as_str())),
-                ("admitted", Json::from(t.admitted)),
-                ("shed_tenant_cap", Json::from(t.shed_tenant_cap)),
-            ])
+/// Sums the counters named `name` in `snapshot` whose labels include every
+/// pair of `labels`.
+fn counter_total(snapshot: &[MetricSnapshot], name: &str, labels: &[(&str, &str)]) -> u64 {
+    snapshot
+        .iter()
+        .filter(|s| s.name == name && labels.iter().all(|&pair| label(s, pair.0) == Some(pair.1)))
+        .map(|s| match s.value {
+            MetricValue::Counter(v) => v,
+            _ => 0,
         })
-        .collect();
+        .sum()
+}
+
+fn label<'a>(snapshot: &'a MetricSnapshot, key: &str) -> Option<&'a str> {
+    snapshot.labels.iter().find(|(k, _)| *k == key).map(|(_, v)| v.as_str())
+}
+
+/// The `admission` object of `stats`: server-wide admissions and sheds, and
+/// per tenant (sorted by label) the admissions and tenant-cap sheds.
+fn admission_json(snapshot: &[MetricSnapshot]) -> Json {
+    let mut per_tenant: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+    for s in snapshot {
+        let (MetricValue::Counter(v), Some(tenant)) = (&s.value, label(s, "tenant")) else {
+            continue;
+        };
+        match s.name {
+            "maimon_requests_admitted_total" => per_tenant.entry(tenant).or_default().0 += v,
+            "maimon_requests_shed_total" => per_tenant.entry(tenant).or_default().1 += v,
+            _ => {}
+        }
+    }
+    let tenants = per_tenant.into_iter().map(|(tenant, (admitted, shed))| {
+        Json::object([
+            ("tenant", Json::from(tenant)),
+            ("admitted", Json::from(admitted)),
+            ("shed_tenant_cap", Json::from(shed)),
+        ])
+    });
+    let shed =
+        |reason| counter_total(snapshot, "maimon_requests_shed_total", &[("reason", reason)]);
     Json::object([
-        ("admitted", Json::from(stats.admitted)),
-        ("shed_tenant_cap", Json::from(stats.shed_tenant_cap)),
-        ("shed_queue_full", Json::from(stats.shed_queue_full)),
-        ("tenants", Json::Array(tenants)),
+        ("admitted", Json::from(counter_total(snapshot, "maimon_requests_admitted_total", &[]))),
+        ("shed_tenant_cap", Json::from(shed("tenant_cap"))),
+        ("shed_queue_full", Json::from(shed("queue_full"))),
+        ("tenants", Json::Array(tenants.collect())),
     ])
 }
 
+/// The `stats` operation: a JSON view over a snapshot of the server's
+/// registry, then the live state of each dataset's session. The snapshot is
+/// taken first, so the per-dataset lookups below count toward the next
+/// `stats`, not this one.
 fn handle_stats(shared: &Arc<Shared>) -> Json {
-    let registry_stats = shared.registry.stats();
-    let c = &shared.counters;
+    let snapshot = shared.metrics.snapshot();
+    let total = |name, labels: &[(&str, &str)]| Json::from(counter_total(&snapshot, name, labels));
+    let sum = |name| counter_total(&snapshot, name, &[]) as usize;
     let reducer = maimon::decompose::ReducerStats {
-        semijoins: c.reducer_semijoins.load(Ordering::Relaxed) as usize,
-        bottom_up_removed: c.reducer_bottom_up.load(Ordering::Relaxed) as usize,
-        top_down_removed: c.reducer_top_down.load(Ordering::Relaxed) as usize,
+        semijoins: sum("maimon_reducer_semijoins_total"),
+        bottom_up_removed: sum("maimon_reducer_bottom_up_removed_total"),
+        top_down_removed: sum("maimon_reducer_top_down_removed_total"),
     };
+    let requests = ["ping", "list", "stats", "metrics", "mine", "decompose", "append"]
+        .map(|op| (op, total("maimon_requests_total", &[("op", op)])));
     let datasets: Vec<Json> = shared
         .registry
         .names()
         .into_iter()
         .filter_map(|name| {
-            let session = shared.registry.get(&name)?;
+            let session = shared.lookup(&name)?;
             Some(Json::object([
                 ("name", Json::from(name.as_str())),
                 ("data_version", Json::from(session.data_version())),
@@ -832,26 +860,22 @@ fn handle_stats(shared: &Arc<Shared>) -> Json {
             (
                 "registry",
                 Json::object([
-                    ("datasets", Json::from(registry_stats.datasets)),
-                    ("session_hits", Json::from(registry_stats.session_hits)),
-                    ("session_misses", Json::from(registry_stats.session_misses)),
+                    ("datasets", Json::from(shared.registry.len())),
+                    ("session_hits", total("maimon_registry_lookups_total", &[("outcome", "hit")])),
+                    (
+                        "session_misses",
+                        total("maimon_registry_lookups_total", &[("outcome", "miss")]),
+                    ),
                 ]),
             ),
-            ("admission", admission_stats_json(&shared.admission)),
+            ("admission", admission_json(&snapshot)),
             (
                 "requests",
-                Json::object([
-                    ("ping", Json::from(c.ping.load(Ordering::Relaxed))),
-                    ("list", Json::from(c.list.load(Ordering::Relaxed))),
-                    ("stats", Json::from(c.stats.load(Ordering::Relaxed))),
-                    ("metrics", Json::from(c.metrics.load(Ordering::Relaxed))),
-                    ("mine", Json::from(c.mine.load(Ordering::Relaxed))),
-                    ("decompose", Json::from(c.decompose.load(Ordering::Relaxed))),
-                    ("append", Json::from(c.append.load(Ordering::Relaxed))),
-                    ("rows_appended", Json::from(c.rows_appended.load(Ordering::Relaxed))),
-                    ("truncated", Json::from(c.truncated.load(Ordering::Relaxed))),
-                    ("errors", Json::from(c.errors.load(Ordering::Relaxed))),
-                ]),
+                Json::object(requests.into_iter().chain([
+                    ("rows_appended", total("maimon_rows_appended_total", &[])),
+                    ("truncated", total("maimon_responses_truncated_total", &[])),
+                    ("errors", total("maimon_request_errors_total", &[])),
+                ])),
             ),
             ("reducer", reducer.to_json()),
             ("datasets", Json::Array(datasets)),

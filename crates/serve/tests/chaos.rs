@@ -86,7 +86,7 @@ fn panicking_request_returns_internal_envelope_and_server_survives() {
     assert_eq!(mined.get("ok").and_then(Json::as_bool), Some(true), "{mined}");
 
     // The panic is visible in the Prometheus exposition.
-    let scrape = obs::render_prometheus(obs::global());
+    let scrape = obs::render_prometheus(&handle.metrics());
     assert!(
         scrape.contains(r#"maimon_requests_panicked_total{op="mine"}"#),
         "missing panic counter in {scrape}"

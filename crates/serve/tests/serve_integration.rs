@@ -389,6 +389,165 @@ fn stats_counters_add_up() {
     handle.shutdown();
 }
 
+/// Sum of the `metrics` response's counters named `name` whose labels
+/// include every pair of `labels`.
+fn series_total(metrics: &Json, name: &str, labels: &[(&str, &str)]) -> i128 {
+    metrics
+        .get("metrics")
+        .and_then(Json::as_array)
+        .unwrap()
+        .iter()
+        .filter(|m| {
+            m.get("name").and_then(Json::as_str) == Some(name)
+                && labels.iter().all(|(k, v)| {
+                    m.get("labels").and_then(|l| l.get(k)).and_then(Json::as_str) == Some(v)
+                })
+        })
+        .map(|m| m.get("value").and_then(Json::as_i128).unwrap())
+        .sum()
+}
+
+/// Every number of a `stats` response equals the matching series of the
+/// same server's `metrics` response, taken just before it (so `stats`
+/// counts one more `stats` request: itself).
+fn assert_stats_view_metrics(stats: &Json, metrics: &Json) {
+    let stat = |path: &[&str]| {
+        let mut json = stats;
+        for key in path {
+            json = json.get(key).unwrap_or_else(|| panic!("no {path:?} in {stats}"));
+        }
+        json.as_i128().unwrap()
+    };
+    for op in ["ping", "list", "stats", "metrics", "mine", "decompose", "append"] {
+        let itself = i128::from(op == "stats");
+        let series = series_total(metrics, "maimon_requests_total", &[("op", op)]);
+        assert_eq!(stat(&["requests", op]), series + itself, "{op}: {stats}");
+    }
+    for (path, name, labels) in [
+        (["requests", "rows_appended"], "maimon_rows_appended_total", &[][..]),
+        (["requests", "truncated"], "maimon_responses_truncated_total", &[]),
+        (["requests", "errors"], "maimon_request_errors_total", &[]),
+        (["admission", "admitted"], "maimon_requests_admitted_total", &[]),
+        (
+            ["admission", "shed_tenant_cap"],
+            "maimon_requests_shed_total",
+            &[("reason", "tenant_cap")],
+        ),
+        (
+            ["admission", "shed_queue_full"],
+            "maimon_requests_shed_total",
+            &[("reason", "queue_full")],
+        ),
+        (["reducer", "semijoins"], "maimon_reducer_semijoins_total", &[]),
+        (["reducer", "bottom_up_removed"], "maimon_reducer_bottom_up_removed_total", &[]),
+        (["reducer", "top_down_removed"], "maimon_reducer_top_down_removed_total", &[]),
+        (["registry", "session_hits"], "maimon_registry_lookups_total", &[("outcome", "hit")]),
+        (["registry", "session_misses"], "maimon_registry_lookups_total", &[("outcome", "miss")]),
+    ] {
+        assert_eq!(stat(&path), series_total(metrics, name, labels), "{path:?}: {stats}");
+    }
+    let tenants = stats.get("admission").and_then(|a| a.get("tenants")).and_then(Json::as_array);
+    for entry in tenants.unwrap() {
+        let tenant = entry.get("tenant").and_then(Json::as_str).unwrap();
+        let field = |key: &str| entry.get(key).and_then(Json::as_i128).unwrap();
+        let admitted =
+            series_total(metrics, "maimon_requests_admitted_total", &[("tenant", tenant)]);
+        let shed = series_total(
+            metrics,
+            "maimon_requests_shed_total",
+            &[("reason", "tenant_cap"), ("tenant", tenant)],
+        );
+        assert_eq!((field("admitted"), field("shed_tenant_cap")), (admitted, shed), "{tenant}");
+    }
+}
+
+#[test]
+fn two_servers_keep_separate_registries_and_stats_is_a_view_over_metrics() {
+    let a = start_server(AdmissionConfig::default(), &[("running", running_example())]);
+    let shedding = AdmissionConfig { max_in_flight_per_tenant: 0, max_queue_depth: 64 };
+    let b = start_server(shedding, &[("running", running_example())]);
+
+    // Server A sees a little of everything.
+    let addr = a.local_addr();
+    assert_ok(&roundtrip(addr, r#"{"op":"ping"}"#), "ping");
+    assert_ok(&roundtrip(addr, r#"{"op":"list"}"#), "list");
+    let mine = r#"{"op":"mine","dataset":"running","epsilon":0.0,"tenant":"alice"}"#;
+    assert_ok(&roundtrip(addr, mine), "mine");
+    let expired =
+        r#"{"op":"mine","dataset":"running","epsilon":0.3,"timeout_ms":0,"tenant":"alice"}"#;
+    let expired = roundtrip(addr, expired);
+    assert_eq!(expired.get("truncated").and_then(Json::as_bool), Some(true), "{expired}");
+    let missing = roundtrip(addr, r#"{"op":"mine","dataset":"absent","epsilon":0.0}"#);
+    assert_eq!(missing.get("kind").and_then(Json::as_str), Some("not_found"));
+    let decompose = r#"{"op":"decompose","dataset":"running","epsilon":0.0}"#;
+    let decomposed = roundtrip(addr, decompose);
+    assert_ok(&decomposed, "decompose");
+    let reducer = ReducerStats::from_json(decomposed.get("reducer").unwrap()).unwrap();
+    let append = r#"{"op":"append","dataset":"running","rows":[["a1","b2","c1","d2","e2","f1"]],"tenant":"bob"}"#;
+    assert_ok(&roundtrip(addr, append), "append");
+    let garbage = roundtrip(addr, "not json");
+    assert_eq!(garbage.get("kind").and_then(Json::as_str), Some("bad_request"));
+
+    // Server B only sheds one mine.
+    let shed = r#"{"op":"mine","dataset":"running","epsilon":0.0,"tenant":"carol"}"#;
+    let shed = roundtrip(b.local_addr(), shed);
+    assert_eq!(shed.get("kind").and_then(Json::as_str), Some("overloaded"), "{shed}");
+
+    let view = |handle: &ServerHandle| {
+        let metrics = roundtrip(handle.local_addr(), r#"{"op":"metrics"}"#);
+        let stats = roundtrip(handle.local_addr(), r#"{"op":"stats"}"#);
+        assert_ok(&stats, "stats");
+        assert_stats_view_metrics(&stats, &metrics);
+        (stats, metrics)
+    };
+    let (stats_a, metrics_a) = view(&a);
+    let (stats_b, metrics_b) = view(&b);
+
+    let count = |stats: &Json, section: &str, key: &str| {
+        stats.get(section).and_then(|s| s.get(key)).and_then(Json::as_i128).unwrap()
+    };
+    let a_requests = [("ping", 1), ("list", 1), ("mine", 3), ("decompose", 1), ("append", 1)];
+    for (op, n) in a_requests {
+        assert_eq!(count(&stats_a, "requests", op), n, "A {op}: {stats_a}");
+        assert_eq!(count(&stats_b, "requests", op), i128::from(op == "mine"), "B {op}: {stats_b}");
+    }
+    for (section, key, in_a, in_b) in [
+        ("requests", "rows_appended", 1, 0),
+        ("requests", "truncated", 1, 0),
+        ("requests", "errors", 2, 0),
+        ("admission", "admitted", 4, 0),
+        ("admission", "shed_tenant_cap", 0, 1),
+        ("registry", "session_hits", 5, 1),
+        ("registry", "session_misses", 1, 0),
+    ] {
+        assert_eq!(count(&stats_a, section, key), in_a, "A {key}: {stats_a}");
+        assert_eq!(count(&stats_b, section, key), in_b, "B {key}: {stats_b}");
+    }
+    let reducer_of = |stats: &Json| ReducerStats::from_json(stats.get("reducer").unwrap()).unwrap();
+    assert_eq!(reducer_of(&stats_a), reducer);
+    assert_eq!(reducer_of(&stats_b), ReducerStats::default());
+
+    // Neither server's metrics carry the other's requests.
+    let (metrics_a, metrics_b) = (metrics_a.to_string(), metrics_b.to_string());
+    for tenant in ["alice", "bob"] {
+        assert!(!metrics_b.contains(&format!("\"tenant\":\"{tenant}\"")), "{metrics_b}");
+    }
+    assert!(!metrics_a.contains("\"tenant\":\"carol\""), "{metrics_a}");
+    let b_ops = ["ping", "list", "decompose", "append"].map(|op| {
+        series_total(&Json::parse(&metrics_b).unwrap(), "maimon_requests_total", &[("op", op)])
+    });
+    assert_eq!(b_ops, [0; 4], "{metrics_b}");
+    let b_latency = Json::parse(&metrics_b).unwrap();
+    let b_latency = b_latency.get("metrics").and_then(Json::as_array).unwrap().iter().filter(|m| {
+        m.get("name").and_then(Json::as_str) == Some("maimon_request_duration_ns")
+            && m.get("labels").and_then(|l| l.get("op")).and_then(Json::as_str) == Some("ping")
+    });
+    assert_eq!(b_latency.count(), 0, "A's ping latency leaked into B: {metrics_b}");
+
+    a.shutdown();
+    b.shutdown();
+}
+
 #[test]
 fn append_then_mine_matches_direct_library_and_never_serves_stale() {
     let handle = start_server(AdmissionConfig::default(), &[("running", running_example())]);
@@ -552,7 +711,7 @@ fn over_cap_line_without_newline_is_a_bad_request_and_the_server_keeps_serving()
     writeln!(stream, r#"{{"op":"ping"}}"#).unwrap();
     assert_ok(&read(), "ping");
 
-    let scrape = maimon::obs::render_prometheus(maimon::obs::global());
+    let scrape = maimon::obs::render_prometheus(&handle.metrics());
     assert!(scrape.contains("maimon_request_lines_too_long_total"), "missing counter in {scrape}");
     handle.shutdown();
 }

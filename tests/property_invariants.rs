@@ -9,6 +9,7 @@
 //! * Theorem 5.1 (J of a join tree is sandwiched by its support MVDs),
 //! * Lee's theorem direction: J(S) = 0 implies the join dependency holds
 //!   exactly (no spurious tuples), and J(S) > 0 implies it does not,
+//! * Lee's theorem: J(S) is the same over every join tree of S,
 //! * the join bound log₂|⋈ R[Ωᵢ]| ≥ H(Ω) + J(S), which ties the join counter
 //!   to the entropy oracle,
 //! * quality and decomposition depend only on the distinct tuples,
@@ -19,8 +20,8 @@ use maimon::relation::{
     acyclic_join_size, natural_join_all, AttrSet, JoinCounter, Relation, Schema,
 };
 use maimon::{
-    j_join_tree, j_mvd, measure_schemas, AcyclicSchema, MaimonConfig, MaimonSession, MiningLimits,
-    Mvd, EPSILON_TOLERANCE,
+    j_join_tree, j_mvd, measure_schemas, AcyclicSchema, JoinTree, MaimonConfig, MaimonSession,
+    MiningLimits, Mvd, EPSILON_TOLERANCE,
 };
 use proptest::prelude::*;
 
@@ -345,7 +346,42 @@ fn random_acyclic_schema(n: usize, choices: &[u32]) -> AcyclicSchema {
     AcyclicSchema::new(bags).unwrap()
 }
 
+/// Every join tree over `bags`: each spanning tree of the complete graph on
+/// the bags that [`JoinTree::new`] accepts (a tree with the running
+/// intersection property).
+fn every_join_tree(bags: &[AttrSet]) -> Vec<JoinTree> {
+    let k = bags.len();
+    let pairs: Vec<(usize, usize)> = (0..k).flat_map(|u| (u + 1..k).map(move |v| (u, v))).collect();
+    (0u32..1 << pairs.len())
+        .filter(|mask| mask.count_ones() as usize + 1 == k)
+        .filter_map(|mask| {
+            let edges = (0..pairs.len()).filter(|i| mask >> i & 1 == 1).map(|i| pairs[i]);
+            JoinTree::new(bags.to_vec(), edges.collect()).ok()
+        })
+        .collect()
+}
+
 proptest! {
+    #[test]
+    fn j_is_the_same_over_every_join_tree(
+        rel in relation_strategy(),
+        choices in proptest::collection::vec(any::<u32>(), 1..8),
+    ) {
+        // Lee: J(S) depends on the schema, not on the join tree chosen.
+        let schema = random_acyclic_schema(rel.arity(), &choices);
+        let trees = every_join_tree(schema.bags());
+        let oracle = PliEntropyOracle::with_defaults(&rel);
+        let reference = j_join_tree(&oracle, &schema.join_tree().expect("grown schemas are acyclic"));
+        prop_assert!(!trees.is_empty(), "{:?} has no join tree", schema.bags());
+        for tree in &trees {
+            let j = j_join_tree(&oracle, tree);
+            prop_assert!(
+                (j - reference).abs() <= EPSILON_TOLERANCE,
+                "{:?} over edges {:?}: J {} vs {}", schema.bags(), tree.edges(), j, reference
+            );
+        }
+    }
+
     #[test]
     fn join_size_bounds_entropy_plus_j(
         rel in relation_strategy(),

@@ -5,17 +5,20 @@
 //!
 //! Determinism: instead of racing a timer thread, the tests wrap the shared
 //! oracle in an adapter that fires the token after an exact number of
-//! entropy calls, so "mid-`get_full_mvds`" is reproducible on any machine.
+//! entropy calls, so "mid-`get_full_mvds`" is reproducible on any machine;
+//! the deadline test arms the `deadline_clock` failpoint instead of sleeping,
+//! so its deadline passes at an exact clock read.
 
 use maimon::entropy::{EntropyOracle, OracleStats, PliEntropyOracle};
 use maimon::relation::{AttrSet, Relation};
+use maimon::storage::fault;
 use maimon::{
     get_full_mvds, mine_mvds_with, mvd_holds, CancelToken, MaimonConfig, MaimonSession,
-    MiningLimits, MvdMiningResult, ProgressEvent, ProgressSink, RunControl, StageBreakdown,
+    MiningLimits, MvdMiningResult, RunControl, StageBreakdown,
 };
 use maimon_datasets::dataset_by_name;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Delegating oracle that fires a [`CancelToken`] after exactly
@@ -160,6 +163,7 @@ fn cancel_mid_mine_mvds_returns_truncated_partial_result() {
 
 #[test]
 fn session_deadline_in_the_past_truncates_instead_of_erroring() {
+    let _serial = deadline_lock();
     let rel = bridges();
     let session =
         MaimonSession::new(&rel, deterministic_config(0.1)).unwrap().with_deadline(Instant::now());
@@ -185,21 +189,13 @@ fn session_cancel_token_is_shared_across_stages() {
     assert!(!session.mvds(0.1).unwrap().stats.truncated);
 }
 
-/// Sleeps past `deadline` when the first pair has been mined.
-struct SleepPastDeadline {
-    deadline: Instant,
-    slept: AtomicU64,
-}
-
-impl ProgressSink for SleepPastDeadline {
-    fn report(&self, event: ProgressEvent) {
-        if let ProgressEvent::PairMined { .. } = event {
-            if self.slept.fetch_add(1, Ordering::Relaxed) == 0 {
-                let left = self.deadline.saturating_duration_since(Instant::now());
-                std::thread::sleep(left + Duration::from_millis(5));
-            }
-        }
-    }
+/// Serializes the tests that set a deadline: the `deadline_clock`
+/// failpoint counts every deadline clock read in the process, so another
+/// test's reads would shift the poll at which an armed run is cut.
+fn deadline_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // A panicking test must not wedge the rest of the suite.
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// The mining result with its run-dependent fields (wall time, cumulative
@@ -214,17 +210,19 @@ fn comparable(result: &MvdMiningResult) -> MvdMiningResult {
 
 #[test]
 fn a_deadline_inside_a_separator_probe_leaves_no_trace() {
+    let _serial = deadline_lock();
     let rel = bridges();
     let config = deterministic_config(0.1);
     let session = MaimonSession::new(&rel, config).unwrap();
-    // The deadline clock is read only every 64th poll, so once the sink has
-    // slept past it, it fires at a fixed poll inside the second pair's
-    // minimal-separator probes (given the first pair mines within the 2 s
-    // margin, as it does by far on any machine that runs this suite).
-    let deadline = Instant::now() + Duration::from_secs(2);
-    let sink = Arc::new(SleepPastDeadline { deadline, slept: AtomicU64::new(0) });
-    let hurried = session.clone().with_deadline(deadline).with_progress(sink);
+    // The deadline clock is read only every 64th poll; past its first
+    // CUT_AT_CLOCK_READ reads, the failpoint reports the (far-off) deadline
+    // as passed. On one thread that is a fixed poll inside the second
+    // pair's minimal-separator probes (11 of its 34 separators found).
+    const CUT_AT_CLOCK_READ: u64 = 35;
+    let hurried = session.clone().with_deadline(Instant::now() + Duration::from_secs(3600));
+    fault::global().arm("deadline_clock", CUT_AT_CLOCK_READ, u64::MAX);
     let cut = hurried.mvds(0.1).unwrap();
+    fault::global().disarm("deadline_clock");
     assert!(cut.stats.truncated, "the deadline must surface as truncation");
     assert!(cut.stats.pairs_processed < rel.arity() * (rel.arity() - 1) / 2);
 

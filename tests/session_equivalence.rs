@@ -7,7 +7,9 @@
 //! **bit-identical** — while the PLI oracle is constructed exactly once per
 //! sweep instead of once per threshold. Every quality metric must also equal
 //! a fresh per-schema `evaluate_schema`, although the session measures a
-//! whole pass through one shared label memo.
+//! whole pass through one shared label memo. Every mined schema also obeys
+//! the join bound log₂|⋈ R[Ωᵢ]| ≥ H(Ω) + J(S), which ties the join counter
+//! to the entropy oracle.
 //!
 //! Thread counts ride the `MAIMON_THREADS` CI matrix: the suite runs with
 //! `threads: None` (resolved from the environment) like the rest of the
@@ -16,10 +18,10 @@
 //! exactly.
 
 use maimon::entropy::{EntropyOracle, PliEntropyOracle};
-use maimon::relation::Relation;
+use maimon::relation::{JoinCounter, Relation};
 use maimon::{
     evaluate_schema, mine_mvds, mine_schemas, MaimonConfig, MaimonResult, MaimonSession,
-    MiningLimits,
+    MiningLimits, EPSILON_TOLERANCE,
 };
 use maimon_datasets::{metanome_catalog, running_example, running_example_with_red_tuple};
 use std::sync::Arc;
@@ -91,6 +93,10 @@ fn assert_sweep_equivalent(
     // deterministic, so truncated sweeps must still match bit-for-bit; the
     // small reference relations additionally assert no truncation at all.
     let sweep = session.epsilon_sweep(thresholds.iter().copied()).unwrap();
+    // H(Ω) from an oracle of its own: (c) below pins `one_oracle`'s counters.
+    let h = PliEntropyOracle::new(rel, config.entropy).entropy(rel.schema().all_attrs());
+    let tuples = session.tuples();
+    let mut joins = JoinCounter::new(&tuples);
     if require_untruncated {
         assert!(
             sweep.iter().all(|p| !p.result.truncated),
@@ -113,6 +119,17 @@ fn assert_sweep_equivalent(
                 ranked.quality,
                 evaluate_schema(rel, &ranked.discovered.schema).unwrap(),
                 "{label} (ε = {}): shared-counter quality of {:?}",
+                point.epsilon,
+                ranked.discovered.schema.bags()
+            );
+            // The product of the bag marginals along a join tree is
+            // supported on ⋈ R[Ωᵢ] and has entropy H(Ω) + J(S).
+            let tree = ranked.discovered.schema.join_tree().unwrap();
+            let join = joins.join_size(&tree.to_spec()).unwrap();
+            let j = ranked.discovered.j.unwrap();
+            assert!(
+                (join as f64).log2() >= h + j - EPSILON_TOLERANCE,
+                "{label} (ε = {}): {:?} joins to {join} tuples, but H {h} + J {j}",
                 point.epsilon,
                 ranked.discovered.schema.bags()
             );
