@@ -1,9 +1,10 @@
 //! Ingest throughput: the streaming paged CSV ingester vs the in-memory
-//! batch parser, over the same planted synthetic CSV bytes. The streaming
-//! leg dictionary-encodes incrementally into fixed-size code pages (spilled
-//! behind an LRU cache) and never holds the whole file; the in-memory leg is
-//! the classic parse-then-encode path producing a fully resident `Relation`.
-//! Both parse identical bytes, so the delta is the storage backend's cost.
+//! loader, over the same planted synthetic CSV bytes. Both legs run the one
+//! CSV reader (`relation::CsvReader`) and intern through the same
+//! dictionaries; they differ only in the sink. The streaming leg writes
+//! codes into fixed-size pages (spilled behind an LRU cache) and never
+//! holds the whole file; the in-memory leg appends them to a fully
+//! resident `Relation`. So the delta is the storage backend's cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use maimon::relation::{relation_from_csv, CsvOptions};

@@ -176,31 +176,12 @@ impl Pli {
         Pli { ids, offsets, sizes, weights, n_rows, covered }
     }
 
-    /// Delta-maintains this partition of the rows across an append: given
-    /// that `new` is `old` plus a batch of appended rows (and `self` is the
-    /// partition of `attrs` over `old`), builds the partition of `attrs`
-    /// over `new` without regrouping the old rows; see `Pli::grown`.
-    ///
-    /// Returns `None` when the cardinality product of `attrs` on `new`
-    /// overflows the `u64` fold ([`Relation::key_fold`]); callers then
-    /// rebuild from scratch with [`Pli::from_attrs`]. The result is
-    /// **bit-identical** to `Pli::from_attrs(new, attrs)`.
-    ///
-    /// # Panics
-    /// Panics if `self` is not a partition over `old` (row-count mismatch)
-    /// or `new` has fewer rows than `old`.
-    pub fn extended(&self, old: &Relation, new: &Relation, attrs: AttrSet) -> Option<Pli> {
-        assert_eq!(self.n_rows, old.n_rows(), "partition must belong to the pre-append relation");
-        assert!(new.n_rows() >= old.n_rows(), "extended() only handles appends");
-        self.grown(attrs, old, new, unit_weights(new.n_rows()), new.n_rows(), &[])
-    }
-
-    /// The delta path shared by row and tuple partitions. The elements are
-    /// the rows of `new`, which is `old` plus appended rows (for tuple
-    /// partitions, the tuple relations before and after an append);
-    /// `weights` are the grown element weights (old elements keep their
-    /// ids, new ones follow), and `repeated` lists, in ascending order, the
-    /// old elements whose weight rose.
+    /// Delta-maintains this partition across an append, bit-identical to a
+    /// from-scratch build. The elements are the rows of `new`, which is
+    /// `old` plus appended rows (the tuple relations before and after an
+    /// append); `weights` are the grown element weights (old elements keep
+    /// their ids, new ones follow), and `repeated` lists, in ascending
+    /// order, the old elements whose weight rose.
     ///
     /// New elements are scattered into the existing clusters they extend,
     /// promote an old stripped element into a fresh cluster when they match
@@ -945,57 +926,6 @@ mod tests {
         let rel = sample();
         let a = Pli::from_column(&rel, 0).unwrap();
         assert_eq!(a.size(), 4);
-    }
-
-    #[test]
-    fn extended_matches_from_scratch_on_every_attr_subset() {
-        // The batch exercises every delta case at once: rows extending an
-        // existing cluster ("a2"/"a3"), an old singleton promoted into a new
-        // cluster (row t0's "a1"/"b2"/"c3" values recur), brand-new values
-        // opening batch-only clusters ("a9"), and batch-only duplicates.
-        let old = sample();
-        let batch: Vec<Vec<&str>> = vec![
-            vec!["a2", "b2", "c2"],
-            vec!["a1", "b2", "c3"],
-            vec!["a9", "b9", "c9"],
-            vec!["a9", "b9", "c9"],
-            vec!["a3", "b1", "c4"],
-        ];
-        let mut new = old.clone();
-        new.append_rows(&batch).unwrap();
-        for bits in 1u32..8 {
-            let attrs: AttrSet = (0..3usize).filter(|c| bits & (1 << c) != 0).collect();
-            let before = Pli::from_attrs(&old, attrs).unwrap();
-            let delta = before.extended(&old, &new, attrs).expect("tiny cardinalities fold");
-            let scratch_build = Pli::from_attrs(&new, attrs).unwrap();
-            assert_eq!(delta, scratch_build, "attrs {attrs:?}");
-            assert_eq!(delta.entropy().to_bits(), scratch_build.entropy().to_bits());
-        }
-    }
-
-    #[test]
-    fn extended_empty_batch_is_identity() {
-        let rel = sample();
-        let p = Pli::from_column(&rel, 0).unwrap();
-        let same = p.extended(&rel, &rel, AttrSet::singleton(0)).unwrap();
-        assert_eq!(same, p);
-    }
-
-    #[test]
-    fn extended_none_on_fold_overflow() {
-        // 12 columns of cardinality 64 overflow the u64 fold (see the
-        // fallback test above); the delta path must decline, not mis-key.
-        let cols = 12usize;
-        let schema = Schema::with_arity(cols).unwrap();
-        let columns: Vec<Vec<u32>> = (0..cols)
-            .map(|c| (0..128u32).map(|r| (r * 7 + c as u32 * 13) % 64).collect())
-            .collect();
-        let rel = Relation::from_code_columns(schema, columns).unwrap();
-        let full = AttrSet::full(cols);
-        let p = Pli::from_attrs(&rel, full).unwrap();
-        let mut grown = rel.clone();
-        grown.append_rows(&[rel.row(0)]).unwrap();
-        assert!(p.extended(&rel, &grown, full).is_none());
     }
 
     #[test]

@@ -202,7 +202,7 @@ impl PliEntropyOracle {
     /// old tuples are never renumbered. Every cached partition — the
     /// single-attribute partitions and every composite in the partition
     /// cache — is then carried across the append by the delta path
-    /// (the tuple counterpart of [`Pli::extended`], counted as a
+    /// (`Pli::grown` over the tuple relations, counted as a
     /// `delta_refresh`), falling back to a from-scratch regroup of the
     /// tuples only when the grown relation's cardinality product overflows
     /// the `u64` fold (`full_rebuild`). Cached *entropies* are re-derived

@@ -1,14 +1,24 @@
-//! Minimal CSV reader/writer for loading profiling datasets.
+//! The CSV reader and writer for loading profiling datasets.
 //!
 //! The Metanome benchmark files the paper uses are plain comma- or
 //! semicolon-separated text with optional double-quoted fields. We implement
 //! just enough of RFC 4180 to round-trip such files without pulling in an
-//! external dependency: quoted fields, embedded separators, doubled quotes,
-//! and both `\n` and `\r\n` line endings.
+//! external dependency: quoted fields, embedded separators and newlines,
+//! doubled quotes, `\n` and `\r\n` line endings (a lone `\r` is dropped),
+//! blank-line skipping and a last record without a final newline.
+//!
+//! There is one reader, [`CsvReader`]. It is push-style: it takes the input
+//! as byte slices of any size and hands each completed record to a
+//! callback, so [`relation_from_csv`] feeds it the whole text and the paged
+//! ingester in `maimon-storage` feeds it each buffered chunk of a stream.
+//! The reader also fixes the schema from the first record, checks every
+//! record's arity against it, and reports every error in input order with
+//! the 1-based line and 0-based byte offset where the problem starts.
 
 use crate::error::RelationError;
 use crate::relation::{Relation, RelationBuilder};
 use crate::schema::Schema;
+use std::borrow::Cow;
 
 /// Options controlling CSV parsing.
 #[derive(Clone, Copy, Debug)]
@@ -29,146 +39,221 @@ impl Default for CsvOptions {
     }
 }
 
-/// One parsed record plus the source position it started at, so arity errors
-/// downstream can point at the offending line and byte.
-struct RawRecord {
-    fields: Vec<String>,
-    /// 1-based line the record starts on.
-    line: usize,
-    /// 0-based byte offset of the record's first character.
-    offset: usize,
+/// Where the reader stands relative to double quotes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Quoting {
+    /// Outside any quoted field.
+    Off,
+    /// Inside a quoted field.
+    On,
+    /// Just read a quote inside a quoted field; the next byte tells a
+    /// doubled quote from the closing one.
+    Closing,
 }
 
-/// Splits CSV text into records of fields, each stamped with its start
-/// position (line + byte offset).
-fn parse_records(text: &str, delimiter: char) -> Result<Vec<RawRecord>, RelationError> {
-    let mut records = Vec::new();
-    let mut field = String::new();
-    let mut record: Vec<String> = Vec::new();
-    let mut in_quotes = false;
-    // Position of the quote that opened the current quoted field, for the
-    // unterminated-quote diagnostic.
-    let mut quote_open = (1usize, 0usize);
-    // A record consisting of one empty unquoted field is a blank line and is
-    // skipped; a quoted empty field (`""`) is a real single-field record.
-    let mut saw_quote = false;
-    let mut line = 1usize;
-    // Byte offset of the *next* character to be consumed.
-    let mut pos = 0usize;
-    // Start position of the record currently being assembled.
-    let mut record_line = 1usize;
-    let mut record_offset = 0usize;
-    let mut chars = text.chars().peekable();
+/// One record's fields, borrowed from the [`CsvReader`] that parsed it.
+pub struct CsvRecord<'a> {
+    bytes: &'a [u8],
+    /// End of each field in `bytes`; a field starts where the one before ends.
+    ends: &'a [usize],
+}
 
-    while let Some(c) = chars.next() {
-        let at = pos;
-        pos += c.len_utf8();
-        if in_quotes {
-            match c {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        pos += 1;
-                        field.push('"');
+impl<'a> CsvRecord<'a> {
+    /// The fields in order. Invalid UTF-8 is replaced, as by
+    /// [`String::from_utf8_lossy`]; text that came from a `&str` is never
+    /// altered.
+    pub fn fields(&self) -> impl ExactSizeIterator<Item = Cow<'a, str>> {
+        let (bytes, ends) = (self.bytes, self.ends);
+        (0..ends.len()).map(move |i| {
+            let start = if i == 0 { 0 } else { ends[i - 1] };
+            String::from_utf8_lossy(&bytes[start..ends[i]])
+        })
+    }
+}
+
+fn csv_error((line, offset): (usize, usize), message: String) -> RelationError {
+    RelationError::Csv { line, offset, message }
+}
+
+/// The byte-level, push-style CSV record reader behind both loaders.
+///
+/// Feed it the input in order with [`CsvReader::feed`], as many slices as
+/// convenient (a record may span slices), then call [`CsvReader::finish`].
+/// The first record fixes the schema: with a header it names the
+/// attributes, without one the attributes are `col0`, `col1`, … and the
+/// record is data. Every data record is checked against the schema's arity
+/// and handed to the callback with the schema; the callback never sees the
+/// header.
+pub struct CsvReader {
+    delimiter: u8,
+    has_header: bool,
+    quoting: Quoting,
+    /// The current record's field bytes, concatenated.
+    bytes: Vec<u8>,
+    /// End of each finished field of the current record in `bytes`.
+    ends: Vec<usize>,
+    /// The current record has a quoted field, so it is not a blank line
+    /// even when it is empty.
+    saw_quote: bool,
+    /// 1-based line and 0-based byte offset of the next byte.
+    line: usize,
+    offset: usize,
+    /// Where the current record starts.
+    record_at: (usize, usize),
+    /// Where the open quoted field's quote is.
+    quote_at: (usize, usize),
+    schema: Option<Schema>,
+}
+
+impl CsvReader {
+    /// A reader splitting fields on `delimiter`.
+    ///
+    /// # Errors
+    /// Returns [`RelationError::Csv`] if `delimiter` is not ASCII.
+    pub fn new(delimiter: char, has_header: bool) -> Result<Self, RelationError> {
+        if !delimiter.is_ascii() {
+            return Err(csv_error((1, 0), format!("delimiter {:?} is not ASCII", delimiter)));
+        }
+        Ok(CsvReader {
+            delimiter: delimiter as u8,
+            has_header,
+            quoting: Quoting::Off,
+            bytes: Vec::new(),
+            ends: Vec::new(),
+            saw_quote: false,
+            line: 1,
+            offset: 0,
+            record_at: (1, 0),
+            quote_at: (1, 0),
+            schema: None,
+        })
+    }
+
+    /// Parses the next slice of input, handing each data record it
+    /// completes to `on_record`.
+    ///
+    /// # Errors
+    /// Returns the first error in input order: a quote in the middle of an
+    /// unquoted field, a record whose arity differs from the schema's (at
+    /// the record's start), an invalid header, or an error of `on_record`.
+    pub fn feed<E: From<RelationError>>(
+        &mut self,
+        input: &[u8],
+        on_record: &mut impl FnMut(&Schema, &CsvRecord<'_>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        for &b in input {
+            let at = self.offset;
+            self.offset += 1;
+            match self.quoting {
+                Quoting::On => {
+                    if b == b'"' {
+                        self.quoting = Quoting::Closing;
                     } else {
-                        in_quotes = false;
+                        self.line += usize::from(b == b'\n');
+                        self.bytes.push(b);
                     }
+                    continue;
                 }
-                '\n' => {
-                    line += 1;
-                    field.push(c);
+                Quoting::Closing if b == b'"' => {
+                    self.bytes.push(b'"');
+                    self.quoting = Quoting::On;
+                    continue;
                 }
-                _ => field.push(c),
+                // The quote closed the field; `b` is read unquoted.
+                Quoting::Closing => self.quoting = Quoting::Off,
+                Quoting::Off => {}
             }
-        } else {
-            match c {
-                '"' => {
-                    if !field.is_empty() {
-                        return Err(RelationError::Csv {
-                            line,
-                            offset: at,
-                            message: "quote in the middle of an unquoted field".into(),
-                        });
+            match b {
+                b'"' => {
+                    if self.bytes.len() != self.ends.last().map_or(0, |&end| end) {
+                        let message = "quote in the middle of an unquoted field".to_string();
+                        return Err(csv_error((self.line, at), message).into());
                     }
-                    in_quotes = true;
-                    quote_open = (line, at);
-                    saw_quote = true;
+                    self.quoting = Quoting::On;
+                    self.quote_at = (self.line, at);
+                    self.saw_quote = true;
                 }
-                '\r' => {
-                    // Swallow the CR of a CRLF pair; a lone CR is ignored too
-                    // (the writer quotes any field containing a CR).
-                }
-                '\n' => {
-                    record.push(std::mem::take(&mut field));
-                    let blank = record.len() == 1 && record[0].is_empty() && !saw_quote;
-                    if blank {
-                        record.clear();
-                    } else {
-                        records.push(RawRecord {
-                            fields: std::mem::take(&mut record),
-                            line: record_line,
-                            offset: record_offset,
-                        });
+                // The CR of a CRLF pair; a lone CR is dropped too (the
+                // writer quotes any field containing one).
+                b'\r' => {}
+                b'\n' => {
+                    let blank = self.bytes.is_empty() && self.ends.is_empty() && !self.saw_quote;
+                    if !blank {
+                        self.end_record(on_record)?;
                     }
-                    saw_quote = false;
-                    line += 1;
-                    record_line = line;
-                    record_offset = pos;
+                    self.line += 1;
+                    self.record_at = (self.line, self.offset);
                 }
-                c if c == delimiter => {
-                    record.push(std::mem::take(&mut field));
-                }
-                _ => field.push(c),
+                b if b == self.delimiter => self.ends.push(self.bytes.len()),
+                _ => self.bytes.push(b),
             }
         }
+        Ok(())
     }
-    if in_quotes {
-        return Err(RelationError::Csv {
-            line: quote_open.0,
-            offset: quote_open.1,
-            message: "unterminated quoted field".into(),
-        });
+
+    /// Ends the input: completes a last record that has no final newline
+    /// and returns the schema.
+    ///
+    /// # Errors
+    /// Returns the errors of [`CsvReader::feed`], an unterminated quoted
+    /// field (at its opening quote), or `no records in input`.
+    pub fn finish<E: From<RelationError>>(
+        mut self,
+        on_record: &mut impl FnMut(&Schema, &CsvRecord<'_>) -> Result<(), E>,
+    ) -> Result<Schema, E> {
+        if self.quoting == Quoting::On {
+            return Err(csv_error(self.quote_at, "unterminated quoted field".into()).into());
+        }
+        if !self.bytes.is_empty() || !self.ends.is_empty() || self.saw_quote {
+            self.end_record(on_record)?;
+        }
+        self.schema.ok_or_else(|| csv_error((1, 0), "no records in input".into()).into())
     }
-    if !field.is_empty() || !record.is_empty() || saw_quote {
-        record.push(field);
-        records.push(RawRecord { fields: record, line: record_line, offset: record_offset });
+
+    fn end_record<E: From<RelationError>>(
+        &mut self,
+        on_record: &mut impl FnMut(&Schema, &CsvRecord<'_>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.ends.push(self.bytes.len());
+        let record = CsvRecord { bytes: &self.bytes, ends: &self.ends };
+        let arity = record.ends.len();
+        let result = match &self.schema {
+            Some(schema) if schema.arity() != arity => {
+                let message = format!("record has {} fields, expected {}", arity, schema.arity());
+                Err(csv_error(self.record_at, message).into())
+            }
+            Some(schema) => on_record(schema, &record),
+            None if self.has_header => Schema::new(record.fields())
+                .map(|schema| self.schema = Some(schema))
+                .map_err(E::from),
+            None => Schema::new((0..arity).map(|i| format!("col{}", i)))
+                .map_err(E::from)
+                .and_then(|schema| on_record(self.schema.insert(schema), &record)),
+        };
+        self.bytes.clear();
+        self.ends.clear();
+        self.saw_quote = false;
+        result
     }
-    Ok(records)
 }
 
 /// Parses CSV text into a [`Relation`].
 ///
 /// # Errors
-/// Returns an error on malformed quoting, inconsistent record arity, or an
-/// empty input.
+/// Returns the first error in input order: malformed quoting, inconsistent
+/// record arity, an invalid header, an empty input, or a non-ASCII
+/// delimiter.
 pub fn relation_from_csv(text: &str, options: CsvOptions) -> Result<Relation, RelationError> {
-    let records = parse_records(text, options.delimiter)?;
-    if records.is_empty() {
-        return Err(RelationError::Csv {
-            line: 1,
-            offset: 0,
-            message: "no records in input".into(),
-        });
-    }
-    let (header, data_start) = if options.has_header {
-        (records[0].fields.clone(), 1)
-    } else {
-        ((0..records[0].fields.len()).map(|i| format!("col{}", i)).collect(), 0)
+    let mut builder: Option<RelationBuilder> = None;
+    let mut push = |schema: &Schema, record: &CsvRecord<'_>| {
+        builder
+            .get_or_insert_with(|| RelationBuilder::new(schema.clone()))
+            .push_fields(record.fields())
     };
-    let schema = Schema::new(header)?;
-    let mut builder = RelationBuilder::new(schema);
-    for record in records.iter().skip(data_start) {
-        let arity = builder.schema().arity();
-        if record.fields.len() != arity {
-            return Err(RelationError::Csv {
-                line: record.line,
-                offset: record.offset,
-                message: format!("record has {} fields, expected {}", record.fields.len(), arity),
-            });
-        }
-        builder.push_row(record.fields.iter().map(|s| s.as_str()))?;
-    }
-    let rel = builder.finish();
+    let mut reader = CsvReader::new(options.delimiter, options.has_header)?;
+    reader.feed(text.as_bytes(), &mut push)?;
+    let schema = reader.finish(&mut push)?;
+    let rel = builder.map_or_else(|| Relation::empty(schema), RelationBuilder::finish);
     let rel = if options.dedup { rel.distinct() } else { rel };
     // One-shot ingestion telemetry; parsing itself stays uninstrumented.
     let registry = obs::global();

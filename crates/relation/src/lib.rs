@@ -14,8 +14,9 @@
 //!   Yannakakis-style count propagation over a join tree, used to measure the
 //!   paper's spurious-tuple metric `E` without materializing the (possibly
 //!   huge) re-join; one counter shares projection labels across a pass.
-//! * [`relation_from_csv`] — a small RFC-4180-ish CSV reader for loading
-//!   profiling datasets.
+//! * [`relation_from_csv`] — a small RFC-4180-ish CSV loader for profiling
+//!   datasets, built on [`CsvReader`], the push-style record reader the
+//!   paged ingester shares.
 //! * Random relation generators used by tests, benchmarks and the synthetic
 //!   Metanome-shaped datasets.
 
@@ -35,11 +36,13 @@ pub use acyclic_join::{
     LABEL_MEMO_BUDGET_BYTES,
 };
 pub use attrset::{AttrIter, AttrSet, SubsetIter};
-pub use csv::{relation_from_csv, relation_to_csv, CsvOptions};
+pub use csv::{relation_from_csv, relation_to_csv, CsvOptions, CsvReader, CsvRecord};
 pub use error::RelationError;
 pub use generator::{
     cartesian_product_relation, random_fd_chain_relation, random_uniform_relation,
 };
 pub use join::{natural_join, natural_join_all};
-pub use relation::{AppendSummary, FoldKeyHasher, FoldKeyMap, KeyFold, Relation, RelationBuilder};
+pub use relation::{
+    AppendSummary, Dictionary, FoldKeyHasher, FoldKeyMap, KeyFold, Relation, RelationBuilder,
+};
 pub use schema::Schema;

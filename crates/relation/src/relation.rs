@@ -12,43 +12,72 @@ use crate::schema::Schema;
 use std::collections::HashMap;
 use std::fmt;
 
+/// A column's dictionary: its distinct values in first-seen order (a
+/// value's code is its position) plus a hash index from value to code, so
+/// interning is O(1) amortized. Every path that turns text into codes
+/// interns through it: row appends, both CSV loaders and the paged ingester.
+#[derive(Clone, Debug, Default)]
+pub struct Dictionary {
+    values: Vec<String>,
+    index: HashMap<String, u32>,
+}
+
+impl Dictionary {
+    /// Indexes distinct values; `None` if a value repeats.
+    fn from_values(values: Vec<String>) -> Option<Self> {
+        let index: HashMap<String, u32> =
+            values.iter().enumerate().map(|(i, v)| (v.clone(), i as u32)).collect();
+        (index.len() == values.len()).then_some(Dictionary { values, index })
+    }
+
+    /// Returns the code of `value`, appending it if it is unseen.
+    pub fn intern(&mut self, value: &str) -> u32 {
+        if let Some(&code) = self.index.get(value) {
+            return code;
+        }
+        let code = self.values.len() as u32;
+        self.values.push(value.to_string());
+        self.index.insert(value.to_string(), code);
+        code
+    }
+
+    /// Gives up the index and returns the values, indexed by code.
+    pub fn into_values(self) -> Vec<String> {
+        self.values
+    }
+}
+
 /// A single dictionary-encoded column.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Column {
-    /// Distinct values; `codes[r]` indexes into this.
-    pub(crate) dict: Vec<String>,
-    /// Hash index over `dict` (value → code), kept in sync with `dict` so
-    /// appends intern in O(1) amortized instead of scanning the dictionary.
-    pub(crate) index: HashMap<String, u32>,
+    pub(crate) dict: Dictionary,
     /// Per-row dictionary codes.
     pub(crate) codes: Vec<u32>,
 }
 
 impl Column {
-    fn distinct_count(&self) -> usize {
-        self.dict.len()
-    }
-
-    /// Builds a column from a dictionary of distinct values and its codes,
-    /// deriving the hash index.
+    /// Builds a column from a dictionary of distinct values and its codes.
     fn with_dict(dict: Vec<String>, codes: Vec<u32>) -> Self {
-        let index = dict.iter().enumerate().map(|(i, v)| (v.clone(), i as u32)).collect();
-        Column { dict, index, codes }
+        let dict = Dictionary::from_values(dict).expect("dictionary values are distinct");
+        Column { dict, codes }
     }
+}
 
-    /// Returns the code for `value`, extending the dictionary (and its hash
-    /// index) if the value is unseen.
-    fn intern(&mut self, value: &str) -> u32 {
-        match self.index.get(value) {
-            Some(&code) => code,
-            None => {
-                let code = self.dict.len() as u32;
-                self.dict.push(value.to_string());
-                self.index.insert(value.to_string(), code);
-                code
-            }
-        }
+/// Interns one row into `columns`, checking its arity first so a bad row
+/// changes nothing. [`Relation::push_row`], [`RelationBuilder::push_row`]
+/// and the CSV loader all append through it.
+fn push_values<S: AsRef<str>>(
+    columns: &mut [Column],
+    values: impl ExactSizeIterator<Item = S>,
+) -> Result<(), RelationError> {
+    if values.len() != columns.len() {
+        return Err(RelationError::ArityMismatch { expected: columns.len(), got: values.len() });
     }
+    for (column, v) in columns.iter_mut().zip(values) {
+        let code = column.dict.intern(v.as_ref());
+        column.codes.push(code);
+    }
+    Ok(())
 }
 
 /// An in-memory relation instance `R` over a [`Schema`].
@@ -176,14 +205,13 @@ impl Relation {
                     dict.len()
                 )));
             }
-            let column = Column::with_dict(dict, col);
-            if column.index.len() != column.dict.len() {
+            let Some(dict) = Dictionary::from_values(dict) else {
                 return Err(RelationError::InvalidEncoding(format!(
                     "column {} dictionary contains duplicate values",
                     c
                 )));
-            }
-            columns.push(column);
+            };
+            columns.push(Column { dict, codes: col });
         }
         Ok(Relation { schema, columns, n_rows, data_version })
     }
@@ -237,7 +265,7 @@ impl Relation {
     #[inline]
     pub fn value(&self, r: usize, c: usize) -> &str {
         let col = &self.columns[c];
-        &col.dict[col.codes[r] as usize]
+        &col.dict.values[col.codes[r] as usize]
     }
 
     /// The dictionary code at row `r`, column `c`.
@@ -255,14 +283,14 @@ impl Relation {
     /// Number of distinct values in column `c`.
     #[inline]
     pub fn column_cardinality(&self, c: usize) -> usize {
-        self.columns[c].distinct_count()
+        self.columns[c].dict.values.len()
     }
 
     /// The dictionary of column `c`: its distinct values, indexed by code
     /// (i.e. `column_values(c)[code(r, c)] == value(r, c)`).
     #[inline]
     pub fn column_values(&self, c: usize) -> &[String] {
-        &self.columns[c].dict
+        &self.columns[c].dict.values
     }
 
     /// Materializes row `r` as strings.
@@ -387,7 +415,7 @@ impl Relation {
             for &r in rows {
                 let old = col.codes[r];
                 let code = *remap.entry(old).or_insert_with(|| {
-                    dict.push(col.dict[old as usize].clone());
+                    dict.push(col.dict.values[old as usize].clone());
                     (dict.len() - 1) as u32
                 });
                 codes.push(code);
@@ -449,13 +477,7 @@ impl Relation {
         row: I,
     ) -> Result<(), RelationError> {
         let values: Vec<S> = row.into_iter().collect();
-        if values.len() != self.arity() {
-            return Err(RelationError::ArityMismatch { expected: self.arity(), got: values.len() });
-        }
-        for (c, v) in values.iter().enumerate() {
-            let code = self.columns[c].intern(v.as_ref());
-            self.columns[c].codes.push(code);
-        }
+        push_values(&mut self.columns, values.iter())?;
         self.n_rows += 1;
         self.data_version += 1;
         Ok(())
@@ -509,7 +531,7 @@ impl Relation {
         let mut codes = Vec::with_capacity(rows.len() * arity);
         for row in rows {
             for (column, v) in self.columns.iter_mut().zip(row) {
-                codes.push(column.intern(v.as_ref()));
+                codes.push(column.dict.intern(v.as_ref()));
             }
         }
         let mut stored = 0;
@@ -732,16 +754,15 @@ impl RelationBuilder {
         row: I,
     ) -> Result<(), RelationError> {
         let values: Vec<S> = row.into_iter().collect();
-        if values.len() != self.schema.arity() {
-            return Err(RelationError::ArityMismatch {
-                expected: self.schema.arity(),
-                got: values.len(),
-            });
-        }
-        for (c, v) in values.iter().enumerate() {
-            let code = self.columns[c].intern(v.as_ref());
-            self.columns[c].codes.push(code);
-        }
+        self.push_fields(values.iter())
+    }
+
+    /// [`RelationBuilder::push_row`] without collecting the row first.
+    pub(crate) fn push_fields<S: AsRef<str>>(
+        &mut self,
+        values: impl ExactSizeIterator<Item = S>,
+    ) -> Result<(), RelationError> {
+        push_values(&mut self.columns, values)?;
         self.n_rows += 1;
         Ok(())
     }

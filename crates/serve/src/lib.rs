@@ -27,8 +27,9 @@
 //!
 //! Each server owns one [`maimon::obs::MetricsRegistry`]
 //! ([`ServerHandle::metrics`]) holding every request-level series:
-//! requests per op, latency, errors, truncations, sheds, admissions,
-//! panics, appended rows, reducer totals and dataset lookups. `stats` is a
+//! requests per op (op `invalid` for a line that is not a request),
+//! latency, errors, truncations, sheds, admissions, panics, appended rows,
+//! reducer totals and client dataset lookups. `stats` is a
 //! JSON view over a snapshot of it plus each dataset's live session state;
 //! `metrics` renders [`maimon::obs::global`] (the library layers' series)
 //! followed by it. The registry is per server, not process-wide, so servers

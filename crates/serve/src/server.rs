@@ -439,7 +439,9 @@ fn with_trace(mut response: Json, trace_id: &str) -> Json {
 /// Every response envelope carries a `trace_id`: the client's, echoed, when
 /// the request had a string `trace_id` field, or a server-generated one
 /// otherwise. The request counts in `maimon_requests_total{op}` as it
-/// arrives, and its latency lands in the
+/// arrives (a line that is not a request, such as invalid JSON or an
+/// unknown op, counts as op `invalid` and is answered `bad_request`), and
+/// its latency lands in the
 /// `maimon_request_duration_ns{op,tenant}` histogram of the server's
 /// registry; requests slower than `MAIMON_SLOW_MS` additionally emit one
 /// structured stderr line with the trace ID and the per-stage breakdown.
@@ -452,39 +454,34 @@ fn dispatch(shared: &Arc<Shared>, line: &str) -> Json {
         .and_then(Json::as_str)
         .map_or_else(obs::next_trace_id, str::to_string);
     let request = match parsed.as_ref().map(Request::from_json) {
-        Some(Ok(request)) => request,
-        Some(Err(e)) => {
-            shared.metrics.counter("maimon_request_errors_total", &[("kind", "bad_request")]).inc();
-            return with_trace(error_response(ErrorKind::BadRequest, e.to_string()), &trace_id);
-        }
-        None => {
-            shared.metrics.counter("maimon_request_errors_total", &[("kind", "bad_request")]).inc();
-            return with_trace(error_response(ErrorKind::BadRequest, "invalid JSON"), &trace_id);
-        }
+        Some(Ok(request)) => Ok(request),
+        Some(Err(e)) => Err(e.to_string()),
+        None => Err("invalid JSON".to_string()),
     };
     let op = match &request {
-        Request::Ping => "ping",
-        Request::List => "list",
-        Request::Stats => "stats",
-        Request::Metrics => "metrics",
-        Request::Mine { .. } => "mine",
-        Request::Decompose { .. } => "decompose",
-        Request::Append { .. } => "append",
+        Err(_) => "invalid",
+        Ok(Request::Ping) => "ping",
+        Ok(Request::List) => "list",
+        Ok(Request::Stats) => "stats",
+        Ok(Request::Metrics) => "metrics",
+        Ok(Request::Mine { .. }) => "mine",
+        Ok(Request::Decompose { .. }) => "decompose",
+        Ok(Request::Append { .. }) => "append",
     };
     shared.metrics.counter("maimon_requests_total", &[("op", op)]).inc();
     let tenant_label = match &request {
-        Request::Mine { tenant, .. }
-        | Request::Decompose { tenant, .. }
-        | Request::Append { tenant, .. } => {
-            shared.admission.tenant_label(tenant.as_deref().unwrap_or_default())
-        }
+        Ok(
+            Request::Mine { tenant, .. }
+            | Request::Decompose { tenant, .. }
+            | Request::Append { tenant, .. },
+        ) => shared.admission.tenant_label(tenant.as_deref().unwrap_or_default()),
         _ => String::new(),
     };
     let (dataset, epsilon) = match &request {
-        Request::Mine { dataset, epsilon, .. } | Request::Decompose { dataset, epsilon, .. } => {
-            (Some(dataset.clone()), Some(*epsilon))
-        }
-        Request::Append { dataset, .. } => (Some(dataset.clone()), None),
+        Ok(
+            Request::Mine { dataset, epsilon, .. } | Request::Decompose { dataset, epsilon, .. },
+        ) => (Some(dataset.clone()), Some(*epsilon)),
+        Ok(Request::Append { dataset, .. }) => (Some(dataset.clone()), None),
         _ => (None, None),
     };
     let stages = Arc::new(StageCollector::new());
@@ -500,17 +497,18 @@ fn dispatch(shared: &Arc<Shared>, line: &str) -> Json {
             panic!("injected failpoint panic ({op})");
         }
         match request {
-            Request::Ping => ok_response("ping", []),
-            Request::List => handle_list(shared),
-            Request::Stats => handle_stats(shared),
-            Request::Metrics => handle_metrics(shared),
-            Request::Mine { dataset, epsilon, timeout_ms, .. } => {
+            Err(message) => error_response(ErrorKind::BadRequest, message),
+            Ok(Request::Ping) => ok_response("ping", []),
+            Ok(Request::List) => handle_list(shared),
+            Ok(Request::Stats) => handle_stats(shared),
+            Ok(Request::Metrics) => handle_metrics(shared),
+            Ok(Request::Mine { dataset, epsilon, timeout_ms, .. }) => {
                 handle_mine(shared, &dataset, epsilon, timeout_ms, &tenant_label, &stages)
             }
-            Request::Decompose { dataset, epsilon, timeout_ms, .. } => {
+            Ok(Request::Decompose { dataset, epsilon, timeout_ms, .. }) => {
                 handle_decompose(shared, &dataset, epsilon, timeout_ms, &tenant_label, &stages)
             }
-            Request::Append { dataset, rows, .. } => {
+            Ok(Request::Append { dataset, rows, .. }) => {
                 handle_append(shared, &dataset, &rows, &tenant_label)
             }
         }
@@ -757,7 +755,7 @@ fn handle_list(shared: &Arc<Shared>) -> Json {
         .names()
         .into_iter()
         .filter_map(|name| {
-            let session = shared.lookup(&name)?;
+            let session = shared.registry.get(&name)?;
             Some(Json::object([
                 ("name", Json::from(name.as_str())),
                 ("rows", Json::from(session.n_rows())),
@@ -819,9 +817,9 @@ fn admission_json(snapshot: &[MetricSnapshot]) -> Json {
 }
 
 /// The `stats` operation: a JSON view over a snapshot of the server's
-/// registry, then the live state of each dataset's session. The snapshot is
-/// taken first, so the per-dataset lookups below count toward the next
-/// `stats`, not this one.
+/// registry, then the live state of each dataset's session. Like `list`,
+/// it reads the sessions without counting lookups, so
+/// `registry.session_hits` counts client requests only.
 fn handle_stats(shared: &Arc<Shared>) -> Json {
     let snapshot = shared.metrics.snapshot();
     let total = |name, labels: &[(&str, &str)]| Json::from(counter_total(&snapshot, name, labels));
@@ -831,14 +829,14 @@ fn handle_stats(shared: &Arc<Shared>) -> Json {
         bottom_up_removed: sum("maimon_reducer_bottom_up_removed_total"),
         top_down_removed: sum("maimon_reducer_top_down_removed_total"),
     };
-    let requests = ["ping", "list", "stats", "metrics", "mine", "decompose", "append"]
+    let requests = ["ping", "list", "stats", "metrics", "mine", "decompose", "append", "invalid"]
         .map(|op| (op, total("maimon_requests_total", &[("op", op)])));
     let datasets: Vec<Json> = shared
         .registry
         .names()
         .into_iter()
         .filter_map(|name| {
-            let session = shared.lookup(&name)?;
+            let session = shared.registry.get(&name)?;
             Some(Json::object([
                 ("name", Json::from(name.as_str())),
                 ("data_version", Json::from(session.data_version())),

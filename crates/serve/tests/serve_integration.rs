@@ -360,12 +360,12 @@ fn stats_counters_add_up() {
     assert_eq!(count("truncated"), 0);
     assert_eq!(count("stats"), 1, "this very request");
 
-    // Registry lookups: 2 ok mines + 1 decompose + 1 per-dataset list probe
-    // = 4 hits; the absent dataset is the single miss. (The stats handler
-    // snapshots these counters before its own per-dataset probes.)
+    // Registry lookups: 2 ok mines + 1 decompose = 3 hits; the absent
+    // dataset is the single miss. The `list` and `stats` handlers read the
+    // sessions without counting.
     let registry = stats.get("registry").unwrap();
     assert_eq!(registry.get("datasets").and_then(Json::as_i128), Some(1));
-    assert_eq!(registry.get("session_hits").and_then(Json::as_i128), Some(4));
+    assert_eq!(registry.get("session_hits").and_then(Json::as_i128), Some(3));
     assert_eq!(registry.get("session_misses").and_then(Json::as_i128), Some(1));
 
     // Admission: the three dataset-bound requests that found their dataset.
@@ -386,6 +386,29 @@ fn stats_counters_add_up() {
     let cached = datasets[0].get("cached_epsilons").and_then(Json::as_array).unwrap();
     assert_eq!(cached.len(), 2, "two thresholds were mined: {stats}");
 
+    handle.shutdown();
+}
+
+#[test]
+fn decompose_on_nursery_runs_the_full_reducer_over_several_bags() {
+    // The running example decomposes into one bag (no semijoins) at every
+    // threshold; Nursery at 0.1 gives a multi-bag tree, so the reducer and
+    // its `stats` totals are exercised away from zero.
+    let handle =
+        start_server(AdmissionConfig::default(), &[("nursery", maimon_datasets::nursery())]);
+    let addr = handle.local_addr();
+    let decomposed = roundtrip(addr, r#"{"op":"decompose","dataset":"nursery","epsilon":0.1}"#);
+    assert_ok(&decomposed, "decompose");
+    let bags = decomposed.get("bags").and_then(Json::as_i128).unwrap();
+    assert!(bags > 1, "{decomposed}");
+    let reducer = ReducerStats::from_json(decomposed.get("reducer").unwrap()).unwrap();
+    // Yannakakis performs exactly 2(m−1) semijoins over an m-bag tree.
+    assert_eq!(reducer.semijoins as i128, 2 * (bags - 1));
+
+    let stats = roundtrip(addr, r#"{"op":"stats"}"#);
+    assert_ok(&stats, "stats");
+    let total = ReducerStats::from_json(stats.get("reducer").unwrap()).unwrap();
+    assert_eq!(total, reducer);
     handle.shutdown();
 }
 
@@ -418,7 +441,7 @@ fn assert_stats_view_metrics(stats: &Json, metrics: &Json) {
         }
         json.as_i128().unwrap()
     };
-    for op in ["ping", "list", "stats", "metrics", "mine", "decompose", "append"] {
+    for op in ["ping", "list", "stats", "metrics", "mine", "decompose", "append", "invalid"] {
         let itself = i128::from(op == "stats");
         let series = series_total(metrics, "maimon_requests_total", &[("op", op)]);
         assert_eq!(stat(&["requests", op]), series + itself, "{op}: {stats}");
@@ -506,18 +529,24 @@ fn two_servers_keep_separate_registries_and_stats_is_a_view_over_metrics() {
     let count = |stats: &Json, section: &str, key: &str| {
         stats.get(section).and_then(|s| s.get(key)).and_then(Json::as_i128).unwrap()
     };
-    let a_requests = [("ping", 1), ("list", 1), ("mine", 3), ("decompose", 1), ("append", 1)];
+    let a_requests =
+        [("ping", 1), ("list", 1), ("mine", 3), ("decompose", 1), ("append", 1), ("invalid", 1)];
     for (op, n) in a_requests {
         assert_eq!(count(&stats_a, "requests", op), n, "A {op}: {stats_a}");
         assert_eq!(count(&stats_b, "requests", op), i128::from(op == "mine"), "B {op}: {stats_b}");
     }
+    // Every line A received counts under exactly one op: the ten above,
+    // with the `metrics` and `stats` of the view.
+    let ops = ["ping", "list", "stats", "metrics", "mine", "decompose", "append", "invalid"];
+    let a_total: i128 = ops.iter().map(|op| count(&stats_a, "requests", op)).sum();
+    assert_eq!(a_total, 10, "{stats_a}");
     for (section, key, in_a, in_b) in [
         ("requests", "rows_appended", 1, 0),
         ("requests", "truncated", 1, 0),
         ("requests", "errors", 2, 0),
         ("admission", "admitted", 4, 0),
         ("admission", "shed_tenant_cap", 0, 1),
-        ("registry", "session_hits", 5, 1),
+        ("registry", "session_hits", 4, 1),
         ("registry", "session_misses", 1, 0),
     ] {
         assert_eq!(count(&stats_a, section, key), in_a, "A {key}: {stats_a}");

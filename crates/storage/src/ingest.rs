@@ -1,23 +1,21 @@
 //! Streaming CSV → [`PagedColumnarRelation`] ingest.
 //!
-//! Reads any `BufRead` incrementally through the same RFC-4180-ish state
-//! machine as `relation::relation_from_csv` (quoted fields, doubled quotes,
-//! embedded separators/newlines, CRLF, blank-line skipping, trailing record
-//! without a final newline), but never materializes the input: each parsed
-//! value is dictionary-interned on the spot and its code lands in the
-//! current page buffer, which spills to the page file when full. Peak
-//! memory during ingest is one page per column plus the dictionaries.
+//! Feeds each buffered chunk of any `BufRead` to [`relation::CsvReader`],
+//! the one CSV record reader `relation::relation_from_csv` also uses, so
+//! both loaders accept the same inputs and report the same errors at the
+//! same line and byte offset. The input is never materialized: each value
+//! is interned on the spot into its column's [`relation::Dictionary`] and
+//! its code lands in the current page buffer, which spills to the page
+//! file when full. Peak memory during ingest is one page per column plus
+//! the dictionaries.
 //!
 //! Unlike the in-memory loader there is no `dedup` option — set semantics
 //! over out-of-core data would need resident per-row state. Compare against
 //! `CsvOptions { dedup: false, .. }` for equivalence.
-//!
-//! Parse errors carry the 1-based line *and* 0-based byte offset of the
-//! offending position (the arity check points at the record start).
 
 use crate::paged::{PagedBuilder, PagedColumnarRelation, PagedOptions};
 use crate::{RelationBackend, StorageError};
-use relation::{RelationError, Schema};
+use relation::{CsvReader, CsvRecord, Dictionary, Schema};
 use std::io::BufRead;
 use std::path::Path;
 
@@ -40,146 +38,6 @@ impl Default for IngestOptions {
     }
 }
 
-/// Byte-level parser state shared across `fill_buf` chunks.
-struct StreamState {
-    field: Vec<u8>,
-    record: Vec<String>,
-    in_quotes: bool,
-    /// Set between a quote seen inside a quoted field and the byte after it
-    /// (doubled-quote lookahead without buffering the input).
-    quote_pending: bool,
-    saw_quote: bool,
-    line: usize,
-    pos: usize,
-    record_line: usize,
-    record_offset: usize,
-    quote_open: (usize, usize),
-}
-
-impl StreamState {
-    fn new() -> Self {
-        StreamState {
-            field: Vec::new(),
-            record: Vec::new(),
-            in_quotes: false,
-            quote_pending: false,
-            saw_quote: false,
-            line: 1,
-            pos: 0,
-            record_line: 1,
-            record_offset: 0,
-            quote_open: (1, 0),
-        }
-    }
-
-    fn take_field(&mut self) {
-        let raw = std::mem::take(&mut self.field);
-        self.record.push(String::from_utf8_lossy(&raw).into_owned());
-    }
-}
-
-/// What to do with one completed record.
-enum Sink<'a> {
-    /// Still waiting for the header (or, without a header, the first record).
-    Pending(&'a mut Option<(Vec<String>, usize, usize)>),
-    /// Schema fixed; stream codes into the paged builder.
-    Build { builder: &'a mut PagedBuilder, arity: usize },
-}
-
-fn emit_record(state: &mut StreamState, sink: &mut Sink<'_>) -> Result<(), StorageError> {
-    let fields = std::mem::take(&mut state.record);
-    match sink {
-        Sink::Pending(slot) => {
-            **slot = Some((fields, state.record_line, state.record_offset));
-        }
-        Sink::Build { builder, arity } => {
-            if fields.len() != *arity {
-                return Err(StorageError::Relation(RelationError::Csv {
-                    line: state.record_line,
-                    offset: state.record_offset,
-                    message: format!("record has {} fields, expected {}", fields.len(), arity),
-                }));
-            }
-            for (c, value) in fields.iter().enumerate() {
-                builder.push_value(c, value)?;
-            }
-            builder.n_rows += 1;
-        }
-    }
-    Ok(())
-}
-
-/// Feeds one byte through the state machine. Returns `Ok(true)` when a
-/// record was completed (already handed to `sink`).
-fn step(
-    state: &mut StreamState,
-    b: u8,
-    delimiter: u8,
-    sink: &mut Sink<'_>,
-) -> Result<bool, StorageError> {
-    let at = state.pos;
-    state.pos += 1;
-    if state.quote_pending {
-        state.quote_pending = false;
-        if b == b'"' {
-            state.field.push(b'"');
-            return Ok(false);
-        }
-        state.in_quotes = false;
-        // Fall through: reprocess `b` in unquoted mode.
-    } else if state.in_quotes {
-        match b {
-            b'"' => state.quote_pending = true,
-            b'\n' => {
-                state.line += 1;
-                state.field.push(b);
-            }
-            _ => state.field.push(b),
-        }
-        return Ok(false);
-    }
-    match b {
-        b'"' => {
-            if !state.field.is_empty() {
-                return Err(StorageError::Relation(RelationError::Csv {
-                    line: state.line,
-                    offset: at,
-                    message: "quote in the middle of an unquoted field".into(),
-                }));
-            }
-            state.in_quotes = true;
-            state.quote_open = (state.line, at);
-            state.saw_quote = true;
-            Ok(false)
-        }
-        b'\r' => Ok(false), // swallow the CR of a CRLF pair (lone CRs too)
-        b'\n' => {
-            state.take_field();
-            let blank = state.record.len() == 1 && state.record[0].is_empty() && !state.saw_quote;
-            let emitted = if blank {
-                state.record.clear();
-                false
-            } else {
-                emit_record(state, sink)?;
-                true
-            };
-            state.saw_quote = false;
-            state.line += 1;
-            state.record_line = state.line;
-            state.record_offset = state.pos;
-            Ok(emitted)
-        }
-        b if b == delimiter => {
-            state.take_field();
-            Ok(false)
-        }
-        _ => {
-            state.field.push(b);
-            Ok(false)
-        }
-    }
-}
-
 /// Streams CSV from `reader` into a [`PagedColumnarRelation`] without ever
 /// holding the whole input (or the whole code array) in memory.
 ///
@@ -191,117 +49,39 @@ pub fn ingest_csv<R: BufRead>(
     mut reader: R,
     options: &IngestOptions,
 ) -> Result<PagedColumnarRelation, StorageError> {
-    if !options.delimiter.is_ascii() {
-        return Err(StorageError::Relation(RelationError::Csv {
-            line: 1,
-            offset: 0,
-            message: format!("delimiter {:?} is not ASCII", options.delimiter),
-        }));
-    }
-    let delimiter = options.delimiter as u8;
-    let mut state = StreamState::new();
-    // The first record fixes the schema; it is buffered (header or first
-    // data row), everything after streams straight into the builder.
-    let mut first: Option<(Vec<String>, usize, usize)> = None;
-    let mut schema: Option<Schema> = None;
-    let mut builder: Option<PagedBuilder> = None;
-
+    let start = |arity: usize| -> Result<_, StorageError> {
+        Ok((PagedBuilder::new(arity, &options.paged)?, vec![Dictionary::default(); arity]))
+    };
+    // Started by the first data record, or at the end for a header alone.
+    let mut built: Option<(PagedBuilder, Vec<Dictionary>)> = None;
+    let mut push = |schema: &Schema, record: &CsvRecord<'_>| -> Result<(), StorageError> {
+        if built.is_none() {
+            built = Some(start(schema.arity())?);
+        }
+        let (pages, dicts) = built.as_mut().expect("started above");
+        for (c, (dict, value)) in dicts.iter_mut().zip(record.fields()).enumerate() {
+            pages.push_code(c, dict.intern(&value))?;
+        }
+        pages.n_rows += 1;
+        Ok(())
+    };
+    let mut csv = CsvReader::new(options.delimiter, options.has_header)?;
     loop {
-        let buf = reader.fill_buf()?;
-        if buf.is_empty() {
+        let chunk = reader.fill_buf()?;
+        if chunk.is_empty() {
             break;
         }
-        let chunk = buf.to_vec();
-        reader.consume(chunk.len());
-        for &b in &chunk {
-            let emitted = match builder.as_mut() {
-                Some(builder) => {
-                    let arity = schema.as_ref().expect("schema fixed with builder").arity();
-                    step(&mut state, b, delimiter, &mut Sink::Build { builder, arity })?
-                }
-                None => step(&mut state, b, delimiter, &mut Sink::Pending(&mut first))?,
-            };
-            if emitted && builder.is_none() {
-                let (fields, line, offset) = first.take().expect("pending record was emitted");
-                let (resolved, replay) = if options.has_header {
-                    (Schema::new(fields)?, None)
-                } else {
-                    let names: Vec<String> =
-                        (0..fields.len()).map(|i| format!("col{}", i)).collect();
-                    (Schema::new(names)?, Some((fields, line, offset)))
-                };
-                let mut b = PagedBuilder::new(resolved.arity(), &options.paged)?;
-                if let Some((fields, line, offset)) = replay {
-                    // The first record was data, not a header: replay it.
-                    if fields.len() != resolved.arity() {
-                        return Err(StorageError::Relation(RelationError::Csv {
-                            line,
-                            offset,
-                            message: format!(
-                                "record has {} fields, expected {}",
-                                fields.len(),
-                                resolved.arity()
-                            ),
-                        }));
-                    }
-                    for (c, value) in fields.iter().enumerate() {
-                        b.push_value(c, value)?;
-                    }
-                    b.n_rows += 1;
-                }
-                schema = Some(resolved);
-                builder = Some(b);
-            }
-        }
+        let len = chunk.len();
+        csv.feed(chunk, &mut push)?;
+        reader.consume(len);
     }
-    if state.in_quotes && !state.quote_pending {
-        return Err(StorageError::Relation(RelationError::Csv {
-            line: state.quote_open.0,
-            offset: state.quote_open.1,
-            message: "unterminated quoted field".into(),
-        }));
-    }
-    // quote_pending at EOF means the last quote closed the field.
-    state.in_quotes = false;
-    if !state.field.is_empty() || !state.record.is_empty() || state.saw_quote {
-        state.take_field();
-        match builder.as_mut() {
-            Some(builder) => {
-                let arity = schema.as_ref().expect("schema fixed with builder").arity();
-                emit_record(&mut state, &mut Sink::Build { builder, arity })?;
-            }
-            None => {
-                // The entire input was one header-less record (or a header
-                // with no data): treat it like the in-loop first record.
-                emit_record(&mut state, &mut Sink::Pending(&mut first))?;
-                let (fields, line, offset) = first.take().expect("pending record was emitted");
-                let (resolved, data) = if options.has_header {
-                    (Schema::new(fields)?, None)
-                } else {
-                    let names: Vec<String> =
-                        (0..fields.len()).map(|i| format!("col{}", i)).collect();
-                    (Schema::new(names)?, Some((fields, line, offset)))
-                };
-                let mut b = PagedBuilder::new(resolved.arity(), &options.paged)?;
-                if let Some((fields, _, _)) = data {
-                    for (c, value) in fields.iter().enumerate() {
-                        b.push_value(c, value)?;
-                    }
-                    b.n_rows += 1;
-                }
-                schema = Some(resolved);
-                builder = Some(b);
-            }
-        }
-    }
-    let (Some(schema), Some(builder)) = (schema, builder) else {
-        return Err(StorageError::Relation(RelationError::Csv {
-            line: 1,
-            offset: 0,
-            message: "no records in input".into(),
-        }));
+    let schema = csv.finish(&mut push)?;
+    let (pages, dicts) = match built {
+        Some(built) => built,
+        None => start(schema.arity())?,
     };
-    let store = builder.finish(schema, options.paged.clone())?;
+    let dicts = dicts.into_iter().map(Dictionary::into_values).collect();
+    let store = pages.finish(schema, dicts, options.paged.clone())?;
     let registry = obs::global();
     registry.describe("maimon_relations_loaded_total", "Relations successfully parsed from CSV");
     registry.counter("maimon_relations_loaded_total", &[("source", "paged_csv")]).inc();
@@ -329,7 +109,7 @@ pub fn ingest_csv_file(
 mod tests {
     use super::*;
     use crate::RelationBackend;
-    use relation::{relation_from_csv, CsvOptions, Relation};
+    use relation::{relation_from_csv, CsvOptions, Relation, RelationError};
 
     fn ingest(text: &str, page_rows: usize) -> Result<PagedColumnarRelation, StorageError> {
         ingest_csv(
@@ -450,6 +230,25 @@ mod tests {
     fn empty_input_is_an_error() {
         assert!(ingest("", 4).is_err());
         assert!(ingest("\n\n", 4).is_err());
+    }
+
+    #[test]
+    fn non_ascii_delimiter_is_the_same_typed_error_from_both_loaders() {
+        let text = "A§B\n1§2\n";
+        let batch = relation_from_csv(text, CsvOptions { delimiter: '§', ..CsvOptions::default() })
+            .unwrap_err();
+        let options = IngestOptions { delimiter: '§', ..IngestOptions::default() };
+        match ingest_csv(text.as_bytes(), &options).unwrap_err() {
+            StorageError::Relation(streamed) => assert_eq!(streamed, batch),
+            other => panic!("unexpected error: {:?}", other),
+        }
+        match batch {
+            RelationError::Csv { line, offset, message } => {
+                assert_eq!((line, offset), (1, 0));
+                assert!(message.contains("not ASCII"), "{message}");
+            }
+            other => panic!("unexpected error: {:?}", other),
+        }
     }
 
     #[test]

@@ -12,7 +12,6 @@ use crate::crc::crc32;
 use crate::fault;
 use crate::StorageError;
 use relation::{Relation, Schema};
-use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -150,9 +149,6 @@ impl PagedColumnarRelation {
     /// Returns an error if the spill file cannot be created or written.
     pub fn from_relation(rel: &Relation, options: PagedOptions) -> Result<Self, StorageError> {
         let mut builder = PagedBuilder::new(rel.arity(), &options)?;
-        for c in 0..rel.arity() {
-            builder.cols[c].dict = rel.column_values(c).to_vec();
-        }
         for chunk_start in (0..rel.n_rows()).step_by(options.page_rows.max(1)) {
             let end = (chunk_start + options.page_rows.max(1)).min(rel.n_rows());
             for c in 0..rel.arity() {
@@ -160,7 +156,8 @@ impl PagedColumnarRelation {
             }
             builder.n_rows += end - chunk_start;
         }
-        builder.finish(rel.schema().clone(), options)
+        let dicts = (0..rel.arity()).map(|c| rel.column_values(c).to_vec()).collect();
+        builder.finish(rel.schema().clone(), dicts, options)
     }
 
     /// Locks the page store, recovering from a poisoned lock: the critical
@@ -330,19 +327,17 @@ impl std::fmt::Debug for PagedColumnarRelation {
     }
 }
 
-/// Per-column build state: incremental dictionary + the page being filled.
-pub(crate) struct ColumnBuild {
-    pub(crate) dict: Vec<String>,
-    pub(crate) index: HashMap<String, u32>,
+/// Per-column build state: the page being filled and the pages written.
+struct ColumnBuild {
     buf: Vec<u32>,
     pages: Vec<PageLoc>,
 }
 
-/// Streaming builder: interns values column by column, flushing full pages
-/// to the spill file as they fill, so peak memory during ingest is one page
-/// per column plus the dictionaries.
+/// Streaming page writer: appends codes column by column, flushing full
+/// pages to the spill file as they fill, so peak memory during a build is
+/// one page per column. The dictionaries are the caller's.
 pub(crate) struct PagedBuilder {
-    pub(crate) cols: Vec<ColumnBuild>,
+    cols: Vec<ColumnBuild>,
     pub(crate) n_rows: usize,
     writer: BufWriter<File>,
     pos: u64,
@@ -354,8 +349,6 @@ impl PagedBuilder {
         let file = spill_file()?;
         let cols = (0..arity)
             .map(|_| ColumnBuild {
-                dict: Vec::new(),
-                index: HashMap::new(),
                 buf: Vec::with_capacity(options.page_rows.max(1)),
                 pages: Vec::new(),
             })
@@ -369,23 +362,8 @@ impl PagedBuilder {
         })
     }
 
-    /// Interns `value` into column `c` and appends its code.
-    pub(crate) fn push_value(&mut self, c: usize, value: &str) -> Result<(), StorageError> {
-        let col = &mut self.cols[c];
-        let code = match col.index.get(value) {
-            Some(&code) => code,
-            None => {
-                let code = col.dict.len() as u32;
-                col.dict.push(value.to_string());
-                col.index.insert(value.to_string(), code);
-                code
-            }
-        };
-        self.push_code(c, code)
-    }
-
-    /// Appends one pre-encoded code to column `c`.
-    fn push_code(&mut self, c: usize, code: u32) -> Result<(), StorageError> {
+    /// Appends one code to column `c`.
+    pub(crate) fn push_code(&mut self, c: usize, code: u32) -> Result<(), StorageError> {
         self.cols[c].buf.push(code);
         if self.cols[c].buf.len() >= self.page_rows {
             self.flush_page(c)?;
@@ -418,9 +396,12 @@ impl PagedBuilder {
         Ok(())
     }
 
+    /// Writes the last pages and opens the store over them; `dicts[c]` is
+    /// column `c`'s dictionary, indexed by code.
     pub(crate) fn finish(
         mut self,
         schema: Schema,
+        dicts: Vec<Vec<String>>,
         options: PagedOptions,
     ) -> Result<PagedColumnarRelation, StorageError> {
         for c in 0..self.cols.len() {
@@ -429,10 +410,8 @@ impl PagedBuilder {
         self.writer.flush()?;
         let mut file = self.writer.into_inner().map_err(|e| StorageError::Io(e.into_error()))?;
         file.seek(SeekFrom::Start(0))?;
-        let dict_bytes =
-            self.cols.iter().map(|col| col.dict.iter().map(String::len).sum::<usize>()).sum();
-        let (dicts, pages): (Vec<_>, Vec<_>) =
-            self.cols.into_iter().map(|col| (col.dict, col.pages)).unzip();
+        let dict_bytes = dicts.iter().flatten().map(String::len).sum();
+        let pages = self.cols.into_iter().map(|col| col.pages).collect();
         Ok(PagedColumnarRelation {
             schema,
             n_rows: self.n_rows,

@@ -6,9 +6,19 @@
 //! embedded newlines and carriage returns, empty fields, and both `\n` and
 //! `\r\n` record endings. Cells are drawn from an alphabet deliberately
 //! stacked with the characters the quoting rules exist for.
+//!
+//! A differential property then holds the two loaders to one behaviour on
+//! arbitrary, mostly malformed text: the in-memory `relation_from_csv` and
+//! the streaming `ingest_csv` (fed through tiny read buffers) must accept
+//! the same inputs with the same names and rows, and reject the rest with
+//! the same error at the same line and byte offset.
 
-use maimon::relation::{relation_from_csv, relation_to_csv, CsvOptions, Relation, Schema};
+use maimon::relation::{
+    relation_from_csv, relation_to_csv, CsvOptions, Relation, RelationError, Schema,
+};
+use maimon::storage::{ingest_csv, IngestOptions, PagedOptions, RelationBackend, StorageError};
 use proptest::prelude::*;
+use std::io::BufReader;
 
 /// Characters the escaping logic has to get right, plus a few benign ones.
 const ALPHABET: &[char] = &['a', 'B', '7', ' ', ',', ';', '"', '\n', '\r', '\t'];
@@ -87,5 +97,72 @@ proptest! {
         ).expect("CRLF output must parse");
         prop_assert_eq!(back.n_rows(), rel.n_rows(), "csv was:\n{}", crlf);
         prop_assert!(back.equal_as_sets(&rel), "csv was:\n{}", crlf);
+    }
+}
+
+/// Characters of the differential property's raw inputs: quoting, both
+/// delimiters, every line ending, and a multi-byte character.
+const RAW_ALPHABET: &[char] = &['a', 'b', ',', ';', '"', '\n', '\r', ' ', 'é'];
+
+/// Strategy: 0–24 raw characters, most of them not well-formed CSV.
+fn raw_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0usize..RAW_ALPHABET.len(), 0..24)
+        .prop_map(|indices| indices.into_iter().map(|i| RAW_ALPHABET[i]).collect())
+}
+
+/// What a loader made of its input: the names and rows, or the error.
+type Loaded = Result<(Vec<String>, Vec<Vec<String>>), RelationError>;
+
+fn load_in_memory(text: &str, delimiter: char, has_header: bool) -> Loaded {
+    let rel = relation_from_csv(text, CsvOptions { delimiter, has_header, dedup: false })?;
+    let rows =
+        (0..rel.n_rows()).map(|r| rel.row(r).into_iter().map(str::to_string).collect()).collect();
+    Ok((rel.schema().names().to_vec(), rows))
+}
+
+fn load_streaming(text: &str, delimiter: char, has_header: bool, capacity: usize) -> Loaded {
+    let options = IngestOptions {
+        delimiter,
+        has_header,
+        paged: PagedOptions { page_rows: 2, cache_pages: 2, dataset: "csv-diff".to_string() },
+    };
+    let store = match ingest_csv(BufReader::with_capacity(capacity, text.as_bytes()), &options) {
+        Ok(store) => store,
+        Err(StorageError::Relation(e)) => return Err(e),
+        Err(other) => panic!("ingest failed outside the parser: {other}"),
+    };
+    let mut rows = vec![Vec::with_capacity(store.arity()); store.n_rows()];
+    for c in 0..store.arity() {
+        let mut codes = Vec::new();
+        store.scan_column(c, &mut |_, page| codes.extend_from_slice(page)).unwrap();
+        for (row, code) in rows.iter_mut().zip(codes) {
+            row.push(store.dict_value(c, code).to_string());
+        }
+    }
+    Ok((store.schema().names().to_vec(), rows))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    #[test]
+    fn both_loaders_agree_on_arbitrary_text(
+        text in raw_text(),
+        has_header in any::<bool>(),
+        semicolon in any::<bool>(),
+        capacity in 1usize..=7,
+    ) {
+        let delimiter = if semicolon { ';' } else { ',' };
+        let in_memory = load_in_memory(&text, delimiter, has_header);
+        let streaming = load_streaming(&text, delimiter, has_header, capacity);
+        prop_assert_eq!(
+            &in_memory,
+            &streaming,
+            "input {:?}, header {}, delimiter {:?}, read buffer {}",
+            text,
+            has_header,
+            delimiter,
+            capacity
+        );
     }
 }
