@@ -232,11 +232,8 @@ impl MaimonConfig {
         if !self.epsilon.is_finite() || self.epsilon < 0.0 {
             return Err(MaimonError::InvalidEpsilon(self.epsilon));
         }
-        if self.limits.max_full_mvds_per_separator == Some(0)
-            || self.limits.max_separators_per_pair == Some(0)
-            || self.limits.max_lattice_nodes == Some(0)
-            || self.max_schemas == Some(0)
-        {
+        self.limits.validate()?;
+        if self.max_schemas == Some(0) {
             return Err(MaimonError::InvalidConfig(
                 "count limits must be at least 1 when present".into(),
             ));

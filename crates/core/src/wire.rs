@@ -193,7 +193,6 @@ impl ToJson for OracleStats {
             ("count_only_intersections", Json::from(self.count_only_intersections)),
             ("full_scans", Json::from(self.full_scans)),
             ("delta_refreshes", Json::from(self.delta_refreshes)),
-            ("full_rebuilds", Json::from(self.full_rebuilds)),
         ])
     }
 }
@@ -212,14 +211,12 @@ impl FromJson for OracleStats {
                 None => 0,
             },
             full_scans: u64_field(json, "full_scans")?,
-            // Additive fields (incremental-mining PR): absent in payloads
-            // written before appends existed; default to 0 like the above.
+            // Additive field: absent in payloads written before appends
+            // existed; default to 0 like the above. Older payloads may also
+            // carry a count of partitions an append regrouped from scratch,
+            // a path that no longer exists; unknown keys are ignored.
             delta_refreshes: match json.get("delta_refreshes") {
                 Some(_) => u64_field(json, "delta_refreshes")?,
-                None => 0,
-            },
-            full_rebuilds: match json.get("full_rebuilds") {
-                Some(_) => u64_field(json, "full_rebuilds")?,
                 None => 0,
             },
         })
@@ -571,7 +568,6 @@ mod tests {
             count_only_intersections: 2,
             full_scans: 1,
             delta_refreshes: 4,
-            full_rebuilds: 1,
         };
         assert_eq!(OracleStats::from_json_str(&stats.to_json_string()).unwrap(), stats);
         // Pre-count-only documents (no `count_only_intersections` key, no
@@ -582,12 +578,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             legacy,
-            OracleStats {
-                count_only_intersections: 0,
-                delta_refreshes: 0,
-                full_rebuilds: 0,
-                ..stats
-            }
+            OracleStats { count_only_intersections: 0, delta_refreshes: 0, ..stats }
         );
     }
 

@@ -309,8 +309,8 @@ impl DecomposedInstance {
         'rows: for r in 0..original.n_rows() {
             let mut key = Vec::with_capacity(attrs.len());
             for &a in &attrs {
-                match self.reverse_map(a).get(original.value(r, a)) {
-                    Some(&code) => key.push(code),
+                match self.code_of(a, original.value(r, a)) {
+                    Some(code) => key.push(code),
                     // A value absent from the store cannot appear in the
                     // reconstruction, so the row can never be matched anyway.
                     None => continue 'rows,

@@ -12,8 +12,8 @@
 //! independent number to cross-check against.
 
 use crate::error::DecomposeError;
-use relation::{AttrSet, JoinTreeSpec, Relation, RelationBuilder, Schema};
-use std::collections::{HashMap, HashSet};
+use relation::{AttrSet, Dictionary, JoinTreeSpec, Keyer, Relation, RelationBuilder, Schema};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One materialized projection `R[Ω]`: distinct code tuples, flattened.
@@ -29,19 +29,17 @@ impl BagProjection {
     /// Builds the distinct projection of `rel` onto `attrs` (codes are the
     /// relation's own dictionary codes, so tuples from different bags built
     /// from the same relation are directly comparable on shared attributes).
+    /// A [`Keyer`] finds the first row of each distinct tuple.
     fn from_relation(rel: &Relation, attrs: AttrSet) -> Self {
-        let mut seen: HashSet<Vec<u32>> = HashSet::with_capacity(rel.n_rows());
-        for r in 0..rel.n_rows() {
-            seen.insert(rel.key(r, attrs));
-        }
-        let mut tuples: Vec<Vec<u32>> = seen.into_iter().collect();
-        tuples.sort_unstable();
-        let arity = attrs.len();
-        let mut codes = Vec::with_capacity(tuples.len() * arity);
-        for t in &tuples {
-            codes.extend_from_slice(t);
-        }
-        BagProjection { attrs, arity, codes }
+        let columns: Vec<&[u32]> = attrs.iter().map(|c| rel.column_codes(c)).collect();
+        let cardinalities = attrs.iter().map(|c| rel.column_cardinality(c));
+        let mut keyer = Keyer::with_capacity(cardinalities, rel.n_rows());
+        let mut firsts: Vec<usize> =
+            (0..rel.n_rows()).filter(|&r| keyer.insert(|p| columns[p][r]).1).collect();
+        let tuple = |r: usize| columns.iter().map(move |codes| codes[r]);
+        firsts.sort_unstable_by(|&a, &b| tuple(a).cmp(tuple(b)));
+        let codes = firsts.iter().flat_map(|&r| tuple(r)).collect();
+        BagProjection { attrs, arity: attrs.len(), codes }
     }
 
     /// The bag's attribute set `Ω`.
@@ -111,18 +109,16 @@ impl BagProjection {
 /// A decomposed instance: the materialized store of one acyclic schema over
 /// one relation, together with the join tree that reassembles it.
 ///
-/// The dictionaries are behind an [`Arc`] so the filtered copies produced by
-/// the reducer and the query executor share them instead of cloning every
-/// distinct value.
+/// The store keeps a clone of the relation's per-column [`Dictionary`]s,
+/// value-to-code index included, behind an [`Arc`] so the filtered copies
+/// produced by the reducer and the query executor share them instead of
+/// cloning every distinct value.
 #[derive(Clone, Debug)]
 pub struct DecomposedInstance {
     schema: Schema,
-    /// Per original attribute: dictionary code → string value. Attributes
-    /// outside every bag keep an empty dictionary.
-    dicts: Arc<Vec<Vec<String>>>,
-    /// Per original attribute: string value → dictionary code (the inverse
-    /// of `dicts`, serving `code_of` in O(1)).
-    reverse: Arc<Vec<HashMap<String, u32>>>,
+    /// Per original attribute: the relation's dictionary. Attributes outside
+    /// every bag keep an empty dictionary.
+    dicts: Arc<Vec<Dictionary>>,
     bags: Vec<BagProjection>,
     edges: Vec<(usize, usize)>,
     /// Distinct tuple count of the source instance, recorded at build time so
@@ -158,13 +154,15 @@ impl DecomposedInstance {
         // Per-attribute dictionaries for every attribute some bag stores:
         // the relation's own column dictionaries, which the bag codes index.
         let stored: AttrSet = spec.bags.iter().fold(AttrSet::empty(), |a, &b| a.union(b));
-        let mut dicts: Vec<Vec<String>> = vec![Vec::new(); rel.arity()];
-        let mut reverse: Vec<HashMap<String, u32>> = vec![HashMap::new(); rel.arity()];
-        for attr in stored.iter() {
-            dicts[attr] = rel.column_values(attr).to_vec();
-            reverse[attr] =
-                dicts[attr].iter().enumerate().map(|(i, v)| (v.clone(), i as u32)).collect();
-        }
+        let dicts: Vec<Dictionary> = (0..rel.arity())
+            .map(|a| {
+                if stored.contains(a) {
+                    rel.column_dictionary(a).clone()
+                } else {
+                    Dictionary::default()
+                }
+            })
+            .collect();
         let original_rows = if rel.is_empty() { 0 } else { rel.distinct_count(all)? };
         // Build-time telemetry; the query/reconstruction paths are untouched.
         let registry = obs::global();
@@ -178,7 +176,6 @@ impl DecomposedInstance {
         Ok(DecomposedInstance {
             schema: rel.schema().clone(),
             dicts: Arc::new(dicts),
-            reverse: Arc::new(reverse),
             bags,
             edges: spec.edges.clone(),
             original_rows,
@@ -247,18 +244,13 @@ impl DecomposedInstance {
     /// Panics if `attr` is out of range or `code` is not in the dictionary.
     #[inline]
     pub fn value(&self, attr: usize, code: u32) -> &str {
-        &self.dicts[attr][code as usize]
+        self.dicts[attr].value(code)
     }
 
     /// Looks up the dictionary code of `value` in attribute `attr`, if the
-    /// value occurs in the stored instance (O(1) via the reverse maps).
+    /// value occurs in the stored instance (O(1) via the dictionary's index).
     pub fn code_of(&self, attr: usize, value: &str) -> Option<u32> {
-        self.reverse.get(attr)?.get(value).copied()
-    }
-
-    /// Reverse dictionary of attribute `attr` (value → code).
-    pub(crate) fn reverse_map(&self, attr: usize) -> &HashMap<String, u32> {
-        &self.reverse[attr]
+        self.dicts.get(attr)?.code_of(value)
     }
 
     /// Materializes one bag as a standalone [`Relation`] (values restored
@@ -288,7 +280,6 @@ impl DecomposedInstance {
         DecomposedInstance {
             schema: self.schema.clone(),
             dicts: Arc::clone(&self.dicts),
-            reverse: Arc::clone(&self.reverse),
             bags,
             edges: self.edges.clone(),
             original_rows: self.original_rows,
@@ -355,6 +346,7 @@ pub(crate) fn index_by_key(
 mod tests {
     use super::*;
     use relation::Schema;
+    use std::collections::HashSet;
 
     fn running_example(with_red_tuple: bool) -> Relation {
         let schema = Schema::new(["A", "B", "C", "D", "E", "F"]).unwrap();

@@ -172,7 +172,6 @@ pub struct AtomicOracleStats {
     count_only: AtomicU64,
     full_scans: AtomicU64,
     delta_refreshes: AtomicU64,
-    full_rebuilds: AtomicU64,
 }
 
 impl AtomicOracleStats {
@@ -189,7 +188,6 @@ impl AtomicOracleStats {
         seeded.count_only.store(stats.count_only_intersections, Ordering::Relaxed);
         seeded.full_scans.store(stats.full_scans, Ordering::Relaxed);
         seeded.delta_refreshes.store(stats.delta_refreshes, Ordering::Relaxed);
-        seeded.full_rebuilds.store(stats.full_rebuilds, Ordering::Relaxed);
         seeded
     }
     /// Counts one `entropy()` call.
@@ -240,12 +238,6 @@ impl AtomicOracleStats {
         self.delta_refreshes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one cached partition an append forced through a full rebuild.
-    #[inline]
-    pub fn record_full_rebuild(&self) {
-        self.full_rebuilds.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// A point-in-time copy of the counters. Exact once the workers touching
     /// the oracle have been joined; a snapshot taken *while* other threads
     /// are mid-call may catch a call before its miss was recorded.
@@ -260,7 +252,6 @@ impl AtomicOracleStats {
             count_only_intersections: self.count_only.load(Ordering::Relaxed),
             full_scans: self.full_scans.load(Ordering::Relaxed),
             delta_refreshes: self.delta_refreshes.load(Ordering::Relaxed),
-            full_rebuilds: self.full_rebuilds.load(Ordering::Relaxed),
         }
     }
 }

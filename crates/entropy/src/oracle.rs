@@ -48,9 +48,6 @@ pub struct OracleStats {
     /// (`PliEntropyOracle::extend_to`) instead of being regrouped from
     /// scratch.
     pub delta_refreshes: u64,
-    /// Cached partitions that an append forced back through a full rebuild
-    /// (`u64` fold overflow on the grown relation).
-    pub full_rebuilds: u64,
 }
 
 /// Oracle for the empirical entropy `H(X)` (in bits) of attribute sets of a
@@ -163,9 +160,9 @@ impl EntropyOracle for NaiveEntropyOracle {
             self.stats.record_full_scan();
             let mut sizes =
                 self.rel.group_sizes(attrs).expect("attribute set validated against schema");
-            // The group-by hands back sizes in hash-map order; sorting fixes
-            // the floating-point summation order so H(X) is bit-identical
-            // across runs, oracles and thread interleavings.
+            // The group-by hands back sizes in first-row order; sorting
+            // fixes the floating-point summation order so H(X) is
+            // bit-identical whatever the order of the rows.
             sizes.sort_unstable();
             entropy_from_group_sizes(&sizes, self.rel.n_rows())
         });

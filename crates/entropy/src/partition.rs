@@ -21,6 +21,12 @@
 //! * element ids rise with first row, so the canonical group order below
 //!   is the same in both views.
 //!
+//! Every partition built from codes ([`Pli::from_attrs`], the oracle's
+//! tuple partitions, [`Pli::grown`] across an append) groups its elements
+//! through a [`relation::Keyer`], which labels code vectors exactly in
+//! first-occurrence order at any width: there is no overflow case and no
+//! fallback path.
+//!
 //! # Memory layout
 //!
 //! A [`Pli`] is **two flat vectors**, not a `Vec<Vec<u32>>`:
@@ -60,8 +66,7 @@
 //! [`Pli::intersect`] remains as a convenience wrapper that allocates a
 //! fresh scratch per call.
 
-use crate::tuples::Keyer;
-use relation::{AttrSet, FoldKeyMap, Relation};
+use relation::{AttrSet, Keyer, Relation};
 use std::sync::Arc;
 use storage::{RelationBackend, StorageError};
 
@@ -108,10 +113,8 @@ impl Pli {
     }
 
     /// Builds the stripped partition of the rows of an arbitrary attribute
-    /// set. Each row's codes are folded into an exact key — a single
-    /// mixed-radix `u64` when the cardinality product fits, refolded through
-    /// dense labels when it does not — and rows are grouped by key in
-    /// first-occurrence order, the canonical cluster order.
+    /// set. A [`Keyer`] labels each row's codes exactly, in first-occurrence
+    /// order, the canonical cluster order.
     ///
     /// Rows arrive through an aligned multi-column chunk stream
     /// ([`RelationBackend::scan_columns`]); since chunks tile the row range
@@ -126,7 +129,7 @@ impl Pli {
         let mut labels: Vec<u32> = Vec::with_capacity(source.n_rows());
         source.scan_columns(&cols, &mut |_, slices| {
             let len = slices.first().map_or(0, |s| s.len());
-            labels.extend((0..len).map(|i| keyer.insert(|p| slices[p][i]).0));
+            keyer.extend_labels(slices, len, &mut labels);
         })?;
         let n = labels.len();
         Ok(Pli::from_labels(&labels, keyer.len(), unit_weights(n), n))
@@ -191,11 +194,11 @@ impl Pli {
     /// the end), fresh clusters slot in by first id, so the result is
     /// exactly what a from-scratch build over the grown elements gives.
     ///
-    /// Returns `None` whenever the cardinality product of `attrs` on `new`
-    /// overflows the `u64` fold, the case where elements cannot be keyed
-    /// exactly here, whatever the batch holds. Appends never renumber
-    /// existing dictionary codes, so the new fold is exact on old elements
-    /// too.
+    /// One [`Keyer`] over `attrs` on `new` keys every element, exactly at
+    /// any width. The first elements of the existing clusters take labels
+    /// `0..k` in cluster order, so a new element's label says which cluster
+    /// it joins, or which group of new elements from `k` up. Appends never
+    /// renumber dictionary codes, so old elements key the same on `new`.
     pub(crate) fn grown(
         &self,
         attrs: AttrSet,
@@ -204,66 +207,49 @@ impl Pli {
         weights: Arc<[u32]>,
         n_rows: usize,
         repeated: &[u32],
-    ) -> Option<Pli> {
+    ) -> Pli {
         let old_n = self.weights.len();
         let new_n = weights.len();
         assert!(new_n >= old_n, "grown() only handles appends");
-        let fold = new.key_fold(attrs)?;
         if new_n == old_n && repeated.is_empty() {
-            return Some(Pli { weights, n_rows, ..self.clone() });
+            return Pli { weights, n_rows, ..self.clone() };
         }
-        let key = |e: u32| new.fold_key(e as usize, &fold);
-        // Key every existing cluster by its first element under the *new*
-        // fold; distinct clusters disagree on some attribute, so keys are
-        // unique.
-        let mut by_key: FoldKeyMap<u32> =
-            FoldKeyMap::with_capacity_and_hasher(self.cluster_count(), Default::default());
-        for (ci, cluster) in self.clusters().enumerate() {
-            by_key.insert(key(cluster[0]), ci as u32);
+        let columns = &attrs.iter().map(|c| new.column_codes(c)).collect::<Vec<_>>();
+        let code = |e: u32| move |p: usize| columns[p][e as usize];
+        let k = self.cluster_count();
+        let mut keyer = Keyer::with_capacity(
+            attrs.iter().map(|c| new.column_cardinality(c)),
+            k + new_n - old_n,
+        );
+        for cluster in self.clusters() {
+            keyer.insert(code(cluster[0]));
         }
-        // Group the new elements by key, remembering which existing cluster
-        // (if any) each group extends.
-        struct NewGroup {
-            /// Existing cluster this key extends, if any.
-            cluster: Option<u32>,
-            /// New elements with this key, ascending.
-            ids: Vec<u32>,
-            /// Stripped old element promoted into this group, if one matches.
-            old_singleton: Option<u32>,
-            /// Whether a stripped old element could match: every code
-            /// pre-exists.
-            maybe_old: bool,
-        }
-        let mut index: FoldKeyMap<u32> =
-            FoldKeyMap::with_capacity_and_hasher(new_n - old_n, Default::default());
-        let mut groups: Vec<NewGroup> = Vec::new();
+        // Scatter the new elements: into the existing cluster of their
+        // label, or into their group of new elements.
+        let mut sizes = self.sizes.clone();
+        let mut appended: Vec<Vec<u32>> = vec![Vec::new(); k];
+        // Per group of new elements: the stripped old element it promotes,
+        // if one matches, and its new elements, ascending.
+        let mut groups: Vec<(Option<u32>, Vec<u32>)> = Vec::new();
         let mut scan_singletons = false;
         for e in old_n as u32..new_n as u32 {
-            let k = key(e);
-            let gi = match index.get(&k) {
-                Some(&gi) => gi,
-                None => {
-                    let cluster = by_key.get(&k).copied();
-                    // An element carrying a brand-new dictionary code on any
-                    // attribute cannot equal any old element, so only groups
-                    // whose codes all pre-date the append can absorb one.
-                    let maybe_old = cluster.is_none()
-                        && attrs.iter().all(|c| {
-                            (new.code(e as usize, c) as usize) < old.column_cardinality(c)
-                        });
-                    scan_singletons |= maybe_old;
-                    let gi = groups.len() as u32;
-                    groups.push(NewGroup {
-                        cluster,
-                        ids: Vec::new(),
-                        old_singleton: None,
-                        maybe_old,
-                    });
-                    index.insert(k, gi);
-                    gi
-                }
-            };
-            groups[gi as usize].ids.push(e);
+            let (label, fresh) = keyer.insert(code(e));
+            let label = label as usize;
+            if label < k {
+                sizes[label] += weights[e as usize];
+                appended[label].push(e);
+                continue;
+            }
+            if fresh {
+                // An element carrying a brand-new dictionary code on any
+                // attribute cannot equal any old element, so only groups
+                // whose codes all pre-date the append can absorb one.
+                scan_singletons |= attrs
+                    .iter()
+                    .all(|c| (new.code(e as usize, c) as usize) < old.column_cardinality(c));
+                groups.push((None, Vec::new()));
+            }
+            groups[label - k].1.push(e);
         }
         if scan_singletons {
             // Old elements absent from the arena are stripped in `self`. At
@@ -275,52 +261,33 @@ impl Pli {
                 covered[e as usize] = true;
             }
             for e in (0..old_n as u32).filter(|&e| !covered[e as usize]) {
-                if let Some(&gi) = index.get(&key(e)) {
-                    let g = &mut groups[gi as usize];
-                    if g.maybe_old {
-                        g.old_singleton = Some(e);
-                    }
+                if let Some(label) = keyer.get(code(e)) {
+                    groups[label as usize - k].0 = Some(e);
                 }
             }
         }
         let weight_of = |ids: &[u32]| -> u32 { ids.iter().map(|&e| weights[e as usize]).sum() };
-        // Split the groups into per-existing-cluster extensions and fresh
-        // clusters (promotions and new-only groups of weight ≥ 2).
-        let mut sizes = self.sizes.clone();
-        let mut appended: Vec<Vec<u32>> = vec![Vec::new(); self.cluster_count()];
+        // Fresh clusters: promotions and new-only groups of weight ≥ 2. The
+        // promoted element (an old id) precedes every new id, keeping the
+        // interior ascending.
         let mut fresh: Vec<(Vec<u32>, u32)> = Vec::new();
-        for g in groups.iter_mut() {
-            match g.cluster {
-                Some(ci) => {
-                    sizes[ci as usize] += weight_of(&g.ids);
-                    appended[ci as usize] = std::mem::take(&mut g.ids);
-                }
-                None => {
-                    // The promoted element (an old id) precedes every new
-                    // id, keeping the interior ascending.
-                    let ids: Vec<u32> = g.old_singleton.iter().chain(&g.ids).copied().collect();
-                    let weight = weight_of(&ids);
-                    if weight >= 2 {
-                        fresh.push((ids, weight));
-                    }
-                }
+        for (promoted, ids) in &groups {
+            let ids: Vec<u32> = promoted.iter().chain(ids).copied().collect();
+            let weight = weight_of(&ids);
+            if weight >= 2 {
+                fresh.push((ids, weight));
             }
         }
-        // A repeated old element sits in the cluster holding its key, if
-        // any; otherwise it was stripped, and is a cluster of its own now
-        // unless a new group already took it in.
+        // A repeated old element sits in the cluster of its label, if any;
+        // otherwise it was stripped, and is a cluster of its own now unless
+        // a new group already took it in.
         for &e in repeated {
-            let k = key(e);
-            match by_key.get(&k) {
-                Some(&ci) => sizes[ci as usize] += weights[e as usize] - self.weights[e as usize],
-                None => {
-                    let absorbed = index
-                        .get(&k)
-                        .is_some_and(|&gi| groups[gi as usize].old_singleton == Some(e));
-                    if !absorbed {
-                        fresh.push((vec![e], weights[e as usize]));
-                    }
+            match keyer.get(code(e)) {
+                Some(label) if (label as usize) < k => {
+                    sizes[label as usize] += weights[e as usize] - self.weights[e as usize];
                 }
+                Some(label) => debug_assert_eq!(groups[label as usize - k].0, Some(e)),
+                None => fresh.push((vec![e], weights[e as usize])),
             }
         }
         fresh.sort_unstable_by_key(|(ids, _)| ids[0]);
@@ -341,7 +308,7 @@ impl Pli {
         for (ids, weight) in fresh {
             out.push(&[&ids], weight);
         }
-        Some(out.finish(weights, n_rows))
+        out.finish(weights, n_rows)
     }
 
     /// The trivial partition of the empty attribute set over `n_rows` rows:
@@ -929,11 +896,11 @@ mod tests {
     }
 
     #[test]
-    fn from_attrs_vector_key_fallback_matches_reference_grouping() {
-        // 12 columns of cardinality 64 defeat the u64 fold (64^12 = 2^72),
-        // forcing `from_attrs` onto the Vec<u32>-key fallback branch. Rows r
-        // and r + 64 agree on every column by construction, so the grouping
-        // is non-trivial: 64 clusters of exactly two rows.
+    fn from_attrs_matches_reference_grouping_past_a_u64_fold() {
+        // 12 columns of cardinality 64 need 72 bits (64^12 = 2^72), so the
+        // keyer refolds once. Rows r and r + 64 agree on every column by
+        // construction, so the grouping is non-trivial: 64 clusters of
+        // exactly two rows.
         let cols = 12usize;
         let schema = Schema::with_arity(cols).unwrap();
         let columns: Vec<Vec<u32>> = (0..cols)
@@ -941,7 +908,7 @@ mod tests {
             .collect();
         let rel = Relation::from_code_columns(schema, columns).unwrap();
         let full = AttrSet::full(cols);
-        assert!(rel.key_fold(full).is_none(), "the fold must overflow for this test to bite");
+        assert!((0..cols).all(|c| rel.column_cardinality(c) == 64));
 
         let pli = Pli::from_attrs(&rel, full).unwrap();
         // Reference grouping: the legacy hash-map-and-sort algorithm.
@@ -955,10 +922,8 @@ mod tests {
         assert!(expected.iter().all(|g| g.len() == 2));
         let got: Vec<Vec<u32>> = pli.clusters().map(|c| c.to_vec()).collect();
         assert_eq!(got, expected);
-        // A foldable sub-projection of the same relation goes down the fold
-        // path; both paths must agree where they overlap.
+        // A sub-projection of the same relation keys in one round.
         let narrow: AttrSet = [0usize, 1].into_iter().collect();
-        assert!(rel.key_fold(narrow).is_some());
         let fold_path = Pli::from_attrs(&rel, narrow).unwrap();
         let mut narrow_groups: HashMap<Vec<u32>, Vec<u32>> = HashMap::new();
         for r in 0..rel.n_rows() {

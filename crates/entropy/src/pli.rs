@@ -203,9 +203,8 @@ impl PliEntropyOracle {
     /// single-attribute partitions and every composite in the partition
     /// cache — is then carried across the append by the delta path
     /// (`Pli::grown` over the tuple relations, counted as a
-    /// `delta_refresh`), falling back to a from-scratch regroup of the
-    /// tuples only when the grown relation's cardinality product overflows
-    /// the `u64` fold (`full_rebuild`). Cached *entropies* are re-derived
+    /// `delta_refresh`), which keys exactly at any width, so no partition
+    /// is regrouped from scratch. Cached *entropies* are re-derived
     /// from the refreshed partitions, never copied: an entropy memoized for
     /// the old relation is stale for the new one, so only attribute sets
     /// whose partitions are held come across — everything else recomputes
@@ -213,8 +212,8 @@ impl PliEntropyOracle {
     ///
     /// Work counters are seeded from this oracle's
     /// ([`AtomicOracleStats::seeded`]), so `stats()` stays cumulative across
-    /// the lineage — which is what makes the `delta_refreshes` /
-    /// `full_rebuilds` split observable over a session's lifetime.
+    /// the lineage, and `delta_refreshes` counts every partition carried
+    /// over a session's lifetime.
     ///
     /// # Errors
     /// Returns the [`RelationError`] of a row whose arity mismatches the
@@ -226,16 +225,8 @@ impl PliEntropyOracle {
         let (table, repeated) = self.table.extended(rows)?;
         let stats = AtomicOracleStats::seeded(self.stats.snapshot());
         let carry = |pli: &Pli, attrs: AttrSet| -> Arc<Pli> {
-            Arc::new(match table.carry(pli, attrs, &self.table, &repeated) {
-                Some(p) => {
-                    stats.record_delta_refresh();
-                    p
-                }
-                None => {
-                    stats.record_full_rebuild();
-                    table.partition(attrs)
-                }
-            })
+            stats.record_delta_refresh();
+            Arc::new(table.carry(pli, attrs, &self.table, &repeated))
         };
         let singles: Vec<Arc<Pli>> =
             self.singles.iter().enumerate().map(|(a, p)| carry(p, AttrSet::singleton(a))).collect();
@@ -696,21 +687,20 @@ mod tests {
             );
         }
         let stats = successor.stats();
-        // 6 singles + every cached composite came across on the delta path;
-        // nothing on this small relation overflows the fold.
+        // 6 singles + every cached composite came across on the delta path.
         assert_eq!(stats.delta_refreshes, 6 + oracle.cached_pli_count() as u64, "got {stats:?}");
         assert!(oracle.cached_pli_count() >= 26, "precompute should have filled the cache");
-        assert_eq!(stats.full_rebuilds, 0);
         // Counters are cumulative across the lineage.
         assert!(stats.calls >= oracle.stats().calls);
         assert_eq!(oracle.stats().delta_refreshes, 0);
     }
 
     #[test]
-    fn extend_to_falls_back_to_full_rebuild_on_fold_overflow() {
-        // 12 columns of cardinality 64: every composite of all 12 columns
-        // overflows the u64 fold, but singles always fold, so the successor
-        // splits its refresh counters.
+    fn extend_to_stays_exact_past_a_u64_fold_overflow() {
+        // 12 columns of cardinality 64: the widest cached prefixes need more
+        // than 64 bits (64^12 = 2^72), so their carried partitions key in
+        // two rounds. The batch repeats a tuple, adds tuples that match old
+        // ones on long prefixes, and brings a new value on the last column.
         let cols = 12usize;
         let schema = Schema::with_arity(cols).unwrap();
         let columns: Vec<Vec<u32>> = (0..cols)
@@ -718,18 +708,34 @@ mod tests {
             .collect();
         let rel = Relation::from_code_columns(schema, columns).unwrap();
         let full = AttrSet::full(cols);
-        let oracle =
-            PliEntropyOracle::new(&rel, EntropyConfig { block_size: None, max_cached_plis: 100 });
-        oracle.entropy(full); // caches composite prefixes, incl. unfoldable ones
+        let config = EntropyConfig { block_size: None, max_cached_plis: 100 };
+        let oracle = PliEntropyOracle::new(&rel, config);
+        oracle.entropy(full); // caches every composite prefix of the 12 columns
+        let mut batch = vec![rel.row(0), rel.row(5)];
+        let mut near = rel.row(1);
+        near[cols - 1] = rel.value(2, cols - 1);
+        batch.push(near.clone());
+        batch.push(near);
+        let mut fresh_value = rel.row(3);
+        fresh_value[cols - 1] = "new";
+        batch.push(fresh_value);
         let mut grown = rel.clone();
-        grown.append_rows(&[rel.row(0)]).unwrap();
-        let successor = oracle.extend_to(&[rel.row(0)]).unwrap();
-        let stats = successor.stats();
-        assert_eq!(stats.delta_refreshes + stats.full_rebuilds, 12 + 10);
-        assert!(stats.full_rebuilds >= 1, "the widest prefixes cannot fold: {stats:?}");
-        let fresh =
-            PliEntropyOracle::new(&grown, EntropyConfig { block_size: None, max_cached_plis: 100 });
-        assert_eq!(successor.entropy(full).to_bits(), fresh.entropy(full).to_bits());
+        grown.append_rows(&batch).unwrap();
+        let successor = oracle.extend_to(&batch).unwrap();
+        assert_eq!(successor.stats().delta_refreshes, 12 + 10);
+        // Every carried partition, the 11-column prefix past 2^64 included,
+        // equals a fresh oracle's grouping of the grown tuples.
+        let fresh = PliEntropyOracle::new(&grown, config);
+        assert_eq!(successor.distinct_tuples(), fresh.distinct_tuples());
+        assert!((0..cols).all(|c| rel.column_cardinality(c) == 64), "64^11 = 2^66");
+        for prefix in 1..cols {
+            let attrs = AttrSet::full(prefix);
+            let carried = successor.cached_partition(attrs).expect("the prefix is cached");
+            assert_eq!(*carried, fresh.table.partition(attrs), "the first {prefix} columns");
+        }
+        for attrs in full.subsets().filter(|s| !s.is_empty()) {
+            assert_eq!(successor.entropy(attrs).to_bits(), fresh.entropy(attrs).to_bits());
+        }
     }
 
     #[test]

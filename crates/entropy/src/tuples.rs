@@ -8,91 +8,13 @@
 //! and therefore every entropy — exactly what the row-level partition gives
 //! (see the `partition` module docs for the three rules).
 //!
-//! Tuples are keyed exactly by a [`Keyer`]: codes fold into mixed-radix
-//! `u64` keys, and whenever the radix product would overflow, the partial
-//! key is first refolded into a dense label, as
-//! [`relation::JoinCounter`] labels wide projections.
+//! Tuples are keyed exactly by a [`relation::Keyer`], the labeller every
+//! grouping in the workspace shares, and so is every partition over them.
 
 use crate::partition::Pli;
-use relation::{AttrSet, FoldKeyMap, Relation, RelationError, Schema};
+use relation::{AttrSet, Keyer, Relation, RelationError, Schema};
 use std::sync::Arc;
 use storage::{RelationBackend, StorageError};
-
-/// Exact dense labels for code vectors over a fixed list of columns, in
-/// first-insertion order.
-///
-/// The columns are folded in rounds. Each round folds the previous round's
-/// label (below 2³², in the low word) and as many further columns as fit
-/// into one mixed-radix `u64`, then maps that key to a dense label. The last
-/// round's label is the result, so two code vectors get the same label
-/// exactly when they agree on every column, however wide the list.
-#[derive(Clone, Debug)]
-pub(crate) struct Keyer {
-    rounds: Vec<Round>,
-}
-
-#[derive(Clone, Debug)]
-struct Round {
-    /// `(position, multiplier, radix)` per folded column; `position` indexes
-    /// the keyer's column list and `radix` is the cardinality it was sized for.
-    factors: Vec<(usize, u64, u64)>,
-    labels: FoldKeyMap<u32>,
-}
-
-impl Keyer {
-    /// A keyer over columns with the given cardinalities, in list order.
-    pub(crate) fn new(cardinalities: impl IntoIterator<Item = usize>) -> Keyer {
-        let mut rounds = Vec::new();
-        let mut factors = Vec::new();
-        let mut radix: u64 = 1;
-        for (position, cardinality) in cardinalities.into_iter().enumerate() {
-            let cardinality = cardinality.max(1) as u64;
-            if radix.checked_mul(cardinality).is_none() {
-                rounds.push(Round {
-                    factors: std::mem::take(&mut factors),
-                    labels: Default::default(),
-                });
-                // Cardinalities stay below 2³², so a column always fits next
-                // to the refolded label.
-                radix = 1 << 32;
-            }
-            factors.push((position, radix, cardinality));
-            radix *= cardinality;
-        }
-        rounds.push(Round { factors, labels: Default::default() });
-        Keyer { rounds }
-    }
-
-    /// The label of the code vector `code(position)`, assigning the next
-    /// free one if it is new; the flag says whether it was.
-    #[inline]
-    pub(crate) fn insert(&mut self, code: impl Fn(usize) -> u32) -> (u32, bool) {
-        let mut label = 0u64;
-        let mut fresh = false;
-        for round in &mut self.rounds {
-            let key = round.factors.iter().fold(label, |key, &(p, m, _)| key + code(p) as u64 * m);
-            let next = round.labels.len() as u32;
-            let id = *round.labels.entry(key).or_insert(next);
-            fresh = id == next;
-            label = id as u64;
-        }
-        (label as u32, fresh)
-    }
-
-    /// Number of distinct labels handed out.
-    pub(crate) fn len(&self) -> usize {
-        self.rounds.last().map_or(0, |r| r.labels.len())
-    }
-
-    /// `true` while every column's cardinality still fits the radix the
-    /// keyer was sized for, so existing keys stay exact.
-    pub(crate) fn covers(&self, cardinality: impl Fn(usize) -> usize) -> bool {
-        self.rounds
-            .iter()
-            .flat_map(|r| &r.factors)
-            .all(|&(p, _, radix)| cardinality(p) as u64 <= radix)
-    }
-}
 
 /// The distinct tuples of a relation in first-occurrence order, each with
 /// its multiplicity, plus the index that maps a row to its tuple id.
@@ -130,11 +52,15 @@ impl TupleTable {
         let mut index = Keyer::new(cols.iter().map(|&c| source.column_cardinality(c)));
         let mut weights: Vec<u32> = Vec::new();
         let mut codes: Vec<Vec<u32>> = vec![Vec::new(); arity];
+        let mut labels: Vec<u32> = Vec::new();
         source.scan_columns(&cols, &mut |_, slices| {
             let len = slices.first().map_or(0, |s| s.len());
-            for i in 0..len {
-                let (tuple, fresh) = index.insert(|c| slices[c][i]);
-                if fresh {
+            labels.clear();
+            index.extend_labels(slices, len, &mut labels);
+            // Tuple ids are numbered by first row: a row opens a tuple
+            // exactly when its id is the next one.
+            for (i, &tuple) in labels.iter().enumerate() {
+                if tuple as usize == weights.len() {
                     weights.push(1);
                     for (column, slice) in codes.iter_mut().zip(slices) {
                         column.push(slice[i]);
@@ -198,13 +124,12 @@ impl TupleTable {
         Pli::from_labels(codes, cardinality, Arc::clone(&self.weights), self.n_rows)
     }
 
-    /// The partition of `attrs` over the tuples, labelling each tuple by its
-    /// `attrs` codes.
+    /// The partition of `attrs`, a non-empty attribute set, over the tuples,
+    /// labelling each tuple by its `attrs` codes.
     pub(crate) fn partition(&self, attrs: AttrSet) -> Pli {
-        let columns: Vec<&[u32]> = attrs.iter().map(|c| self.tuples.column_codes(c)).collect();
-        let mut keyer = Keyer::new(attrs.iter().map(|c| self.tuples.column_cardinality(c)));
-        let labels: Vec<u32> = (0..self.len()).map(|t| keyer.insert(|p| columns[p][t]).0).collect();
-        Pli::from_labels(&labels, keyer.len(), Arc::clone(&self.weights), self.n_rows)
+        let (labels, groups) =
+            self.tuples.group_labels(attrs).expect("partitions are of non-empty attribute sets");
+        Pli::from_labels(&labels, groups, Arc::clone(&self.weights), self.n_rows)
     }
 
     /// The table after appending `rows`: each row bumps its tuple's weight
@@ -263,15 +188,14 @@ impl TupleTable {
 
     /// Carries `pli`, the partition of `attrs` over `old`, onto this table,
     /// which [`TupleTable::extended`] built from `old` with `repeated` the
-    /// old tuples whose weight rose. `None` when the delta path cannot key
-    /// `attrs` exactly ([`Pli::grown`]).
+    /// old tuples whose weight rose ([`Pli::grown`]).
     pub(crate) fn carry(
         &self,
         pli: &Pli,
         attrs: AttrSet,
         old: &TupleTable,
         repeated: &[u32],
-    ) -> Option<Pli> {
+    ) -> Pli {
         pli.grown(
             attrs,
             &old.tuples,
@@ -286,26 +210,6 @@ impl TupleTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn keyer_refolds_past_a_u64_overflow_and_stays_exact() {
-        // 12 columns of cardinality 64 need 72 bits: two rounds.
-        let mut keyer = Keyer::new(std::iter::repeat_n(64, 12));
-        assert_eq!(keyer.rounds.len(), 2);
-        let a: Vec<u32> = (0..12).collect();
-        let mut b = a.clone();
-        b[11] = 63;
-        assert_eq!(keyer.insert(|p| a[p]), (0, true));
-        assert_eq!(keyer.insert(|p| b[p]), (1, true));
-        assert_eq!(keyer.insert(|p| a[p]), (0, false));
-        assert_eq!(keyer.insert(|p| b[p]), (1, false));
-        let mut c = a.clone();
-        c[0] = 5;
-        assert_eq!(keyer.insert(|p| c[p]), (2, true));
-        assert_eq!(keyer.len(), 3);
-        assert!(keyer.covers(|_| 64));
-        assert!(!keyer.covers(|p| if p == 3 { 65 } else { 64 }));
-    }
 
     #[test]
     fn table_counts_multiplicities_in_first_occurrence_order() {

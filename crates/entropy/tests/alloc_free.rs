@@ -7,7 +7,8 @@
 //! for row partitions and for the oracle's partitions over weighted tuple
 //! ids, on a relation whose rows repeat each tuple many times, and
 //! * a warm `relation::JoinCounter` counts joins and distinct tuples without
-//!   allocating, also when its memo evicts and relabels on every call,
+//!   allocating, also when its memo evicts and relabels on every call and
+//!   when its labels take two fold rounds,
 //!
 //! which is the steady-state contract the flat-arena refactor exists for —
 //! the mining workload performs hundreds of thousands of these per run.
@@ -135,6 +136,45 @@ fn steady_state_entropy_queries_do_not_allocate() {
         assert_eq!(after - before, 0, "a warm join counter (budget {budget}) must not allocate");
     }
     assert!(total > 0);
+
+    // The same contract when labels need two fold rounds: 12 columns of
+    // cardinality 64 need 72 bits, so the widest bags refold once.
+    let columns: Vec<Vec<u32>> = (0..12u32)
+        .map(|c| (0..300u32).map(|r| ((r * (c + 3) / 7) ^ (r % (c + 2))) % 64).collect())
+        .collect();
+    let wide = Relation::from_code_columns(Schema::with_arity(12).unwrap(), columns).unwrap();
+    let bits: f64 = (0..12).map(|c| (wide.column_cardinality(c) as f64).log2()).sum();
+    assert!(bits > 64.0, "the widest bags must need two rounds: {bits} bits");
+    let specs: Vec<JoinTreeSpec> = [(12, 0), (11, 10), (8, 4)]
+        .into_iter()
+        .map(|(width, overlap)| {
+            let mut bags = vec![window(0, width)];
+            while let Some(&last) = bags.last().filter(|b| !b.contains(11)) {
+                let from = last.max_attr().unwrap() + 1 - overlap;
+                bags.push(window(from, (from + width).min(12)));
+            }
+            let edges = (1..bags.len()).map(|i| (i - 1, i)).collect();
+            JoinTreeSpec::new(bags, edges).unwrap()
+        })
+        .collect();
+    for budget in [LABEL_MEMO_BUDGET_BYTES, 1] {
+        let mut counter = JoinCounter::with_memo_budget(&wide, budget);
+        let mut pass = |counter: &mut JoinCounter<'_>| {
+            for spec in &specs {
+                total += counter.join_size(spec).unwrap();
+                total += counter.distinct_count(AttrSet::full(12)).unwrap() as u128;
+            }
+        };
+        pass(&mut counter);
+        let before = allocations();
+        pass(&mut counter);
+        let after = allocations();
+        assert_eq!(
+            after - before,
+            0,
+            "a warm join counter (budget {budget}) must not allocate on two-round labels"
+        );
+    }
 
     // Keep the checksum observable so the loops cannot be optimized away.
     assert!(checksum.is_finite());

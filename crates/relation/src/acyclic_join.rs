@@ -18,7 +18,8 @@
 
 use crate::attrset::AttrSet;
 use crate::error::RelationError;
-use crate::relation::{FoldKeyMap, Relation};
+use crate::keyer::Keyer;
+use crate::relation::Relation;
 use std::collections::HashMap;
 
 /// A rooted join-tree specification: one bag of attributes per node and one
@@ -181,10 +182,8 @@ struct TreeScratch {
 /// representative row per group. `distinct_count(X)` is then the group
 /// count, and [`JoinCounter::join_size`] runs Yannakakis count propagation
 /// over arrays indexed by group id — each child group reaches its separator
-/// label through its representative row, with no hashing. A labelling folds
-/// the columns of `X` into exact `u64` keys, refolding the partial label
-/// with further columns whenever the radix product would overflow, so no
-/// width of `X` needs per-row key vectors.
+/// label through its representative row, with no hashing. The labels come
+/// from one reused [`Keyer`], so they are exact for any width of `X`.
 ///
 /// The memo is bounded by [`LABEL_MEMO_BUDGET_BYTES`]: a new labelling that
 /// would push it past the budget first evicts the least recently used
@@ -192,8 +191,8 @@ struct TreeScratch {
 /// always admitted, so a relation too large for the budget is measured
 /// correctly at the cost of relabelling per schema.
 ///
-/// Construction reserves label buffers up to the budget and the key map;
-/// an evicted labelling's buffer takes the next labelling, and every
+/// Construction reserves label buffers up to the budget and the keyer's
+/// maps; an evicted labelling's buffer takes the next labelling, and every
 /// per-call buffer is kept for the next call. Once the memo and those
 /// buffers have reached their working size a counter no longer allocates,
 /// so a counter built and dropped on one thread keeps its label memory with
@@ -209,8 +208,8 @@ pub struct JoinCounter<'a> {
     fresh: Labeling,
     /// Buffers of evicted (or reserved) labellings, reused before allocating.
     spare: Vec<Labeling>,
-    /// Distinct keys of one labelling round, cleared between rounds.
-    ids: FoldKeyMap<u32>,
+    /// Labels the rows of one attribute set at a time.
+    keyer: Keyer,
     /// Memo entries by last use, oldest first, while evicting.
     victims: Vec<(u64, AttrSet)>,
     scratch: TreeScratch,
@@ -241,7 +240,9 @@ impl<'a> JoinCounter<'a> {
             clock: 0,
             fresh: Labeling::with_rows(n),
             spare: (0..fit(8 * n)).map(|_| Labeling::with_rows(n)).collect(),
-            ids: FoldKeyMap::with_capacity_and_hasher(n, Default::default()),
+            // Sized by the whole signature, the keyer has the rounds and
+            // factors of any attribute set, each round with room for n rows.
+            keyer: Keyer::with_capacity((0..rel.arity()).map(|c| rel.column_cardinality(c)), n),
             victims: Vec::new(),
             scratch: TreeScratch::default(),
         }
@@ -326,6 +327,27 @@ impl<'a> JoinCounter<'a> {
         Ok(())
     }
 
+    /// Labels `R[attrs]` into the fresh buffer as a [`Labeling`] lays them
+    /// out; a row whose label is new is its group's representative.
+    fn label(&mut self, attrs: AttrSet) {
+        let mut columns: [&[u32]; AttrSet::MAX_ATTRS] = [&[]; AttrSet::MAX_ATTRS];
+        for (slot, c) in columns.iter_mut().zip(attrs.iter()) {
+            *slot = self.rel.column_codes(c);
+        }
+        self.keyer.reset(attrs.iter().map(|c| self.rel.column_cardinality(c)));
+        let n = self.rel.n_rows();
+        let words = &mut self.fresh.words;
+        words.clear();
+        self.keyer.extend_labels(&columns[..attrs.len()], n, words);
+        let mut next = 0;
+        for r in 0..n {
+            if words[r] == next {
+                words.push(r as u32);
+                next += 1;
+            }
+        }
+    }
+
     /// Labels every set of `working_set` not yet in the memo and marks all
     /// of them used. A new labelling that would overflow the budget first
     /// evicts labellings outside `working_set`, least recently used first;
@@ -337,7 +359,7 @@ impl<'a> JoinCounter<'a> {
                 hit.last_use = self.clock;
                 continue;
             }
-            label_into(self.rel, attrs, &mut self.ids, &mut self.fresh.words);
+            self.label(attrs);
             self.fresh.last_use = self.clock;
             let bytes = self.fresh.bytes();
             if self.memo_bytes + bytes > self.budget_bytes {
@@ -392,49 +414,6 @@ fn root_tree(spec: &JoinTreeSpec, scratch: &mut TreeScratch) {
                 parent[v] = u;
                 stack.push(v);
             }
-        }
-    }
-}
-
-/// Labels `R[attrs]` into `words` as a [`Labeling`] lays them out. Each
-/// round folds the previous round's label and as many further columns as
-/// fit into one exact mixed-radix `u64` key, then numbers the distinct keys
-/// by first row, rewriting the labels in place; the representatives are the
-/// rows where the next group first appears.
-fn label_into(rel: &Relation, attrs: AttrSet, ids: &mut FoldKeyMap<u32>, words: &mut Vec<u32>) {
-    let n = rel.n_rows();
-    words.clear();
-    words.resize(n, 0);
-    let mut cols = attrs.iter().peekable();
-    let mut groups = 0;
-    let mut run: [(&[u32], u64); AttrSet::MAX_ATTRS] = [(&[], 0); AttrSet::MAX_ATTRS];
-    while cols.peek().is_some() {
-        // Group counts and cardinalities both stay below 2³², so every
-        // round takes at least one column.
-        let mut radix = groups.max(1) as u64;
-        let mut len = 0;
-        while let Some(&c) = cols.peek() {
-            let card = rel.column_cardinality(c).max(1) as u64;
-            let Some(next) = radix.checked_mul(card) else { break };
-            run[len] = (rel.column_codes(c), radix);
-            len += 1;
-            radix = next;
-            cols.next();
-        }
-        let run = &run[..len];
-        ids.clear();
-        for (r, label) in words.iter_mut().enumerate() {
-            let key = run.iter().fold(*label as u64, |key, &(codes, m)| key + codes[r] as u64 * m);
-            let next = ids.len() as u32;
-            *label = *ids.entry(key).or_insert(next);
-        }
-        groups = ids.len();
-    }
-    let mut next = 0;
-    for r in 0..n {
-        if words[r] == next {
-            words.push(r as u32);
-            next += 1;
         }
     }
 }
@@ -548,7 +527,8 @@ mod tests {
             .collect();
         let rel = Relation::from_code_columns(schema, columns).unwrap();
         let all = rel.schema().all_attrs();
-        assert!(rel.key_fold(all).is_none());
+        let bits: f64 = (0..12).map(|c| (rel.column_cardinality(c) as f64).log2()).sum();
+        assert!(bits > 64.0, "the cardinality product must pass 2^64: {bits} bits");
         let mut counter = JoinCounter::new(&rel);
         assert_eq!(counter.distinct_count(all).unwrap(), rel.distinct_count(all).unwrap());
         let spec = JoinTreeSpec::new(vec![all.without(11), all.without(0)], vec![(0, 1)]).unwrap();

@@ -13,12 +13,21 @@
 //! ingester in `maimon-storage` feeds it each buffered chunk of a stream.
 //! The reader also fixes the schema from the first record, checks every
 //! record's arity against it, and reports every error in input order with
-//! the 1-based line and 0-based byte offset where the problem starts.
+//! the 1-based line and 0-based byte offset where the problem starts. A
+//! record may hold at most [`MAX_RECORD_BYTES`] bytes, so no input, however
+//! hostile, grows the reader's buffers past that.
 
 use crate::error::RelationError;
 use crate::relation::{Relation, RelationBuilder};
 use crate::schema::Schema;
 use std::borrow::Cow;
+
+/// The most bytes one record may span, every byte but its terminating
+/// newline counted (quotes, delimiters and carriage returns included). A
+/// longer record, such as an unterminated quoted field running to the end
+/// of a large file, is a [`RelationError::Csv`] at the record's start,
+/// raised before the reader buffers more than this.
+pub const MAX_RECORD_BYTES: usize = 1 << 20;
 
 /// Options controlling CSV parsing.
 #[derive(Clone, Copy, Debug)]
@@ -134,8 +143,9 @@ impl CsvReader {
     ///
     /// # Errors
     /// Returns the first error in input order: a quote in the middle of an
-    /// unquoted field, a record whose arity differs from the schema's (at
-    /// the record's start), an invalid header, or an error of `on_record`.
+    /// unquoted field, a record whose arity differs from the schema's or
+    /// that exceeds [`MAX_RECORD_BYTES`] (both at the record's start), an
+    /// invalid header, or an error of `on_record`.
     pub fn feed<E: From<RelationError>>(
         &mut self,
         input: &[u8],
@@ -144,6 +154,11 @@ impl CsvReader {
         for &b in input {
             let at = self.offset;
             self.offset += 1;
+            let ends_record = b == b'\n' && self.quoting != Quoting::On;
+            if at - self.record_at.1 >= MAX_RECORD_BYTES && !ends_record {
+                let message = format!("record is longer than {} bytes", MAX_RECORD_BYTES);
+                return Err(csv_error(self.record_at, message).into());
+            }
             match self.quoting {
                 Quoting::On => {
                     if b == b'"' {
@@ -419,6 +434,37 @@ mod tests {
             }
             other => panic!("unexpected error: {:?}", other),
         }
+    }
+
+    #[test]
+    fn an_over_cap_unterminated_field_fails_before_the_buffer_passes_the_cap() {
+        // The field opens at byte 2 of line 2 and never closes; fed in
+        // small slices, the reader stops at the cap, not at the input's end.
+        let mut reader = CsvReader::new(',', true).unwrap();
+        let mut records = 0;
+        let mut count = |_: &Schema, _: &CsvRecord<'_>| -> Result<(), RelationError> {
+            records += 1;
+            Ok(())
+        };
+        reader.feed(b"A\n\"", &mut count).unwrap();
+        let slice = [b'x'; 4096];
+        let mut fed = 1;
+        let err = loop {
+            if let Err(e) = reader.feed(&slice, &mut count) {
+                break e;
+            }
+            fed += slice.len();
+            assert!(fed <= MAX_RECORD_BYTES, "no error after {fed} record bytes");
+        };
+        match err {
+            RelationError::Csv { line, offset, message } => {
+                assert_eq!((line, offset), (2, 2));
+                assert!(message.contains("longer than"), "{message}");
+            }
+            other => panic!("unexpected error: {other:?}"),
+        }
+        assert!(reader.bytes.capacity() <= MAX_RECORD_BYTES, "{}", reader.bytes.capacity());
+        assert_eq!(records, 0);
     }
 
     #[test]

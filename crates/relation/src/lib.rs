@@ -8,6 +8,9 @@
 //! * [`Schema`] / [`Relation`] — dictionary-encoded, columnar, in-memory
 //!   relation instances with projection, selection, deduplication and
 //!   grouping.
+//! * [`Keyer`] — the one exact labeller for code vectors: every grouping in
+//!   the workspace (partitions, distinct counts, join-size labels, bag
+//!   projections) numbers its groups through it, however wide the key.
 //! * [`natural_join`] / [`natural_join_all`] — materialized joins used to
 //!   validate decompositions on small inputs.
 //! * [`JoinCounter`] / [`acyclic_join_size`] / [`spurious_tuple_count`] —
@@ -28,6 +31,7 @@ mod csv;
 mod error;
 mod generator;
 mod join;
+mod keyer;
 mod relation;
 mod schema;
 
@@ -36,13 +40,14 @@ pub use acyclic_join::{
     LABEL_MEMO_BUDGET_BYTES,
 };
 pub use attrset::{AttrIter, AttrSet, SubsetIter};
-pub use csv::{relation_from_csv, relation_to_csv, CsvOptions, CsvReader, CsvRecord};
+pub use csv::{
+    relation_from_csv, relation_to_csv, CsvOptions, CsvReader, CsvRecord, MAX_RECORD_BYTES,
+};
 pub use error::RelationError;
 pub use generator::{
     cartesian_product_relation, random_fd_chain_relation, random_uniform_relation,
 };
 pub use join::{natural_join, natural_join_all};
-pub use relation::{
-    AppendSummary, Dictionary, FoldKeyHasher, FoldKeyMap, KeyFold, Relation, RelationBuilder,
-};
+pub use keyer::{FoldKeyHasher, FoldKeyMap, Keyer};
+pub use relation::{AppendSummary, Dictionary, Relation, RelationBuilder};
 pub use schema::Schema;

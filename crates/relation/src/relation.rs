@@ -3,11 +3,12 @@
 //! Maimon only ever needs categorical comparisons of values (grouping,
 //! counting, joining); it never interprets them numerically. Every column is
 //! therefore stored as a dictionary of distinct strings plus a dense `u32`
-//! code per row, which makes the grouping performed by the entropy engine and
-//! the projections performed by the quality metrics cheap.
+//! code per row, and every grouping of rows labels their codes through one
+//! exact [`Keyer`].
 
 use crate::attrset::AttrSet;
 use crate::error::RelationError;
+use crate::keyer::Keyer;
 use crate::schema::Schema;
 use std::collections::HashMap;
 use std::fmt;
@@ -39,6 +40,19 @@ impl Dictionary {
         self.values.push(value.to_string());
         self.index.insert(value.to_string(), code);
         code
+    }
+
+    /// The code of `value`, if the dictionary holds it.
+    pub fn code_of(&self, value: &str) -> Option<u32> {
+        self.index.get(value).copied()
+    }
+
+    /// The value with code `code`.
+    ///
+    /// # Panics
+    /// Panics if `code` is not in the dictionary.
+    pub fn value(&self, code: u32) -> &str {
+        &self.values[code as usize]
     }
 
     /// Gives up the index and returns the values, indexed by code.
@@ -293,84 +307,62 @@ impl Relation {
         &self.columns[c].dict.values
     }
 
+    /// The [`Dictionary`] of column `c`, with its value-to-code index.
+    #[inline]
+    pub fn column_dictionary(&self, c: usize) -> &Dictionary {
+        &self.columns[c].dict
+    }
+
     /// Materializes row `r` as strings.
     pub fn row(&self, r: usize) -> Vec<&str> {
         (0..self.arity()).map(|c| self.value(r, c)).collect()
     }
 
     /// The code-vector of row `r` restricted to `attrs` (ascending attribute
-    /// order). This is the grouping key used throughout the entropy engine.
+    /// order). Groupings label rows through a [`Keyer`] instead; this plain
+    /// vector is the independent reference tests compare them against.
     pub fn key(&self, r: usize, attrs: AttrSet) -> Vec<u32> {
         attrs.iter().map(|c| self.code(r, c)).collect()
     }
 
-    /// Precomputes a mixed-radix folding of the `attrs` dictionary codes into
-    /// a single `u64`: column `c` with cardinality `card(c)` contributes
-    /// `code(r, c) · Π card(c')` over the preceding attributes. The encoding
-    /// is *exact* (collision-free, unlike hashing a `Vec<u32>` key), so two
-    /// rows fold to the same `u64` iff they agree on every attribute of
-    /// `attrs`. Returns `None` when the cardinality product overflows `u64`,
-    /// in which case callers fall back to vector keys.
-    pub fn key_fold(&self, attrs: AttrSet) -> Option<KeyFold> {
-        KeyFold::from_cardinalities(attrs, |c| self.column_cardinality(c))
-    }
-
-    /// The folded `u64` grouping key of row `r` under a [`KeyFold`] built by
-    /// [`Relation::key_fold`]; the single-word counterpart of
-    /// [`Relation::key`] for the entropy engine's hot path.
+    /// Labels every row by its `attrs` codes: `labels[r]` is the group of
+    /// row `r` in `R[attrs]`, groups numbered by first row. Also returns the
+    /// number of groups, `|R[attrs]|`.
     ///
-    /// # Panics
-    /// Panics if `r` is out of range or `fold` was built for another relation.
-    #[inline]
-    pub fn fold_key(&self, r: usize, fold: &KeyFold) -> u64 {
-        fold.factors.iter().map(|f| self.columns[f.attr].codes[r] as u64 * f.multiplier).sum()
+    /// # Errors
+    /// Returns an error if `attrs` is empty or out of range.
+    pub fn group_labels(&self, attrs: AttrSet) -> Result<(Vec<u32>, usize), RelationError> {
+        self.validate_attrs(attrs)?;
+        let columns: Vec<&[u32]> = attrs.iter().map(|c| self.column_codes(c)).collect();
+        let cardinalities = attrs.iter().map(|c| self.column_cardinality(c));
+        let mut keyer = Keyer::with_capacity(cardinalities, self.n_rows);
+        let mut labels = Vec::with_capacity(self.n_rows);
+        keyer.extend_labels(&columns, self.n_rows, &mut labels);
+        Ok((labels, keyer.len()))
     }
 
-    /// Number of distinct tuples in the projection `R[attrs]`. Counts folded
-    /// `u64` keys when the cardinality product of `attrs` fits
-    /// ([`Relation::key_fold`]); only pathologically wide projections fall
-    /// back to hashing per-row code vectors.
+    /// Number of distinct tuples in the projection `R[attrs]`.
     ///
     /// # Errors
     /// Returns an error if `attrs` is empty or out of range.
     pub fn distinct_count(&self, attrs: AttrSet) -> Result<usize, RelationError> {
-        self.validate_attrs(attrs)?;
-        if let Some(fold) = self.key_fold(attrs) {
-            let mut seen: FoldKeyMap<()> =
-                FoldKeyMap::with_capacity_and_hasher(self.n_rows, Default::default());
-            for r in 0..self.n_rows {
-                seen.insert(self.fold_key(r, &fold), ());
-            }
-            return Ok(seen.len());
-        }
-        let mut seen: HashMap<Vec<u32>, ()> = HashMap::with_capacity(self.n_rows);
-        for r in 0..self.n_rows {
-            seen.insert(self.key(r, attrs), ());
-        }
-        Ok(seen.len())
+        Ok(self.group_labels(attrs)?.1)
     }
 
     /// Groups rows by their `attrs` key and returns the multiset of group
-    /// sizes. The entropy of the empirical distribution only depends on these
-    /// counts (Eq. 5 of the paper). The multiset is returned in an
-    /// unspecified order (hash-map order); callers needing determinism sort
-    /// it, as the naive entropy oracle does. Uses folded `u64` keys when the
-    /// cardinality product of `attrs` fits.
+    /// sizes, in order of each group's first row. The entropy of the
+    /// empirical distribution only depends on these counts (Eq. 5 of the
+    /// paper).
+    ///
+    /// # Errors
+    /// Returns an error if `attrs` is empty or out of range.
     pub fn group_sizes(&self, attrs: AttrSet) -> Result<Vec<usize>, RelationError> {
-        self.validate_attrs(attrs)?;
-        if let Some(fold) = self.key_fold(attrs) {
-            let mut groups: FoldKeyMap<usize> =
-                FoldKeyMap::with_capacity_and_hasher(self.n_rows, Default::default());
-            for r in 0..self.n_rows {
-                *groups.entry(self.fold_key(r, &fold)).or_insert(0) += 1;
-            }
-            return Ok(groups.into_values().collect());
+        let (labels, groups) = self.group_labels(attrs)?;
+        let mut sizes = vec![0; groups];
+        for label in labels {
+            sizes[label as usize] += 1;
         }
-        let mut groups: HashMap<Vec<u32>, usize> = HashMap::with_capacity(self.n_rows);
-        for r in 0..self.n_rows {
-            *groups.entry(self.key(r, attrs)).or_insert(0) += 1;
-        }
-        Ok(groups.into_values().collect())
+        Ok(sizes)
     }
 
     /// Projects onto `attrs`, keeping duplicates.
@@ -393,14 +385,10 @@ impl Relation {
 
     /// Returns a copy with duplicate rows removed (first occurrence kept).
     pub fn distinct(&self) -> Relation {
-        let all = self.schema.all_attrs();
-        let mut seen: HashMap<Vec<u32>, ()> = HashMap::with_capacity(self.n_rows);
-        let mut keep = Vec::new();
-        for r in 0..self.n_rows {
-            if seen.insert(self.key(r, all), ()).is_none() {
-                keep.push(r);
-            }
-        }
+        let cardinalities = (0..self.arity()).map(|c| self.column_cardinality(c));
+        let mut keyer = Keyer::with_capacity(cardinalities, self.n_rows);
+        let keep: Vec<usize> =
+            (0..self.n_rows).filter(|&r| keyer.insert(|c| self.code(r, c)).1).collect();
         self.select_rows(&keep)
     }
 
@@ -491,10 +479,10 @@ impl Relation {
     /// schema's, **no** row is appended and the version is unchanged. An
     /// empty batch is a no-op (same version).
     ///
-    /// Existing dictionary codes are never renumbered by an append, so any
-    /// [`KeyFold`] built before the append still folds *old* rows exactly;
-    /// it only needs re-derivation when the batch introduced new distinct
-    /// values on a covered column (check with [`KeyFold::covers`]).
+    /// Existing dictionary codes are never renumbered by an append, so a
+    /// [`Keyer`] built before the append still labels *old* rows exactly;
+    /// it only needs rebuilding when the batch introduced new distinct
+    /// values on one of its columns (check with [`Keyer::covers`]).
     ///
     /// # Errors
     /// Returns an error if any row's arity differs from the schema's.
@@ -580,139 +568,6 @@ pub struct AppendSummary {
     /// The relation's [`Relation::data_version`] after the append.
     pub data_version: u64,
 }
-
-/// One column's place in a mixed-radix fold.
-#[derive(Clone, Copy, Debug)]
-struct FoldFactor {
-    attr: usize,
-    multiplier: u64,
-    cardinality: u64,
-}
-
-/// Mixed-radix multipliers mapping a row's dictionary codes on a fixed
-/// attribute set to one exact `u64` key; built by [`Relation::key_fold`],
-/// consumed by [`Relation::fold_key`]. Because the encoding is positional,
-/// individual codes can be recovered ([`KeyFold::extract`]) and a key can be
-/// re-folded onto a sub-fold over a subset of the attributes
-/// ([`KeyFold::project`]) without touching the relation again.
-#[derive(Clone, Debug)]
-pub struct KeyFold {
-    /// Per-column factors in ascending attribute order.
-    factors: Vec<FoldFactor>,
-}
-
-impl KeyFold {
-    /// Builds a fold over `attrs` from a per-column cardinality lookup —
-    /// the backend-agnostic core of [`Relation::key_fold`], usable by any
-    /// columnar store that knows its dictionaries. Returns `None` when the
-    /// cardinality product overflows `u64`.
-    pub fn from_cardinalities(
-        attrs: AttrSet,
-        mut cardinality: impl FnMut(usize) -> usize,
-    ) -> Option<KeyFold> {
-        let mut factors = Vec::with_capacity(attrs.len());
-        let mut multiplier: u64 = 1;
-        for c in attrs.iter() {
-            let cardinality = cardinality(c).max(1) as u64;
-            factors.push(FoldFactor { attr: c, multiplier, cardinality });
-            multiplier = multiplier.checked_mul(cardinality)?;
-        }
-        Some(KeyFold { factors })
-    }
-
-    /// The attribute indices covered by this fold, ascending.
-    pub fn attrs(&self) -> impl Iterator<Item = usize> + '_ {
-        self.factors.iter().map(|f| f.attr)
-    }
-
-    /// Folds position `i` of `cols` — one aligned code slice per factor, in
-    /// this fold's (ascending-attribute) order. The chunk-stream counterpart
-    /// of [`Relation::fold_key`]: callers scanning per-column pages fold a
-    /// row from the page slices without random row access.
-    ///
-    /// # Panics
-    /// Panics if `cols` is shorter than the factor list or `i` is out of
-    /// range for any slice.
-    #[inline]
-    pub fn fold_slices(&self, cols: &[&[u32]], i: usize) -> u64 {
-        self.factors.iter().zip(cols).map(|(f, codes)| codes[i] as u64 * f.multiplier).sum()
-    }
-
-    /// `true` if this fold is still exact for `rel`: every factor's radix
-    /// covers the column's current cardinality. Appends never renumber
-    /// existing codes, so a fold built before an append stays valid as long
-    /// as the batch introduced no new distinct values on covered columns;
-    /// on overflow, re-derive with [`Relation::key_fold`].
-    pub fn covers(&self, rel: &Relation) -> bool {
-        self.factors.iter().all(|f| rel.column_cardinality(f.attr) as u64 <= f.cardinality)
-    }
-
-    /// Recovers the dictionary code of `attr` from a folded key, or `None`
-    /// if `attr` is not part of this fold.
-    #[inline]
-    pub fn extract(&self, key: u64, attr: usize) -> Option<u32> {
-        self.factors
-            .iter()
-            .find(|f| f.attr == attr)
-            .map(|f| ((key / f.multiplier) % f.cardinality) as u32)
-    }
-
-    /// Re-folds `key` onto `sub`, a fold (for the same relation) over a
-    /// subset of this fold's attributes — e.g. projecting a join-tree bag
-    /// key onto the separator with its parent. Runs one division per
-    /// sub-fold attribute, no hashing and no allocation.
-    ///
-    /// # Panics
-    /// Panics if `sub` covers an attribute this fold does not.
-    #[inline]
-    pub fn project(&self, key: u64, sub: &KeyFold) -> u64 {
-        // Both factor lists are ascending; a two-pointer merge finds each
-        // sub attribute in one forward pass.
-        let mut mine = self.factors.iter();
-        sub.factors
-            .iter()
-            .map(|s| {
-                let f = mine
-                    .find(|f| f.attr == s.attr)
-                    .expect("sub-fold attributes must be a subset of the fold's");
-                ((key / f.multiplier) % f.cardinality) * s.multiplier
-            })
-            .sum()
-    }
-}
-
-/// Fibonacci hasher for folded `u64` keys ([`Relation::fold_key`]): one
-/// multiply instead of SipHash, which dominates the probe cost on the
-/// counting hot paths (entropy grouping, acyclic-join counting). Folded keys
-/// need no DoS resistance. Shared across the workspace so every consumer of
-/// fold keys mixes them identically.
-#[derive(Default)]
-pub struct FoldKeyHasher {
-    hash: u64,
-}
-
-impl std::hash::Hasher for FoldKeyHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Only reached if a key type ever stops hashing as a single u64;
-        // fold the bytes so the hasher stays correct, if slower.
-        for &b in bytes {
-            self.hash = (self.hash ^ b as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, value: u64) {
-        self.hash = value.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-/// `u64 → V` map keyed by folded keys with the Fibonacci hasher.
-pub type FoldKeyMap<V> = HashMap<u64, V, std::hash::BuildHasherDefault<FoldKeyHasher>>;
 
 impl fmt::Debug for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -1072,27 +927,6 @@ mod tests {
     }
 
     #[test]
-    fn key_fold_covers_tracks_cardinality_overflow() {
-        let r = abc_relation();
-        let ab = AttrSet::from_iter([0usize, 1]);
-        let fold = r.key_fold(ab).unwrap();
-        let mut grown = r.clone();
-        // Repeating known values keeps every covered cardinality unchanged.
-        grown.append_rows(&[vec!["a1", "b1", "c1"]]).unwrap();
-        assert!(fold.covers(&grown));
-        // Old rows still fold to the same keys under the old fold.
-        for row in 0..r.n_rows() {
-            assert_eq!(r.fold_key(row, &fold), grown.fold_key(row, &fold));
-        }
-        // A new value on an uncovered column (C) does not invalidate it…
-        grown.append_rows(&[vec!["a1", "b1", "c99"]]).unwrap();
-        assert!(fold.covers(&grown));
-        // …but a new value on a covered column does.
-        grown.append_rows(&[vec!["a99", "b1", "c1"]]).unwrap();
-        assert!(!fold.covers(&grown));
-    }
-
-    #[test]
     fn builder_matches_from_rows() {
         let schema = Schema::new(["A", "B", "C"]).unwrap();
         let mut b = RelationBuilder::new(schema.clone());
@@ -1106,35 +940,12 @@ mod tests {
     }
 
     #[test]
-    fn fold_key_is_exact_and_projectable() {
+    fn group_labels_number_groups_by_first_row() {
         let r = abc_relation();
-        let all = AttrSet::full(3);
-        let fold = r.key_fold(all).expect("tiny cardinalities fold");
-        // Exactness: equal fold keys iff equal code vectors.
-        for a in 0..r.n_rows() {
-            for b in 0..r.n_rows() {
-                assert_eq!(
-                    r.fold_key(a, &fold) == r.fold_key(b, &fold),
-                    r.key(a, all) == r.key(b, all),
-                    "rows {a}/{b}"
-                );
-            }
-        }
-        // Extraction recovers every code; projection matches re-folding.
-        let bc: AttrSet = [1usize, 2].into_iter().collect();
-        let sub = r.key_fold(bc).unwrap();
-        for row in 0..r.n_rows() {
-            let key = r.fold_key(row, &fold);
-            for c in 0..3 {
-                assert_eq!(fold.extract(key, c), Some(r.code(row, c)));
-            }
-            assert_eq!(fold.extract(key, 7), None);
-            assert_eq!(fold.project(key, &sub), r.fold_key(row, &sub));
-        }
-        assert_eq!(fold.attrs().collect::<Vec<_>>(), vec![0, 1, 2]);
-        // Projecting onto the empty fold collapses every key to 0.
-        let empty = r.key_fold(AttrSet::empty()).unwrap();
-        assert_eq!(fold.project(r.fold_key(0, &fold), &empty), 0);
+        let bc = AttrSet::from_iter([1usize, 2]);
+        assert_eq!(r.group_labels(bc).unwrap(), (vec![0, 1, 2, 2], 3));
+        assert_eq!(r.group_sizes(bc).unwrap(), vec![1, 1, 2]);
+        assert!(r.group_labels(AttrSet::empty()).is_err());
     }
 
     #[test]

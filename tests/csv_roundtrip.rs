@@ -11,10 +11,12 @@
 //! arbitrary, mostly malformed text: the in-memory `relation_from_csv` and
 //! the streaming `ingest_csv` (fed through tiny read buffers) must accept
 //! the same inputs with the same names and rows, and reject the rest with
-//! the same error at the same line and byte offset.
+//! the same error at the same line and byte offset, the record size cap's
+//! error included.
 
 use maimon::relation::{
     relation_from_csv, relation_to_csv, CsvOptions, Relation, RelationError, Schema,
+    MAX_RECORD_BYTES,
 };
 use maimon::storage::{ingest_csv, IngestOptions, PagedOptions, RelationBackend, StorageError};
 use proptest::prelude::*;
@@ -164,5 +166,33 @@ proptest! {
             delimiter,
             capacity
         );
+    }
+}
+
+#[test]
+fn both_loaders_cap_a_record_at_the_same_byte() {
+    // At the cap: a record `"x""y…y",b` of exactly MAX_RECORD_BYTES bytes,
+    // its quotes and a doubled quote included.
+    let ys = "y".repeat(MAX_RECORD_BYTES - 7);
+    let at_cap = format!("A,B\n\"x\"\"{ys}\",b\n");
+    assert_eq!(at_cap.len(), 4 + MAX_RECORD_BYTES + 1);
+    for loaded in [load_in_memory(&at_cap, ',', true), load_streaming(&at_cap, ',', true, 4096)] {
+        let (names, rows) = loaded.expect("a record at the cap loads");
+        assert_eq!(names, ["A", "B"]);
+        assert_eq!(rows, [[format!("x\"{ys}"), "b".to_string()]]);
+    }
+
+    // One byte over: the same typed error at the record's start (line 2,
+    // byte 4) from both loaders, whatever their read buffer.
+    let over = at_cap.replacen(",b\n", ",bc\n", 1);
+    let in_memory = load_in_memory(&over, ',', true);
+    match &in_memory {
+        Err(RelationError::Csv { line: 2, offset: 4, message }) => {
+            assert!(message.contains("longer than"), "{message}")
+        }
+        other => panic!("expected the record cap's error, got {other:?}"),
+    }
+    for capacity in [1, 7, 4096, 1 << 16] {
+        assert_eq!(load_streaming(&over, ',', true, capacity), in_memory, "buffer {capacity}");
     }
 }

@@ -210,7 +210,8 @@ proptest! {
     #[test]
     fn join_counter_is_exact_past_a_u64_fold(seed in 1u64..10_000) {
         let rel = wide_relation(seed);
-        prop_assert!(rel.key_fold(rel.schema().all_attrs()).is_none(), "the full fold must overflow");
+        let bits: f64 = (0..rel.arity()).map(|c| (rel.column_cardinality(c) as f64).log2()).sum();
+        prop_assert!(bits > 64.0, "the full cardinality product must pass 2^64: {} bits", bits);
         let specs: Vec<JoinTreeSpec> =
             (0..3).map(|i| random_join_tree(12, 1 + i, seed * 7 + i as u64)).collect();
         check_counter(&rel, &specs)?;

@@ -13,11 +13,17 @@
 //! * the join bound log₂|⋈ R[Ωᵢ]| ≥ H(Ω) + J(S), which ties the join counter
 //!   to the entropy oracle,
 //! * quality and decomposition depend only on the distinct tuples,
+//! * every grouping (the keyer, `Relation`'s distinct counts, group sizes
+//!   and `distinct`, the join counter and the oracle's partitions) equals a
+//!   first-occurrence reference grouping, also past a 2⁶⁴ cardinality
+//!   product,
 //! * AttrSet algebra sanity.
 
-use maimon::entropy::{EntropyOracle, NaiveEntropyOracle, PliEntropyOracle};
+use maimon::entropy::{
+    entropy_from_group_sizes, EntropyConfig, EntropyOracle, NaiveEntropyOracle, PliEntropyOracle,
+};
 use maimon::relation::{
-    acyclic_join_size, natural_join_all, AttrSet, JoinCounter, Relation, Schema,
+    acyclic_join_size, natural_join_all, AttrSet, JoinCounter, Keyer, Relation, Schema,
 };
 use maimon::{
     j_join_tree, j_mvd, measure_schemas, AcyclicSchema, JoinTree, MaimonConfig, MaimonSession,
@@ -442,6 +448,129 @@ proptest! {
             prop_assert_eq!(over_rows.bags(), over_tuples.bags(), "{:?}", bags);
             prop_assert_eq!(over_rows.edges(), over_tuples.edges(), "{:?}", bags);
             prop_assert_eq!(over_rows.original_rows(), over_tuples.original_rows(), "{:?}", bags);
+        }
+    }
+}
+
+/// Strategy: a relation of 16 columns whose rows repeat 60–100 base tuples
+/// (so rows repeat), with 12 columns drawn from ~1,000 values and every
+/// fourth column from 3. The 12 wide columns alone put the cardinality
+/// product of every column well past 2⁶⁴, so the widest groupings need a
+/// second fold round.
+fn wide_repeating_relation() -> impl Strategy<Value = Relation> {
+    (60usize..=100, 1usize..=3, 1u64..10_000).prop_map(|(bases, repeat, seed)| {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let base: Vec<Vec<u32>> = (0..bases)
+            .map(|_| (0..16).map(|c| (next() % if c % 4 == 3 { 3 } else { 997 }) as u32).collect())
+            .collect();
+        let rows: Vec<usize> = (0..bases * repeat).map(|_| next() as usize % bases).collect();
+        let columns = (0..16).map(|c| rows.iter().map(|&t| base[t][c]).collect()).collect();
+        Relation::from_code_columns(Schema::with_arity(16).unwrap(), columns).unwrap()
+    })
+}
+
+/// The reference grouping of `rel`'s rows on `attrs`: per row its group,
+/// groups numbered by first row through a `HashMap` over `Relation::key`,
+/// plus each group's size and first row.
+fn first_occurrence_groups(rel: &Relation, attrs: AttrSet) -> (Vec<u32>, Vec<usize>, Vec<usize>) {
+    let mut ids: std::collections::HashMap<Vec<u32>, u32> = std::collections::HashMap::new();
+    let (mut labels, mut sizes, mut firsts) = (Vec::new(), Vec::new(), Vec::new());
+    for r in 0..rel.n_rows() {
+        let next = ids.len() as u32;
+        let id = *ids.entry(rel.key(r, attrs)).or_insert(next);
+        if id == next {
+            sizes.push(0);
+            firsts.push(r);
+        }
+        sizes[id as usize] += 1;
+        labels.push(id);
+    }
+    (labels, sizes, firsts)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    #[test]
+    fn every_grouping_matches_a_first_occurrence_reference_past_a_u64_fold(
+        rel in wide_repeating_relation(),
+        picks in proptest::collection::vec(any::<u64>(), 3),
+    ) {
+        let full = AttrSet::full(16);
+        let bits: f64 = (0..16).map(|c| (rel.column_cardinality(c) as f64).log2()).sum();
+        prop_assert!(bits > 64.0, "the full cardinality product must pass 2^64: {} bits", bits);
+        let mut sets = vec![full, full.without(picks[0] as usize % 16)];
+        sets.extend(picks.iter().map(|&p| AttrSet::from_bits(p & 0xffff)).filter(|s| s.len() >= 2));
+        sets.push(AttrSet::singleton(3).with(7));
+
+        let mut counter = JoinCounter::new(&rel);
+        // One block over every column and no partition cache: each entropy
+        // is the entropy of the oracle's own keyed grouping of the tuples.
+        let regrouping =
+            PliEntropyOracle::new(&rel, EntropyConfig { block_size: Some(16), max_cached_plis: 0 });
+        for &attrs in &sets {
+            let (labels, sizes, firsts) = first_occurrence_groups(&rel, attrs);
+            let cols = attrs.to_vec();
+            let mut keyer = Keyer::new(cols.iter().map(|&c| rel.column_cardinality(c)));
+            let keyed: Vec<u32> =
+                (0..rel.n_rows()).map(|r| keyer.insert(|p| rel.code(r, cols[p])).0).collect();
+            prop_assert_eq!(&keyed, &labels, "keyer labels on {:?}", attrs);
+            prop_assert_eq!(rel.group_labels(attrs).unwrap(), (labels.clone(), sizes.len()));
+            prop_assert_eq!(rel.distinct_count(attrs).unwrap(), sizes.len());
+            prop_assert_eq!(&rel.group_sizes(attrs).unwrap(), &sizes);
+            prop_assert_eq!(counter.distinct_count(attrs).unwrap(), sizes.len());
+            prop_assert_eq!(
+                regrouping.entropy(attrs).to_bits(),
+                entropy_from_group_sizes(&sizes, rel.n_rows()).to_bits(),
+                "entropy of {:?}", attrs
+            );
+            if attrs == full {
+                let distinct = rel.distinct();
+                prop_assert_eq!(distinct.n_rows(), firsts.len());
+                for (i, &r) in firsts.iter().enumerate() {
+                    prop_assert_eq!(distinct.row(i), rel.row(r));
+                }
+            }
+        }
+
+        // The cached oracle's tuples are the first-occurrence distinct rows,
+        // weighted by their repeats, and every partition it caches (each
+        // prefix of its smallest-first assembly of all 16 columns, past
+        // 2^64 at the end) groups them exactly.
+        let (_, weights, firsts) = first_occurrence_groups(&rel, full);
+        let oracle =
+            PliEntropyOracle::new(&rel, EntropyConfig { block_size: None, max_cached_plis: 10_000 });
+        let tuples = oracle.tuples();
+        prop_assert_eq!(tuples.n_rows(), firsts.len());
+        for (t, &r) in firsts.iter().enumerate() {
+            prop_assert_eq!(tuples.row(t), rel.row(r));
+        }
+        oracle.entropy(full);
+        let mut order: Vec<AttrSet> = (0..16).map(AttrSet::singleton).collect();
+        order.sort_by_key(|&s| (oracle.cached_partition(s).unwrap().covered_rows(), s.bits()));
+        let mut prefix = AttrSet::empty();
+        for &single in &order[..15] {
+            prefix = prefix.union(single);
+            let pli = oracle.cached_partition(prefix).expect("every proper prefix is cached");
+            let (labels, _, _) = first_occurrence_groups(tuples, prefix);
+            let mut clusters: Vec<Vec<u32>> = Vec::new();
+            for (t, &label) in labels.iter().enumerate() {
+                if label as usize == clusters.len() {
+                    clusters.push(Vec::new());
+                }
+                clusters[label as usize].push(t as u32);
+            }
+            let weight = |c: &[u32]| c.iter().map(|&t| weights[t as usize] as u32).sum::<u32>();
+            clusters.retain(|c| weight(c) >= 2);
+            let sizes: Vec<u32> = clusters.iter().map(|c| weight(c)).collect();
+            prop_assert_eq!(pli.clusters().map(<[u32]>::to_vec).collect::<Vec<_>>(), clusters);
+            prop_assert_eq!(pli.cluster_sizes(), &sizes[..]);
         }
     }
 }

@@ -131,12 +131,18 @@ fn golden_serializations_are_byte_stable() {
         count_only_intersections: 9,
         full_scans: 0,
         delta_refreshes: 12,
-        full_rebuilds: 2,
     };
     assert_eq!(
         stats.to_json_string(),
-        r#"{"calls":335000,"cache_hits":334000,"intersections":27,"count_only_intersections":9,"full_scans":0,"delta_refreshes":12,"full_rebuilds":2}"#
+        r#"{"calls":335000,"cache_hits":334000,"intersections":27,"count_only_intersections":9,"full_scans":0,"delta_refreshes":12}"#
     );
+    // A document written while appends could still regroup a partition from
+    // scratch carries a `full_rebuilds` count; it parses to the same stats.
+    let retired = maimon::entropy::OracleStats::from_json_str(
+        r#"{"calls":335000,"cache_hits":334000,"intersections":27,"count_only_intersections":9,"full_scans":0,"delta_refreshes":12,"full_rebuilds":2}"#,
+    )
+    .unwrap();
+    assert_eq!(retired, stats);
     // The count-only and delta counters are *additive* v1 extensions:
     // documents written before they existed parse with the counters zeroed.
     let legacy = maimon::entropy::OracleStats::from_json_str(
@@ -145,12 +151,7 @@ fn golden_serializations_are_byte_stable() {
     .unwrap();
     assert_eq!(
         legacy,
-        maimon::entropy::OracleStats {
-            count_only_intersections: 0,
-            delta_refreshes: 0,
-            full_rebuilds: 0,
-            ..stats
-        }
+        maimon::entropy::OracleStats { count_only_intersections: 0, delta_refreshes: 0, ..stats }
     );
 
     // The per-stage breakdown (another additive v1 extension, carried on
