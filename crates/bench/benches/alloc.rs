@@ -58,8 +58,8 @@ fn main() {
     let probe = subsets[subsets.len() / 2];
     report("entropy_cached_hit", || black_box(oracle.entropy(probe)));
 
-    let a = Pli::from_column(&rel, 0).unwrap();
-    let b = Pli::from_column(&rel, 3).unwrap();
+    let a = Pli::from_column(&rel, 0);
+    let b = Pli::from_column(&rel, 3);
     let mut scratch = IntersectScratch::new();
     report("csr_count_only", || black_box(a.intersect_counts(&b, &mut scratch).entropy()));
     report("csr_materialize", || black_box(a.intersect_with(&b, &mut scratch)));

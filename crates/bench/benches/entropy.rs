@@ -81,8 +81,8 @@ fn entropy_workload(c: &mut Criterion) {
 
 fn partition_intersection(c: &mut Criterion) {
     let rel = dataset_by_name("Adult").unwrap().generate(0.1);
-    let a = Pli::from_column(&rel, 0).unwrap();
-    let b = Pli::from_column(&rel, 3).unwrap();
+    let a = Pli::from_column(&rel, 0);
+    let b = Pli::from_column(&rel, 3);
     let mut group = c.benchmark_group("pli_intersection");
     group.sample_size(20);
     group.bench_function("two_columns", |bencher| bencher.iter(|| black_box(a.intersect(&b))));
@@ -100,7 +100,7 @@ fn partition_intersection(c: &mut Criterion) {
     });
     group.bench_function("from_attrs_direct", |bencher| {
         let attrs: AttrSet = [0usize, 3].into_iter().collect();
-        bencher.iter(|| black_box(Pli::from_attrs(&rel, attrs).unwrap()))
+        bencher.iter(|| black_box(Pli::from_attrs(&rel, attrs)))
     });
     group.finish();
 }

@@ -9,12 +9,12 @@
 use bench_support::{emit_json, harness_options, mining_config, secs, sweep_min_seps};
 use maimon::entropy::PliEntropyOracle;
 use maimon::json::Json;
-use maimon::storage::{ingest_csv_file, IngestOptions, PagedOptions, RelationBackend};
+use maimon::relation::CsvOptions;
+use maimon::storage::stream_csv;
 use maimon::wire::ToJson;
 use maimon::MaimonSession;
 use maimon_datasets::{write_planted_csv, SyntheticSpec};
-use std::io::BufWriter;
-use std::sync::Arc;
+use std::io::{BufReader, BufWriter};
 use std::time::Instant;
 
 fn main() {
@@ -76,10 +76,10 @@ fn main() {
             }
         }
     }
-    // Out-of-core legs: planted synthetics at 1M/10M-row targets (scaled by
-    // the harness scale factor) are streamed to a temp CSV and mined through
-    // the paged columnar backend, so the raw strings are never fully resident.
-    println!("\n## Paged out-of-core synthetics");
+    // Streamed legs: planted synthetics at 1M/10M-row targets (scaled by the
+    // harness scale factor) are written to a temp CSV and streamed straight
+    // into their distinct tuples, so the rows are never resident.
+    println!("\n## Streamed synthetics");
     println!("{:>10} {:>8} {:>10} {:>10} {:>12}", "rows", "eps", "seps", "time[s]", "ingest[s]");
     for &target in &[1_000_000usize, 10_000_000] {
         let rows = ((target as f64) * options.scale).round().max(64.0) as usize;
@@ -91,27 +91,21 @@ fn main() {
             let mut out = BufWriter::new(file);
             write_planted_csv(&spec, &mut out).expect("stream synthetic CSV");
         }
-        let ingest = IngestOptions {
-            paged: PagedOptions {
-                page_rows: 65_536,
-                cache_pages: 8,
-                dataset: format!("fig13-paged-{target}"),
-            },
-            ..IngestOptions::default()
-        };
         let ingest_started = Instant::now();
-        let store = ingest_csv_file(&path, &ingest).expect("paged ingest");
+        let file = std::fs::File::open(&path).expect("open synthetic CSV");
+        let csv = CsvOptions { dedup: false, ..CsvOptions::default() };
+        let tuples = stream_csv(BufReader::new(file), csv, &format!("fig13-paged-{target}"))
+            .expect("streamed mount");
         let ingest_secs = ingest_started.elapsed().as_secs_f64();
         let _ = std::fs::remove_file(&path);
-        let backend: Arc<dyn RelationBackend> = Arc::new(store);
         for &epsilon in &epsilons {
             let config = mining_config(epsilon);
-            let oracle = PliEntropyOracle::from_backend(Arc::clone(&backend), config.entropy);
+            let oracle = PliEntropyOracle::from_tuples(tuples.clone(), config.entropy);
             let started = Instant::now();
             let sweep = sweep_min_seps(&oracle, epsilon, &config, options.budget);
             println!(
                 "{:>10} {:>8} {:>10} {:>10} {:>12.3}",
-                backend.n_rows(),
+                tuples.n_rows(),
                 epsilon,
                 sweep.distinct().len(),
                 secs(started.elapsed()),
@@ -120,7 +114,7 @@ fn main() {
             json_rows.push(Json::object([
                 ("dataset", Json::from(format!("Planted synthetic {target}"))),
                 ("storage", Json::from("paged")),
-                ("rows", Json::from(backend.n_rows())),
+                ("rows", Json::from(tuples.n_rows())),
                 ("epsilon", Json::from(epsilon)),
                 ("seps", Json::from(sweep.distinct().len())),
                 ("secs", Json::from(started.elapsed().as_secs_f64())),

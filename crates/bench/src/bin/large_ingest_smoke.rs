@@ -1,12 +1,11 @@
-//! Large-ingest smoke check for the paged storage backend.
+//! Large-ingest smoke check for the streamed mount.
 //!
-//! Streams a planted synthetic CSV (1M rows by default) to disk, ingests it
-//! through [`maimon::storage::ingest_csv_file`] into a
-//! `PagedColumnarRelation` with a deliberately small page cache, mines
-//! schemas over the out-of-core backend, and asserts:
+//! Writes a planted synthetic CSV (1M rows by default) to disk, streams it
+//! through [`maimon::storage::stream_csv`] straight into its distinct
+//! tuples and their multiplicities, mines schemas over them, and asserts:
 //!
 //! 1. peak RSS (`VmHWM` from `/proc/self/status`) stays under a budget —
-//!    the raw CSV strings are never fully resident;
+//!    the rows are never resident, only the dictionaries and the tuples;
 //! 2. the mined output (schema bags and J-measures) and every single- and
 //!    pair-attribute entropy are **bit-identical** to an in-memory run over
 //!    the same bytes.
@@ -14,7 +13,7 @@
 //! It also prints the oracle's distinct-tuple count and build time.
 //!
 //! The peak-RSS reading is taken *before* the in-memory twin is loaded, so
-//! the budget genuinely bounds the paged path. Knobs via environment:
+//! the budget genuinely bounds the streamed path. Knobs via environment:
 //! `MAIMON_SMOKE_ROWS` (default 1_000_000), `MAIMON_SMOKE_RSS_MB` (default
 //! 1024), `MAIMON_SMOKE_EPSILON` (default 0.01).
 //!
@@ -22,10 +21,10 @@
 
 use maimon::entropy::{EntropyOracle, PliEntropyOracle};
 use maimon::relation::{relation_from_csv, AttrSet, CsvOptions};
-use maimon::storage::{ingest_csv_file, IngestOptions, PagedOptions, RelationBackend};
+use maimon::storage::stream_csv;
 use maimon::{MaimonConfig, MaimonSession};
 use maimon_datasets::{write_planted_csv, SyntheticSpec};
-use std::io::BufWriter;
+use std::io::{BufReader, BufWriter};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -64,48 +63,42 @@ fn main() {
         started.elapsed().as_secs_f64()
     );
 
-    // Paged leg: small cache so most pages live in the spill file.
-    let ingest = IngestOptions {
-        paged: PagedOptions {
-            page_rows: 65_536,
-            cache_pages: 8,
-            dataset: "large-ingest-smoke".to_string(),
-        },
-        ..IngestOptions::default()
-    };
+    // Streamed leg: the file is read once, straight into the tuple bag.
+    let csv = CsvOptions { dedup: false, ..CsvOptions::default() };
     let ingest_started = Instant::now();
-    let store = ingest_csv_file(&path, &ingest).expect("paged ingest");
+    let file = std::fs::File::open(&path).expect("open synthetic CSV");
+    let tuples = stream_csv(BufReader::new(file), csv, "large-ingest-smoke").expect("stream");
     println!(
-        "paged ingest: {} rows, {} resident bytes, {:.2}s",
-        store.n_rows(),
-        store.resident_bytes(),
+        "streamed mount: {} rows, {} distinct tuples, {} resident bytes, {:.2}s",
+        tuples.n_rows(),
+        tuples.len(),
+        tuples.tuples().resident_bytes(),
         ingest_started.elapsed().as_secs_f64()
     );
-    assert_eq!(store.n_rows(), spec.rows, "paged ingest must keep every row");
+    assert_eq!(tuples.n_rows(), spec.rows, "the streamed mount must count every row");
 
-    let backend: Arc<dyn RelationBackend> = Arc::new(store);
     let config = MaimonConfig::default();
     let build_started = Instant::now();
-    let paged_oracle = PliEntropyOracle::from_backend(Arc::clone(&backend), config.entropy);
+    let streamed_oracle = PliEntropyOracle::from_tuples(tuples.clone(), config.entropy);
     println!(
         "oracle build: {} distinct tuples of {} rows in {:.2}s",
-        paged_oracle.distinct_tuples(),
-        backend.n_rows(),
+        streamed_oracle.distinct_tuples(),
+        tuples.n_rows(),
         build_started.elapsed().as_secs_f64()
     );
-    let arity = backend.arity();
-    let paged_entropies: Vec<(AttrSet, f64)> = AttrSet::full(arity)
+    let arity = tuples.tuples().arity();
+    let streamed_entropies: Vec<(AttrSet, f64)> = AttrSet::full(arity)
         .subsets()
         .filter(|s| !s.is_empty() && s.len() <= 2)
-        .map(|s| (s, paged_oracle.entropy(s)))
+        .map(|s| (s, streamed_oracle.entropy(s)))
         .collect();
 
-    let session = MaimonSession::from_backend(Arc::clone(&backend), config).expect("paged session");
+    let session = MaimonSession::from_tuples(tuples, config).expect("streamed session");
     let mine_started = Instant::now();
-    let paged_schemas = session.schemas(epsilon).expect("paged schema mining");
+    let streamed_schemas = session.schemas(epsilon).expect("streamed schema mining");
     println!(
-        "paged mine: {} schemas at eps={epsilon} in {:.2}s",
-        paged_schemas.schemas.len(),
+        "streamed mine: {} schemas at eps={epsilon} in {:.2}s",
+        streamed_schemas.schemas.len(),
         mine_started.elapsed().as_secs_f64()
     );
 
@@ -113,10 +106,10 @@ fn main() {
     match vm_hwm_kb() {
         Some(kb) => {
             let mb = kb / 1024;
-            println!("peak RSS through the paged path: {mb} MiB (budget {budget_mb} MiB)");
+            println!("peak RSS through the streamed path: {mb} MiB (budget {budget_mb} MiB)");
             assert!(
                 mb <= budget_mb,
-                "peak RSS {mb} MiB exceeds the {budget_mb} MiB budget for the paged path"
+                "peak RSS {mb} MiB exceeds the {budget_mb} MiB budget for the streamed path"
             );
         }
         None => println!("no /proc/self/status; skipping the peak-RSS assertion"),
@@ -125,30 +118,29 @@ fn main() {
     // In-memory twin over the exact same bytes.
     let text = std::fs::read_to_string(&path).expect("re-read CSV");
     let _ = std::fs::remove_file(&path);
-    let rel =
-        relation_from_csv(&text, CsvOptions { dedup: false, ..CsvOptions::default() }).unwrap();
+    let rel = relation_from_csv(&text, csv).unwrap();
     drop(text);
     let rel = Arc::new(rel);
     let mem_oracle = PliEntropyOracle::new(Arc::clone(&rel), MaimonConfig::default().entropy);
-    for &(attrs, paged_h) in &paged_entropies {
+    for &(attrs, streamed_h) in &streamed_entropies {
         let mem_h = mem_oracle.entropy(attrs);
         assert_eq!(
-            paged_h.to_bits(),
+            streamed_h.to_bits(),
             mem_h.to_bits(),
-            "entropy over {attrs:?} differs: paged {paged_h} vs in-memory {mem_h}"
+            "entropy over {attrs:?} differs: streamed {streamed_h} vs in-memory {mem_h}"
         );
     }
-    println!("{} single/pair entropies bit-identical", paged_entropies.len());
+    println!("{} single/pair entropies bit-identical", streamed_entropies.len());
 
     let mem_session =
         MaimonSession::new(Arc::clone(&rel), MaimonConfig::default()).expect("in-memory session");
     let mem_schemas = mem_session.schemas(epsilon).expect("in-memory schema mining");
     assert_eq!(
-        paged_schemas.schemas.len(),
+        streamed_schemas.schemas.len(),
         mem_schemas.schemas.len(),
-        "schema counts differ between paged and in-memory runs"
+        "schema counts differ between streamed and in-memory runs"
     );
-    for (p, m) in paged_schemas.schemas.iter().zip(mem_schemas.schemas.iter()) {
+    for (p, m) in streamed_schemas.schemas.iter().zip(mem_schemas.schemas.iter()) {
         assert_eq!(p.schema.bags(), m.schema.bags(), "schema bags differ");
         assert_eq!(
             p.j.map(f64::to_bits),
@@ -157,7 +149,7 @@ fn main() {
         );
     }
     println!(
-        "paged output matches in-memory: {} schemas, J bit-identical — smoke PASS",
-        paged_schemas.schemas.len()
+        "streamed output matches in-memory: {} schemas, J bit-identical — smoke PASS",
+        streamed_schemas.schemas.len()
     );
 }

@@ -46,8 +46,8 @@ pub enum MaimonError {
     /// A serialized result could not be parsed or did not match the expected
     /// wire shape (see [`crate::wire`]).
     Wire(String),
-    /// The storage backend failed while producing data the operation needed
-    /// (a page read error, a checksum mismatch, a WAL write failure). The
+    /// Storage failed while producing data the operation needed (a failed
+    /// read of a mounted stream, a checksum mismatch, a WAL write failure). The
     /// message carries the underlying [`storage::StorageError`] rendering;
     /// the string keeps this enum `Clone + PartialEq`.
     Storage(String),

@@ -36,9 +36,9 @@
 //! order ([`MaimonSession::tuples`]), with each tuple's multiplicity beside
 //! it. Entropies weight the tuples (Eq. 5 needs only the bag); quality and
 //! decomposition need only distinct counts and the set join, so they read
-//! the tuples directly. A paged backend is read once, at mount, and then
-//! serves every stage, appends included, exactly as an in-memory relation
-//! over the same rows would.
+//! the tuples directly. A CSV file streamed straight into that bag
+//! ([`MaimonSession::from_tuples`]) serves every stage, appends included,
+//! exactly as an in-memory relation over the same rows would.
 //!
 //! The session owns that data, so it is `'static`, `Send + Sync` and cheap
 //! to [`Clone`]: handles share the oracle and the artifact caches while each
@@ -93,7 +93,7 @@ use crate::wire::ToJson;
 use decompose::DecomposedInstance;
 use entropy::{EntropyOracle, OracleStats, PliEntropyOracle};
 use obs::{Span, Stage, StageCollector};
-use relation::{AppendSummary, AttrSet, Relation};
+use relation::{AppendSummary, AttrSet, Relation, TupleBag};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -410,7 +410,7 @@ impl VersionState {
 /// (tuples, oracle) generation, and the version-stamped artifact caches.
 struct SessionInner {
     config: MaimonConfig,
-    /// Kind of the storage backend the data was mounted from.
+    /// Kind of the storage the data was mounted from.
     storage: &'static str,
     state: RwLock<Arc<VersionState>>,
     /// Serializes appends (writers); readers snapshot `state` and never wait
@@ -464,66 +464,61 @@ impl MaimonSession {
         relation: impl Into<Arc<Relation>>,
         config: MaimonConfig,
     ) -> Result<Self, MaimonError> {
-        let relation = relation.into();
-        Self::build(
-            &*relation,
-            || PliEntropyOracle::new(Arc::clone(&relation), config.entropy),
-            config,
-        )
+        Self::build(TupleBag::of(&relation.into()), "in_memory", config)
     }
 
-    /// Creates a session over an arbitrary storage backend (e.g. a
-    /// [`storage::PagedColumnarRelation`] mounted by the serve layer's
-    /// `--paged-dataset` flag). The backend is read once, into the oracle's
-    /// distinct tuples, and never again: every stage — quality,
-    /// decomposition and appends included — then behaves exactly as on an
-    /// in-memory session over the same rows.
+    /// Creates a session over a bag already counted, such as one
+    /// `storage::stream_csv` read from a file (the serve layer's
+    /// `--paged-dataset` mounts). Every stage — quality, decomposition and
+    /// appends included — behaves exactly as on an in-memory session over
+    /// the same rows. Its [`MaimonSession::storage_kind`] is `"paged"`, the
+    /// name file-mounted datasets go by.
     ///
     /// # Errors
-    /// Returns an error if the configuration is invalid, the backend is
-    /// empty or has fewer than two attributes — the same contract as
-    /// [`MaimonSession::new`] — or [`MaimonError::Storage`] if reading it
-    /// fails.
+    /// Returns an error if the configuration is invalid or the bag is empty
+    /// or has fewer than two attributes — the same contract as
+    /// [`MaimonSession::new`].
+    pub fn from_tuples(tuples: TupleBag, config: MaimonConfig) -> Result<Self, MaimonError> {
+        Self::build(tuples, "paged", config)
+    }
+
+    /// [`MaimonSession::from_tuples`] over the bag of the
+    /// `storage::PagedColumnarRelation` shim. It goes with ROADMAP item 9,
+    /// once the benchmark stops naming the paged store.
+    ///
+    /// # Errors
+    /// As [`MaimonSession::from_tuples`].
     pub fn from_backend(
         backend: Arc<dyn RelationBackend>,
         config: MaimonConfig,
     ) -> Result<Self, MaimonError> {
-        Self::build(
-            &*backend,
-            || PliEntropyOracle::from_backend(Arc::clone(&backend), config.entropy),
-            config,
-        )
+        Self::from_tuples(backend.tuples().clone(), config)
     }
 
     /// Validates the inputs and builds the session's one oracle over
-    /// `backend`.
+    /// `tuples`, mounted from storage of kind `storage`.
     fn build(
-        backend: &dyn RelationBackend,
-        oracle: impl FnOnce() -> PliEntropyOracle,
+        tuples: TupleBag,
+        storage: &'static str,
         config: MaimonConfig,
     ) -> Result<Self, MaimonError> {
         config.validate()?;
-        if backend.arity() < 2 {
+        if tuples.tuples().arity() < 2 {
             return Err(MaimonError::InvalidConfig(
                 "schema mining needs at least two attributes".into(),
             ));
         }
-        if backend.n_rows() == 0 {
+        if tuples.n_rows() == 0 {
             return Err(MaimonError::InvalidConfig("relation has no tuples".into()));
         }
-        let oracle = oracle();
-        if let Some(e) = oracle.storage_fault() {
-            // The one read of the backend failed: the session would serve
-            // garbage, so refuse to mount it at all.
-            return Err(MaimonError::Storage(e.to_string()));
-        }
+        let version = tuples.tuples().data_version();
+        let oracle = PliEntropyOracle::from_tuples(tuples, config.entropy);
         let construction_stats = oracle.stats();
-        let version = backend.data_version();
         let state = VersionState { oracle, version, previous_version: None };
         Ok(MaimonSession {
             inner: Arc::new(SessionInner {
                 config,
-                storage: backend.kind(),
+                storage,
                 state: RwLock::new(Arc::new(state)),
                 append_lock: Mutex::new(()),
                 construction_stats,
@@ -589,9 +584,9 @@ impl MaimonSession {
         self.state().tuples().arity()
     }
 
-    /// The kind of storage backend the data was mounted from
-    /// (`"in_memory"`, `"paged"`, …), surfaced by the serve layer's
-    /// `list`/`stats` ops.
+    /// The kind of storage the data was mounted from: `"in_memory"` for a
+    /// relation, `"paged"` for a bag streamed from a file. Surfaced by the
+    /// serve layer's `list`/`stats` ops.
     pub fn storage_kind(&self) -> &'static str {
         self.inner.storage
     }
@@ -1184,6 +1179,12 @@ mod tests {
         assert!(MaimonSession::new(&narrow, MaimonConfig::default()).is_err());
         let empty = Relation::empty(Schema::new(["A", "B"]).unwrap());
         assert!(MaimonSession::new(&empty, MaimonConfig::default()).is_err());
+        // A streamed bag is held to the same contract.
+        let csv = relation::CsvOptions::default();
+        for text in ["A\nx\n", "A,B\n"] {
+            let tuples = storage::stream_csv(text.as_bytes(), csv, "validate").unwrap();
+            assert!(MaimonSession::from_tuples(tuples, MaimonConfig::default()).is_err());
+        }
     }
 
     #[test]
@@ -1463,15 +1464,12 @@ mod tests {
 
     #[test]
     fn backend_sessions_serve_every_stage() {
-        use storage::{PagedColumnarRelation, PagedOptions};
         let rel = Arc::new(running_example(true));
-        let store = PagedColumnarRelation::from_relation(
-            &rel,
-            PagedOptions { page_rows: 2, cache_pages: 2, dataset: "session-test".to_string() },
-        )
-        .unwrap();
-        let session =
-            MaimonSession::from_backend(Arc::new(store), MaimonConfig::default()).unwrap();
+        let text = relation::relation_to_csv(&rel, ',');
+        let csv = relation::CsvOptions { dedup: false, ..relation::CsvOptions::default() };
+        let reader = std::io::BufReader::with_capacity(2, text.as_bytes());
+        let tuples = storage::stream_csv(reader, csv, "session-test").unwrap();
+        let session = MaimonSession::from_tuples(tuples, MaimonConfig::default()).unwrap();
         assert_eq!(session.storage_kind(), "paged");
         assert_eq!(session.n_rows(), rel.n_rows());
         assert_eq!(session.arity(), rel.arity());

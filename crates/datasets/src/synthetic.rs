@@ -118,8 +118,8 @@ impl SyntheticSpec {
 /// Row-at-a-time generator for [`planted_acyclic_relation`]'s distribution.
 ///
 /// The streaming interface exists for out-of-core experiments: a 10M-row
-/// synthetic CSV can be written (and re-ingested through the paged storage
-/// backend) without ever materializing the full relation. The per-row RNG
+/// synthetic CSV can be written (and streamed back into its tuple bag by
+/// `storage::stream_csv`) without ever materializing the full relation. The per-row RNG
 /// call sequence is *identical* to the batch generator's — both delegate
 /// here — so a streamed run is bit-reproducible against a batch run at the
 /// same seed. Only the per-hub variant pools stay resident (a few `u32`
@@ -223,11 +223,12 @@ pub fn planted_acyclic_relation(spec: &SyntheticSpec) -> Result<Relation, Relati
 
 /// Streams the generated relation to `out` as CSV — header row of attribute
 /// names, then one decimal code per cell — without materializing it. Paired
-/// with the paged storage backend's streaming ingester this takes a planted
-/// 10M-row dataset from spec to mineable store in O(page) memory. Dictionary
-/// re-encoding on ingest permutes code numbering (codes are assigned by
-/// first appearance) but not the grouping structure, so entropies over the
-/// re-ingested store are bit-identical to [`planted_acyclic_relation`]'s.
+/// with the streamed mount (`storage::stream_csv`) this takes a planted
+/// 10M-row dataset from spec to mineable tuples without holding its rows.
+/// Dictionary re-encoding on ingest permutes code numbering (codes are
+/// assigned by first appearance) but not the grouping structure, so
+/// entropies over the streamed tuples are bit-identical to
+/// [`planted_acyclic_relation`]'s.
 ///
 /// # Errors
 /// Returns an error if the specification is invalid or a write fails.

@@ -17,8 +17,8 @@
 //! * [`NaiveEntropyOracle`] — full-scan reference implementation.
 //! * [`PliEntropyOracle`] — the §6.3 engine: cached partitions, singleton
 //!   pruning, and block precomputation controlled by [`EntropyConfig`]. It
-//!   reads the relation once into a tuple table (distinct tuples with their
-//!   multiplicities) and partitions weighted tuples rather than rows.
+//!   holds the relation as a [`relation::TupleBag`] (distinct tuples with
+//!   their multiplicities) and partitions weighted tuples rather than rows.
 //!
 //! All entropies are reported in bits (log base 2), matching the paper's
 //! `H(ABCDEF) = log 4 = 2` example.
@@ -31,7 +31,6 @@ mod partition;
 mod pli;
 #[cfg(feature = "track_alloc")]
 pub mod track_alloc;
-mod tuples;
 
 pub use concurrent::AtomicOracleStats;
 pub use oracle::{entropy_from_group_sizes, EntropyOracle, NaiveEntropyOracle, OracleStats};

@@ -11,7 +11,8 @@
 //!
 //! The elements are numbered `0..n` and each carries a *weight*, its
 //! multiplicity. The entropy oracle partitions the relation's distinct
-//! tuples, weighted by how many rows repeat each one (`tuples` module);
+//! tuples, weighted by how many rows repeat each one (a
+//! [`relation::TupleBag`]);
 //! the public constructors ([`Pli::from_column`], [`Pli::from_attrs`],
 //! [`Pli::trivial`]) partition rows, every weight 1. Three rules make the
 //! two views give bit-identical entropies:
@@ -66,9 +67,8 @@
 //! [`Pli::intersect`] remains as a convenience wrapper that allocates a
 //! fresh scratch per call.
 
-use relation::{AttrSet, Keyer, Relation};
+use relation::{AttrSet, Keyer, Relation, TupleBag};
 use std::sync::Arc;
-use storage::{RelationBackend, StorageError};
 
 /// A stripped partition: clusters of element ids, each of weight ≥ 2,
 /// grouping elements with equal values on some attribute set. Stored as a
@@ -101,38 +101,38 @@ impl Pli {
     /// its dictionary codes. Dictionaries assign codes by first appearance,
     /// so code order is ascending-first-row order and the codes serve as
     /// group labels directly.
-    ///
-    /// # Errors
-    /// Propagates the backend's [`StorageError`] when a scan chunk cannot be
-    /// produced (failed page read, checksum mismatch).
-    pub fn from_column(source: &dyn RelationBackend, attr: usize) -> Result<Pli, StorageError> {
-        let mut codes = Vec::with_capacity(source.n_rows());
-        source.scan_column(attr, &mut |_, chunk| codes.extend_from_slice(chunk))?;
-        let n = codes.len();
-        Ok(Pli::from_labels(&codes, source.column_cardinality(attr), unit_weights(n), n))
+    pub fn from_column(rel: &Relation, attr: usize) -> Pli {
+        let n = rel.n_rows();
+        Pli::from_labels(rel.column_codes(attr), rel.column_cardinality(attr), unit_weights(n), n)
     }
 
     /// Builds the stripped partition of the rows of an arbitrary attribute
     /// set. A [`Keyer`] labels each row's codes exactly, in first-occurrence
     /// order, the canonical cluster order.
-    ///
-    /// Rows arrive through an aligned multi-column chunk stream
-    /// ([`RelationBackend::scan_columns`]); since chunks tile the row range
-    /// in ascending order, the result is chunk-size invariant.
-    ///
-    /// # Errors
-    /// Propagates the backend's [`StorageError`] when a scan chunk cannot be
-    /// produced (failed page read, checksum mismatch).
-    pub fn from_attrs(source: &dyn RelationBackend, attrs: AttrSet) -> Result<Pli, StorageError> {
+    pub fn from_attrs(rel: &Relation, attrs: AttrSet) -> Pli {
         let cols = attrs.to_vec();
-        let mut keyer = Keyer::new(cols.iter().map(|&c| source.column_cardinality(c)));
-        let mut labels: Vec<u32> = Vec::with_capacity(source.n_rows());
-        source.scan_columns(&cols, &mut |_, slices| {
-            let len = slices.first().map_or(0, |s| s.len());
-            keyer.extend_labels(slices, len, &mut labels);
-        })?;
-        let n = labels.len();
-        Ok(Pli::from_labels(&labels, keyer.len(), unit_weights(n), n))
+        let columns: Vec<&[u32]> = cols.iter().map(|&c| rel.column_codes(c)).collect();
+        let mut keyer = Keyer::new(cols.iter().map(|&c| rel.column_cardinality(c)));
+        let n = rel.n_rows();
+        let mut labels = Vec::with_capacity(n);
+        keyer.extend_labels(&columns, n, &mut labels);
+        Pli::from_labels(&labels, keyer.len(), unit_weights(n), n)
+    }
+
+    /// The partition of a single attribute over the tuples of `bag`, each
+    /// weighted by its multiplicity.
+    pub(crate) fn of_tuple_column(bag: &TupleBag, attr: usize) -> Pli {
+        let tuples = bag.tuples();
+        let (codes, cardinality) = (tuples.column_codes(attr), tuples.column_cardinality(attr));
+        Pli::from_labels(codes, cardinality, Arc::clone(bag.weights()), bag.n_rows())
+    }
+
+    /// The partition of `attrs`, a non-empty attribute set, over the tuples
+    /// of `bag`, each weighted by its multiplicity.
+    pub(crate) fn of_tuples(bag: &TupleBag, attrs: AttrSet) -> Pli {
+        let (labels, groups) =
+            bag.tuples().group_labels(attrs).expect("partitions are of non-empty attribute sets");
+        Pli::from_labels(&labels, groups, Arc::clone(bag.weights()), bag.n_rows())
     }
 
     /// Groups elements by label: `labels[e] < n_labels` is element `e`'s
@@ -713,14 +713,14 @@ mod tests {
     #[test]
     fn single_column_partitions_match_figure_7() {
         let rel = sample();
-        let a = Pli::from_column(&rel, 0).unwrap();
+        let a = Pli::from_column(&rel, 0);
         // A: a2 -> {t2,t3}, a3 -> {t4,t5}; a1 is a singleton.
         assert_eq!(a.cluster_count(), 2);
         assert_eq!(a.covered_rows(), 4);
         assert_eq!(a.distinct_values(), 3);
         assert_eq!(a.cluster(0), &[1, 2]);
         assert_eq!(a.cluster(1), &[3, 4]);
-        let c = Pli::from_column(&rel, 2).unwrap();
+        let c = Pli::from_column(&rel, 2);
         // C: c3 -> {t1,t4}; the rest are singletons.
         assert_eq!(c.cluster_count(), 1);
         assert_eq!(c.distinct_values(), 4);
@@ -730,8 +730,8 @@ mod tests {
     fn from_attrs_matches_from_column_for_singletons() {
         let rel = sample();
         for attr in 0..3 {
-            let a = Pli::from_column(&rel, attr).unwrap();
-            let b = Pli::from_attrs(&rel, AttrSet::singleton(attr)).unwrap();
+            let a = Pli::from_column(&rel, attr);
+            let b = Pli::from_attrs(&rel, AttrSet::singleton(attr));
             assert_eq!(a, b, "CSR partitions must agree exactly, attr {attr}");
             assert_eq!(a.entropy(), b.entropy());
         }
@@ -747,21 +747,21 @@ mod tests {
             (0..1000).map(|i| vec![format!("k{i}"), format!("v{}", i % 3)]).collect();
         let rel = Relation::from_rows(schema, &rows).unwrap();
         assert_eq!(rel.column_cardinality(0), 1000);
-        let p = Pli::from_column(&rel, 0).unwrap();
+        let p = Pli::from_column(&rel, 0);
         assert_eq!(p.cluster_count(), 0);
         assert_eq!(p.covered_rows(), 0);
         assert_eq!(p.distinct_values(), 1000);
         assert!((p.entropy() - 1000f64.log2()).abs() < 1e-12);
-        assert_eq!(p, Pli::from_attrs(&rel, AttrSet::singleton(0)).unwrap());
+        assert_eq!(p, Pli::from_attrs(&rel, AttrSet::singleton(0)));
     }
 
     #[test]
     fn intersection_matches_direct_computation() {
         let rel = sample();
-        let a = Pli::from_column(&rel, 0).unwrap();
-        let b = Pli::from_column(&rel, 1).unwrap();
+        let a = Pli::from_column(&rel, 0);
+        let b = Pli::from_column(&rel, 1);
         let ab = a.intersect(&b);
-        let direct = Pli::from_attrs(&rel, [0usize, 1].into_iter().collect()).unwrap();
+        let direct = Pli::from_attrs(&rel, [0usize, 1].into_iter().collect());
         assert_eq!(ab, direct, "intersection and direct build agree exactly");
         assert_eq!(ab.entropy(), direct.entropy());
         // Figure 7: AB has a single non-singleton cluster {t4, t5}.
@@ -772,8 +772,8 @@ mod tests {
     #[test]
     fn intersection_is_commutative() {
         let rel = sample();
-        let a = Pli::from_column(&rel, 0).unwrap();
-        let c = Pli::from_column(&rel, 2).unwrap();
+        let a = Pli::from_column(&rel, 0);
+        let c = Pli::from_column(&rel, 2);
         let ac = a.intersect(&c);
         let ca = c.intersect(&a);
         assert_eq!(ac, ca, "canonical cluster order makes intersection commutative");
@@ -785,8 +785,8 @@ mod tests {
         let rel = sample();
         let mut scratch = IntersectScratch::new();
         for (x, y) in [(0usize, 1usize), (0, 2), (1, 2)] {
-            let a = Pli::from_column(&rel, x).unwrap();
-            let b = Pli::from_column(&rel, y).unwrap();
+            let a = Pli::from_column(&rel, x);
+            let b = Pli::from_column(&rel, y);
             let materialized = a.intersect_with(&b, &mut scratch);
             let expected_sizes: Vec<u32> =
                 materialized.clusters().map(|c| c.len() as u32).collect();
@@ -815,8 +815,8 @@ mod tests {
             for (r, n_cols) in [(&rel, 3usize), (&other_rel, 2usize)] {
                 for x in 0..n_cols {
                     for y in 0..n_cols {
-                        let a = Pli::from_column(r, x).unwrap();
-                        let b = Pli::from_column(r, y).unwrap();
+                        let a = Pli::from_column(r, x);
+                        let b = Pli::from_column(r, y);
                         assert_eq!(a.intersect_with(&b, &mut scratch), a.intersect(&b));
                     }
                 }
@@ -827,8 +827,8 @@ mod tests {
     #[test]
     fn scratch_epoch_wrap_resets_cleanly() {
         let rel = sample();
-        let a = Pli::from_column(&rel, 0).unwrap();
-        let b = Pli::from_column(&rel, 1).unwrap();
+        let a = Pli::from_column(&rel, 0);
+        let b = Pli::from_column(&rel, 1);
         let mut scratch = IntersectScratch::new();
         let expected = a.intersect(&b);
         // Poison the scratch with a near-overflow epoch; prepare() must reset
@@ -855,7 +855,7 @@ mod tests {
     fn entropy_of_key_attribute_set_is_log_n() {
         let rel = sample();
         // ABC together identify every tuple: entropy = log2(5).
-        let p = Pli::from_attrs(&rel, AttrSet::full(3)).unwrap();
+        let p = Pli::from_attrs(&rel, AttrSet::full(3));
         assert!((p.entropy() - (5f64).log2()).abs() < 1e-12);
         assert_eq!(p.cluster_count(), 0);
     }
@@ -865,14 +865,14 @@ mod tests {
         let schema = Schema::new(["X"]).unwrap();
         let rel =
             Relation::from_rows(schema, &[vec!["0"], vec!["0"], vec!["1"], vec!["1"]]).unwrap();
-        let p = Pli::from_column(&rel, 0).unwrap();
+        let p = Pli::from_column(&rel, 0);
         assert!((p.entropy() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn intersect_with_trivial_is_identity_on_entropy() {
         let rel = sample();
-        let a = Pli::from_column(&rel, 0).unwrap();
+        let a = Pli::from_column(&rel, 0);
         let t = Pli::trivial(rel.n_rows());
         let both = a.intersect(&t);
         assert_eq!(both.entropy(), a.entropy());
@@ -891,7 +891,7 @@ mod tests {
     #[test]
     fn size_reports_covered_rows() {
         let rel = sample();
-        let a = Pli::from_column(&rel, 0).unwrap();
+        let a = Pli::from_column(&rel, 0);
         assert_eq!(a.size(), 4);
     }
 
@@ -910,7 +910,7 @@ mod tests {
         let full = AttrSet::full(cols);
         assert!((0..cols).all(|c| rel.column_cardinality(c) == 64));
 
-        let pli = Pli::from_attrs(&rel, full).unwrap();
+        let pli = Pli::from_attrs(&rel, full);
         // Reference grouping: the legacy hash-map-and-sort algorithm.
         let mut groups: HashMap<Vec<u32>, Vec<u32>> = HashMap::new();
         for r in 0..rel.n_rows() {
@@ -924,7 +924,7 @@ mod tests {
         assert_eq!(got, expected);
         // A sub-projection of the same relation keys in one round.
         let narrow: AttrSet = [0usize, 1].into_iter().collect();
-        let fold_path = Pli::from_attrs(&rel, narrow).unwrap();
+        let fold_path = Pli::from_attrs(&rel, narrow);
         let mut narrow_groups: HashMap<Vec<u32>, Vec<u32>> = HashMap::new();
         for r in 0..rel.n_rows() {
             narrow_groups.entry(rel.key(r, narrow)).or_default().push(r as u32);

@@ -31,7 +31,7 @@
 //!    prefixes) are materialized and inserted into the partition cache.
 //!
 //! The partitions group the relation's distinct tuples, weighted by their
-//! multiplicities (the `tuples` module's tuple table), not its rows: Eq. (5)
+//! multiplicities (a [`relation::TupleBag`]), not its rows: Eq. (5)
 //! needs only the tuple histogram, and a relation of `N` rows with `G`
 //! distinct tuples then intersects `O(G)` ids per miss.
 //!
@@ -48,11 +48,10 @@
 use crate::concurrent::{AtomicOracleStats, ShardedCache};
 use crate::oracle::{EntropyOracle, OracleStats};
 use crate::partition::{IntersectScratch, Pli};
-use crate::tuples::TupleTable;
-use relation::{AttrSet, Relation, RelationError};
+use relation::{AttrSet, Relation, RelationError, TupleBag};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use storage::{RelationBackend, StorageError};
+use storage::RelationBackend;
 
 /// Configuration for [`PliEntropyOracle`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -93,17 +92,15 @@ impl EntropyConfig {
 
 /// Entropy oracle backed by cached stripped partitions (the §6.3 engine).
 ///
-/// Construction reads the relation once, in one chunked scan, into a tuple
-/// table: the distinct tuples in first-occurrence order with their
-/// multiplicities. The tuples are kept as an in-memory [`Relation`] sharing
-/// the source's dictionaries ([`PliEntropyOracle::tuples`]), and nothing
-/// reads the source again, so the oracle is `'static` and `Send + Sync`
-/// whatever it was built from. [`PliEntropyOracle::new`] takes the
-/// in-memory store (`&Relation` arguments deep-clone the data once, while
-/// `Relation` / `Arc<Relation>` arguments move or share it; a relation
-/// with no repeated row is itself the tuple relation and is shared);
-/// [`PliEntropyOracle::from_backend`] accepts any backend, e.g. a paged
-/// out-of-core column store.
+/// The oracle holds the relation as a [`TupleBag`]: the distinct tuples in
+/// first-occurrence order with their multiplicities. The tuples are an
+/// in-memory [`Relation`] ([`PliEntropyOracle::tuples`]), so the oracle is
+/// `'static` and `Send + Sync` whatever it was built from.
+/// [`PliEntropyOracle::new`] counts an in-memory relation (`&Relation`
+/// arguments deep-clone the data once, while `Relation` / `Arc<Relation>`
+/// arguments move or share it; a relation with no repeated row is itself
+/// the tuple relation and is shared); [`PliEntropyOracle::from_tuples`]
+/// takes a bag already counted, e.g. one streamed from a CSV file.
 ///
 /// Every partition the oracle holds groups tuple ids, each weighted by its
 /// multiplicity, so a relation of `N` rows and `G` distinct tuples
@@ -113,7 +110,7 @@ impl EntropyConfig {
 pub struct PliEntropyOracle {
     /// The relation's distinct tuples and their multiplicities; every
     /// partition below groups its tuple ids.
-    table: TupleTable,
+    table: TupleBag,
     singles: Vec<Arc<Pli>>,
     pli_cache: ShardedCache<Arc<Pli>>,
     /// Number of entries in `pli_cache`, tracked atomically so the
@@ -127,39 +124,29 @@ pub struct PliEntropyOracle {
     scratches: Mutex<Vec<IntersectScratch>>,
     config: EntropyConfig,
     stats: AtomicOracleStats,
-    /// The [`StorageError`] the construction scan hit, if any. The oracle's
-    /// query API is infallible by design (entropies are plain `f64`s on hot
-    /// paths), so a failed scan leaves an oracle over no tuples and latches
-    /// the error here; callers that need correctness (the session layer)
-    /// check [`PliEntropyOracle::storage_fault`] and refuse to mount it.
-    storage_fault: Option<Arc<StorageError>>,
 }
 
 impl PliEntropyOracle {
     /// Creates the oracle over the in-memory store, building single-attribute
     /// partitions and (if configured) the per-block subset precomputation.
     pub fn new(rel: impl Into<Arc<Relation>>, config: EntropyConfig) -> Self {
-        let rel = rel.into();
-        Self::build(&*rel, Some(&rel), config)
+        Self::from_tuples(TupleBag::of(&rel.into()), config)
     }
 
-    /// Creates the oracle over an arbitrary storage backend (e.g. a
-    /// [`storage::PagedColumnarRelation`]), read once here and never again.
-    /// Identical to [`PliEntropyOracle::new`] over the same rows.
+    /// The oracle of the `storage::PagedColumnarRelation` shim, over its
+    /// bag. It goes with ROADMAP item 9, once the benchmark stops naming
+    /// the paged store.
     pub fn from_backend(source: Arc<dyn RelationBackend>, config: EntropyConfig) -> Self {
-        Self::build(&*source, None, config)
+        Self::from_tuples(source.tuples().clone(), config)
     }
 
-    fn build(
-        source: &dyn RelationBackend,
-        twin: Option<&Arc<Relation>>,
-        config: EntropyConfig,
-    ) -> Self {
-        let (table, storage_fault) = match TupleTable::scan(source, twin) {
-            Ok(table) => (table, None),
-            Err(e) => (TupleTable::empty(source.schema()), Some(Arc::new(e))),
-        };
-        let singles = (0..source.arity()).map(|a| Arc::new(table.single(a))).collect();
+    /// Creates the oracle over a counted bag, building single-attribute
+    /// partitions and (if configured) the per-block subset precomputation.
+    /// Identical to [`PliEntropyOracle::new`] over a relation of the same
+    /// rows.
+    pub fn from_tuples(table: TupleBag, config: EntropyConfig) -> Self {
+        let arity = table.tuples().arity();
+        let singles = (0..arity).map(|a| Arc::new(Pli::of_tuple_column(&table, a))).collect();
         let oracle = PliEntropyOracle {
             table,
             singles,
@@ -169,7 +156,6 @@ impl PliEntropyOracle {
             scratches: Mutex::new(Vec::new()),
             config,
             stats: AtomicOracleStats::default(),
-            storage_fault,
         };
         if let Some(block) = config.block_size {
             oracle.precompute_blocks(block.max(1));
@@ -226,7 +212,9 @@ impl PliEntropyOracle {
         let stats = AtomicOracleStats::seeded(self.stats.snapshot());
         let carry = |pli: &Pli, attrs: AttrSet| -> Arc<Pli> {
             stats.record_delta_refresh();
-            Arc::new(table.carry(pli, attrs, &self.table, &repeated))
+            let (old, new) = (self.table.tuples(), table.tuples());
+            let weights = Arc::clone(table.weights());
+            Arc::new(pli.grown(attrs, old, new, weights, table.n_rows(), &repeated))
         };
         let singles: Vec<Arc<Pli>> =
             self.singles.iter().enumerate().map(|(a, p)| carry(p, AttrSet::singleton(a))).collect();
@@ -247,16 +235,7 @@ impl PliEntropyOracle {
             scratches: Mutex::new(Vec::new()),
             config: self.config,
             stats,
-            // A successor of a faulted oracle stays refusable.
-            storage_fault: self.storage_fault.clone(),
         })
-    }
-
-    /// The error the construction scan hit, if it failed. A non-`None`
-    /// return means this oracle holds no tuples and its entropies must not
-    /// be trusted; the session layer refuses to mount such an oracle.
-    pub fn storage_fault(&self) -> Option<Arc<StorageError>> {
-        self.storage_fault.clone()
     }
 
     /// The relation's distinct tuples in first-occurrence order, sharing
@@ -325,7 +304,9 @@ impl PliEntropyOracle {
                 let rest_pli = if rest.len() == 1 {
                     Arc::clone(&self.singles[rest.min_attr().unwrap()])
                 } else {
-                    self.pli_cache.get(rest).unwrap_or_else(|| Arc::new(self.table.partition(rest)))
+                    self.pli_cache
+                        .get(rest)
+                        .unwrap_or_else(|| Arc::new(Pli::of_tuples(&self.table, rest)))
                 };
                 let combined = rest_pli.intersect_with(&self.singles[last], &mut scratch);
                 self.stats.record_intersection();
@@ -395,7 +376,7 @@ impl PliEntropyOracle {
                         // was truncated by the budget; fall back to grouping
                         // the tuples directly.
                         self.stats.record_full_scan();
-                        Arc::new(self.table.partition(piece))
+                        Arc::new(Pli::of_tuples(&self.table, piece))
                     }
                 };
                 (piece, pli)
@@ -731,7 +712,7 @@ mod tests {
         for prefix in 1..cols {
             let attrs = AttrSet::full(prefix);
             let carried = successor.cached_partition(attrs).expect("the prefix is cached");
-            assert_eq!(*carried, fresh.table.partition(attrs), "the first {prefix} columns");
+            assert_eq!(*carried, Pli::of_tuples(&fresh.table, attrs), "the first {prefix} columns");
         }
         for attrs in full.subsets().filter(|s| !s.is_empty()) {
             assert_eq!(successor.entropy(attrs).to_bits(), fresh.entropy(attrs).to_bits());

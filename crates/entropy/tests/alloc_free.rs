@@ -58,8 +58,8 @@ fn steady_state_entropy_queries_do_not_allocate() {
     );
 
     // Warm-scratch count-only intersections: zero heap allocations each.
-    let a = Pli::from_column(&rel, 0).unwrap();
-    let b = Pli::from_column(&rel, 5).unwrap();
+    let a = Pli::from_column(&rel, 0);
+    let b = Pli::from_column(&rel, 5);
     let mut scratch = IntersectScratch::new();
     checksum += a.intersect_counts(&b, &mut scratch).entropy(); // sizes arrays reach steady state
     let before = allocations();

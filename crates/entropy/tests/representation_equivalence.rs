@@ -133,13 +133,13 @@ proptest! {
     #[test]
     fn constructors_match_legacy_exactly(rel in relation_strategy()) {
         for attr in 0..rel.arity() {
-            let csr = Pli::from_column(&rel, attr).unwrap();
+            let csr = Pli::from_column(&rel, attr);
             let old = LegacyPli::from_column(&rel, attr);
             prop_assert_eq!(csr_clusters(&csr), old.clusters.clone(), "from_column attr {}", attr);
             prop_assert_eq!(csr.entropy().to_bits(), old.entropy().to_bits());
         }
         for attrs in AttrSet::full(rel.arity()).subsets().filter(|s| !s.is_empty()) {
-            let csr = Pli::from_attrs(&rel, attrs).unwrap();
+            let csr = Pli::from_attrs(&rel, attrs);
             let old = LegacyPli::from_attrs(&rel, attrs);
             prop_assert_eq!(csr_clusters(&csr), old.clusters.clone(), "from_attrs {:?}", attrs);
             prop_assert_eq!(csr.entropy().to_bits(), old.entropy().to_bits());
@@ -151,8 +151,8 @@ proptest! {
         let mut scratch = IntersectScratch::new();
         for a in 0..rel.arity() {
             for b in 0..rel.arity() {
-                let left = Pli::from_column(&rel, a).unwrap();
-                let right = Pli::from_column(&rel, b).unwrap();
+                let left = Pli::from_column(&rel, a);
+                let right = Pli::from_column(&rel, b);
                 let old = LegacyPli::from_column(&rel, a)
                     .intersect(&LegacyPli::from_column(&rel, b));
                 let merged = left.intersect_with(&right, &mut scratch);

@@ -9,8 +9,8 @@
 //!
 //! There is one reader, [`CsvReader`]. It is push-style: it takes the input
 //! as byte slices of any size and hands each completed record to a
-//! callback, so [`relation_from_csv`] feeds it the whole text and the paged
-//! ingester in `maimon-storage` feeds it each buffered chunk of a stream.
+//! callback, so [`relation_from_csv`] feeds it the whole text and a
+//! [`crate::TupleStream`] feeds it each buffered chunk of a file.
 //! The reader also fixes the schema from the first record, checks every
 //! record's arity against it, and reports every error in input order with
 //! the 1-based line and 0-based byte offset where the problem starts. A

@@ -17,9 +17,13 @@
 //!   Yannakakis-style count propagation over a join tree, used to measure the
 //!   paper's spurious-tuple metric `E` without materializing the (possibly
 //!   huge) re-join; one counter shares projection labels across a pass.
+//! * [`TupleBag`] — the relation as a bag: distinct tuples in
+//!   first-occurrence order with their multiplicities, the one form the
+//!   engine mounts every source in; [`TupleStream`] builds it from CSV text
+//!   fed in pieces without holding the rows.
 //! * [`relation_from_csv`] — a small RFC-4180-ish CSV loader for profiling
 //!   datasets, built on [`CsvReader`], the push-style record reader the
-//!   paged ingester shares.
+//!   tuple stream shares.
 //! * Random relation generators used by tests, benchmarks and the synthetic
 //!   Metanome-shaped datasets.
 
@@ -34,6 +38,7 @@ mod join;
 mod keyer;
 mod relation;
 mod schema;
+mod tuples;
 
 pub use acyclic_join::{
     acyclic_join_size, satisfies_join_dependency, spurious_tuple_count, JoinCounter, JoinTreeSpec,
@@ -51,3 +56,4 @@ pub use join::{natural_join, natural_join_all};
 pub use keyer::{FoldKeyHasher, FoldKeyMap, Keyer};
 pub use relation::{AppendSummary, Dictionary, Relation, RelationBuilder};
 pub use schema::Schema;
+pub use tuples::{TupleBag, TupleStream};

@@ -16,7 +16,7 @@ use std::fmt;
 /// A column's dictionary: its distinct values in first-seen order (a
 /// value's code is its position) plus a hash index from value to code, so
 /// interning is O(1) amortized. Every path that turns text into codes
-/// interns through it: row appends, both CSV loaders and the paged ingester.
+/// interns through it: row appends, the CSV loader and the streamed mount.
 #[derive(Clone, Debug, Default)]
 pub struct Dictionary {
     values: Vec<String>,
@@ -53,6 +53,11 @@ impl Dictionary {
     /// Panics if `code` is not in the dictionary.
     pub fn value(&self, code: u32) -> &str {
         &self.values[code as usize]
+    }
+
+    /// Number of distinct values.
+    pub(crate) fn len(&self) -> usize {
+        self.values.len()
     }
 
     /// Gives up the index and returns the values, indexed by code.
@@ -230,6 +235,19 @@ impl Relation {
         Ok(Relation { schema, columns, n_rows, data_version })
     }
 
+    /// Assembles a relation from interned dictionaries and codes that are
+    /// known to fit them (each code below its dictionary's length).
+    pub(crate) fn from_dictionaries(
+        schema: Schema,
+        dicts: Vec<Dictionary>,
+        codes: Vec<Vec<u32>>,
+        data_version: u64,
+    ) -> Relation {
+        let n_rows = codes.first().map_or(0, Vec::len);
+        let columns = dicts.into_iter().zip(codes).map(|(dict, codes)| Column { dict, codes });
+        Relation { schema, columns: columns.collect(), n_rows, data_version }
+    }
+
     /// The relation's monotone data version: 0 at construction, bumped by
     /// every successful [`Relation::push_row`] and every successful
     /// non-empty [`Relation::append_rows`] batch. Derived relations
@@ -311,6 +329,13 @@ impl Relation {
     #[inline]
     pub fn column_dictionary(&self, c: usize) -> &Dictionary {
         &self.columns[c].dict
+    }
+
+    /// Approximate bytes of the relation resident in memory: its
+    /// dictionaries' values and its codes.
+    pub fn resident_bytes(&self) -> usize {
+        let values: usize = self.columns.iter().flat_map(|c| &c.dict.values).map(String::len).sum();
+        values + self.n_rows * self.arity() * std::mem::size_of::<u32>()
     }
 
     /// Materializes row `r` as strings.
@@ -671,6 +696,8 @@ mod tests {
         assert_eq!(r.value(2, 2), "c2");
         assert_eq!(r.row(1), vec!["a1", "b2", "c1"]);
         assert!(!r.is_empty());
+        // Six two-byte dictionary values and twelve four-byte codes.
+        assert_eq!(r.resident_bytes(), 6 * 2 + 12 * 4);
     }
 
     #[test]

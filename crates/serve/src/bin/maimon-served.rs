@@ -8,18 +8,16 @@
 //! maimon-served [--addr 127.0.0.1:7464] [--workers 4]
 //!               [--dataset name=path.csv]... [--demo]
 //!               [--paged-dataset name=path.csv]...
-//!               [--page-rows N] [--cache-pages N]
 //!               [--data-dir DIR]
 //!               [--max-in-flight N] [--queue-depth N] [--epsilon E]
 //!               [--metrics-addr HOST:PORT]
 //! ```
 //!
-//! `--paged-dataset` mounts a CSV through the out-of-core paged columnar
-//! backend: the file is streamed (never fully resident) into per-column code
-//! pages spilled to a temp file, read back once through a small LRU page
-//! cache sized by `--page-rows` × `--cache-pages`, into the session's
-//! in-memory distinct tuples. Such datasets then serve every op, `mine`,
-//! `decompose` and `append` included, like an in-memory dataset.
+//! `--paged-dataset` streams a CSV straight into the session's distinct
+//! tuples and their multiplicities: the rows are never resident, only the
+//! dictionaries and the tuples. Repeated rows keep their multiplicity.
+//! Such datasets then serve every op, `mine`, `decompose` and `append`
+//! included, like an in-memory dataset.
 //!
 //! `--demo` registers the paper's running example plus the `Bridges`
 //! synthetic catalog dataset, so the server is probe-able with no files at
@@ -39,15 +37,14 @@
 //! `--metrics-addr` additionally serves Prometheus text exposition over
 //! plain HTTP GET (any path), announced as `maimon-served metrics on ADDR`
 //! before the main banner: the process-wide registry of the library layers
-//! (oracle, CSV, page cache, WAL, ingest, decompose), then the server's own
+//! (oracle, CSV, dataset memory, WAL, decompose), then the server's own
 //! registry of request-level series, the one `stats` is a view over.
 
 use maimon::obs::{self, MetricsRegistry};
 use maimon::relation::{relation_from_csv, CsvOptions};
-use maimon::storage::{ingest_csv_file, IngestOptions, PagedOptions, RelationBackend};
 use maimon::{CancelToken, MaimonConfig};
 use serve::{serve, AdmissionConfig, DatasetRegistry, ServerConfig};
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -96,8 +93,6 @@ struct Options {
     workers: usize,
     datasets: Vec<(String, String)>,
     paged_datasets: Vec<(String, String)>,
-    page_rows: usize,
-    cache_pages: usize,
     data_dir: Option<String>,
     demo: bool,
     epsilon: f64,
@@ -109,7 +104,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: maimon-served [--addr HOST:PORT] [--workers N] \
          [--dataset name=path.csv]... [--demo] \
-         [--paged-dataset name=path.csv]... [--page-rows N] [--cache-pages N] \
+         [--paged-dataset name=path.csv]... \
          [--data-dir DIR] [--epsilon E] \
          [--max-in-flight N] [--queue-depth N] [--metrics-addr HOST:PORT]"
     );
@@ -123,8 +118,6 @@ fn parse_options() -> Options {
         workers: 4,
         datasets: Vec::new(),
         paged_datasets: Vec::new(),
-        page_rows: PagedOptions::default().page_rows,
-        cache_pages: PagedOptions::default().cache_pages,
         data_dir: None,
         demo: false,
         epsilon: 0.05,
@@ -172,20 +165,6 @@ fn parse_options() -> Options {
                         eprintln!("--paged-dataset expects name=path.csv, got {spec:?}");
                         usage()
                     }
-                }
-            }
-            "--page-rows" => {
-                options.page_rows = value("--page-rows").parse().unwrap_or_else(|_| usage());
-                if options.page_rows == 0 {
-                    eprintln!("--page-rows must be at least 1");
-                    usage()
-                }
-            }
-            "--cache-pages" => {
-                options.cache_pages = value("--cache-pages").parse().unwrap_or_else(|_| usage());
-                if options.cache_pages == 0 {
-                    eprintln!("--cache-pages must be at least 1");
-                    usage()
                 }
             }
             "--data-dir" => options.data_dir = Some(value("--data-dir")),
@@ -372,27 +351,20 @@ fn main() {
         eprintln!("registered {name}: {rows} rows x {attrs} attrs from {path}");
     }
     for (name, path) in &options.paged_datasets {
-        let ingest = IngestOptions {
-            paged: PagedOptions {
-                page_rows: options.page_rows,
-                cache_pages: options.cache_pages,
-                dataset: name.clone(),
-            },
-            ..IngestOptions::default()
-        };
-        let store = ingest_csv_file(path, &ingest).unwrap_or_else(|e| {
-            eprintln!("cannot ingest {path}: {e}");
+        let file = std::fs::File::open(path).unwrap_or_else(|e| {
+            eprintln!("cannot read {path}: {e}");
             std::process::exit(1);
         });
-        let (rows, attrs) = (store.n_rows(), store.arity());
-        registry.register_backend(name.clone(), Arc::new(store), config).unwrap_or_else(|e| {
-            eprintln!("cannot serve {name}: {e}");
+        registry.register_csv(name.clone(), BufReader::new(file), config).unwrap_or_else(|e| {
+            eprintln!("cannot serve {name} from {path}: {e}");
             std::process::exit(1);
         });
+        let session = registry.get(name).expect("registered above");
         eprintln!(
-            "registered {name} (paged): {rows} rows x {attrs} attrs from {path}, \
-             {} x {}-row pages cached",
-            options.cache_pages, options.page_rows
+            "registered {name} (paged): {} rows x {} attrs from {path}, {} distinct tuples",
+            session.n_rows(),
+            session.arity(),
+            session.tuples().n_rows()
         );
     }
 

@@ -8,11 +8,17 @@
 //! sessions: the second request for a threshold is a cache hit), while each
 //! clone carries its own cancellation/deadline plumbing, so a per-request
 //! deadline never bleeds into another request.
+//!
+//! Every dataset's memory is published as the process-wide
+//! `maimon_dataset_resident_bytes{dataset}` gauge, read from
+//! [`MaimonSession::resident_bytes`] when it is registered and after each
+//! append, so it always equals the `resident_bytes` that `stats` reports.
 
-use maimon::relation::Relation;
-use maimon::storage::{DurableDataset, RecoveryInfo, RelationBackend};
-use maimon::{MaimonConfig, MaimonError, MaimonSession};
+use maimon::relation::{CsvOptions, Relation};
+use maimon::storage::{stream_csv, DurableDataset, RecoveryInfo};
+use maimon::{obs, MaimonConfig, MaimonError, MaimonSession};
 use std::collections::HashMap;
+use std::io::BufRead;
 use std::path::Path;
 use std::sync::{Arc, RwLock};
 
@@ -25,7 +31,7 @@ use std::sync::{Arc, RwLock};
 pub struct DatasetRegistry {
     sessions: RwLock<HashMap<String, MaimonSession>>,
     /// Durable (snapshot + WAL) state for datasets mounted from a
-    /// `--data-dir`; in-memory-only and paged datasets have no entry.
+    /// `--data-dir`; in-memory-only and streamed datasets have no entry.
     durables: RwLock<HashMap<String, Arc<DurableDataset>>>,
 }
 
@@ -48,38 +54,42 @@ impl DatasetRegistry {
         relation: impl Into<Arc<Relation>>,
         config: MaimonConfig,
     ) -> Result<(), MaimonError> {
-        let session = MaimonSession::new(relation, config)?;
-        self.sessions
-            .write()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .insert(name.into(), session);
+        self.insert(name.into(), MaimonSession::new(relation, config)?);
         Ok(())
     }
 
-    /// Registers an out-of-core storage backend under `name` (e.g. a
-    /// [`maimon::storage::PagedColumnarRelation`] mounted from a large CSV).
-    /// The session reads the backend once, into its distinct tuples, and
-    /// then serves every operation exactly like an in-memory dataset.
-    /// Appends live in the session only, like appends to any dataset
-    /// without durable state.
+    /// Streams the CSV in `reader` under `name`, straight into a session's
+    /// distinct tuples and their multiplicities (repeated rows keep theirs):
+    /// the rows are never resident. The session then serves every operation
+    /// exactly like an in-memory dataset. Appends live in the session only,
+    /// like appends to any dataset without durable state. `name` scopes the
+    /// stream's `csv_read` failpoint.
     ///
     /// # Errors
-    /// Returns the session constructor's error for an invalid configuration
-    /// or a backend that cannot be profiled (empty, arity < 2), and
-    /// [`MaimonError::Storage`] when reading the backend fails; nothing is
-    /// registered then.
-    pub fn register_backend(
+    /// Returns [`MaimonError::Storage`] when reading or parsing the stream
+    /// fails, and the session constructor's error for an invalid
+    /// configuration or a relation that cannot be profiled (empty,
+    /// arity < 2); nothing is registered then.
+    pub fn register_csv(
         &self,
         name: impl Into<String>,
-        backend: Arc<dyn RelationBackend>,
+        reader: impl BufRead,
         config: MaimonConfig,
     ) -> Result<(), MaimonError> {
-        let session = MaimonSession::from_backend(backend, config)?;
+        let name = name.into();
+        let options = CsvOptions { dedup: false, ..CsvOptions::default() };
+        let tuples = stream_csv(reader, options, &name)?;
+        self.insert(name, MaimonSession::from_tuples(tuples, config)?);
+        Ok(())
+    }
+
+    /// Installs `session` under `name` and publishes its memory.
+    fn insert(&self, name: String, session: MaimonSession) {
+        publish_resident_bytes(&name, &session);
         self.sessions
             .write()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .insert(name.into(), session);
-        Ok(())
+            .insert(name, session);
     }
 
     /// Recovers every durable dataset under `data_dir` (one subdirectory per
@@ -188,6 +198,19 @@ impl DatasetRegistry {
     }
 }
 
+/// Sets `maimon_dataset_resident_bytes{dataset=name}` in the process-wide
+/// registry to the bytes `session` holds now. The serve layer calls it
+/// after each append.
+pub(crate) fn publish_resident_bytes(name: &str, session: &MaimonSession) {
+    let registry = obs::global();
+    registry.describe(
+        "maimon_dataset_resident_bytes",
+        "Resident bytes of a dataset's distinct tuples (dictionaries and codes)",
+    );
+    let bytes = i64::try_from(session.resident_bytes()).unwrap_or(i64::MAX);
+    registry.gauge("maimon_dataset_resident_bytes", &[("dataset", name)]).set(bytes);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,6 +273,13 @@ mod tests {
         let registry = DatasetRegistry::new();
         let narrow = Relation::from_rows(Schema::new(["A"]).unwrap(), &[vec!["x"]]).unwrap();
         assert!(registry.register("narrow", narrow, MaimonConfig::default()).is_err());
+        // A stream that is narrow, or fails to parse, registers nothing either.
+        let config = MaimonConfig::default();
+        assert!(registry.register_csv("narrow-csv", "A\nx\n".as_bytes(), config).is_err());
+        match registry.register_csv("broken-csv", "A,B\n1,2\n3\n".as_bytes(), config) {
+            Err(MaimonError::Storage(message)) => assert!(message.contains("line 3"), "{message}"),
+            other => panic!("expected a storage error, got {other:?}"),
+        }
         assert!(registry.is_empty());
     }
 }

@@ -689,6 +689,7 @@ fn handle_append(shared: &Arc<Shared>, dataset: &str, rows: &[Vec<String>], tena
                 .metrics
                 .counter("maimon_rows_appended_total", &[])
                 .add(summary.rows_appended as u64);
+            crate::registry::publish_resident_bytes(dataset, &session);
             ok_response(
                 "append",
                 [

@@ -11,7 +11,6 @@
 use maimon::json::Json;
 use maimon::obs;
 use maimon::storage::fault;
-use maimon::storage::{ingest_csv, IngestOptions, PagedOptions};
 use maimon::MaimonConfig;
 use maimon_datasets::running_example;
 use serve::{serve, AdmissionConfig, DatasetRegistry, ServerConfig, ServerHandle};
@@ -96,32 +95,27 @@ fn panicking_request_returns_internal_envelope_and_server_survives() {
 }
 
 #[test]
-fn page_read_fault_at_mount_refuses_one_dataset_and_spares_the_rest() {
+fn csv_read_fault_at_mount_refuses_one_dataset_and_spares_the_rest() {
     let _guard = fault_lock();
 
-    // A paged dataset with a one-page cache, so mounting it must go back to
-    // the spill file (where the failpoint lives) for most pages.
+    // A file-backed dataset read through a tiny buffer, so the mount reads
+    // the stream many times.
     let mut csv = String::from("a,b,c\n");
     for i in 0..64 {
         csv.push_str(&format!("a{},b{},c{}\n", i % 5, (i / 2) % 7, i % 3));
     }
-    let ingest = IngestOptions {
-        paged: PagedOptions { page_rows: 8, cache_pages: 1, dataset: "chaos-paged".to_string() },
-        ..IngestOptions::default()
-    };
-    let store = ingest_csv(csv.as_bytes(), &ingest).unwrap();
+    let reader = BufReader::with_capacity(16, csv.as_bytes());
 
     let registry = Arc::new(DatasetRegistry::new());
     registry.register("running", running_example(), MaimonConfig::default()).unwrap();
-    // The mount is the one time a session reads its backend: a failing page
-    // read there is a typed storage error, and nothing is registered.
-    fault::global().arm("paged_read@chaos-paged", 0, u64::MAX);
-    let mounted =
-        registry.register_backend("chaos-paged", Arc::new(store), MaimonConfig::default());
-    fault::global().disarm("paged_read@chaos-paged");
+    // The mount is the one time a dataset's file is read: a failing read
+    // there (the fifth) is a typed storage error, and nothing is registered.
+    fault::global().arm("csv_read@chaos-paged", 4, u64::MAX);
+    let mounted = registry.register_csv("chaos-paged", reader, MaimonConfig::default());
+    fault::global().disarm("csv_read@chaos-paged");
     match mounted {
         Err(maimon::MaimonError::Storage(message)) => {
-            assert!(message.contains("paged_read"), "{message}")
+            assert!(message.contains("csv_read"), "{message}")
         }
         other => panic!("expected a storage error, got {other:?}"),
     }

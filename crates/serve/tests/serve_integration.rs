@@ -747,21 +747,15 @@ fn over_cap_line_without_newline_is_a_bad_request_and_the_server_keeps_serving()
 
 #[test]
 fn paged_backend_serves_quality_and_appends() {
-    use maimon::storage::{PagedColumnarRelation, PagedOptions};
-
     let rel = bridges();
-    let store = PagedColumnarRelation::from_relation(
-        &rel,
-        PagedOptions { page_rows: 64, cache_pages: 2, dataset: "bridges-paged".to_string() },
-    )
-    .unwrap();
     let registry = Arc::new(DatasetRegistry::new());
-    registry.register_backend("bridges-paged", Arc::new(store), MaimonConfig::default()).unwrap();
+    let text = maimon::relation::relation_to_csv(&rel, ',');
+    registry.register_csv("bridges-paged", text.as_bytes(), MaimonConfig::default()).unwrap();
     registry.register("bridges", rel.clone(), MaimonConfig::default()).unwrap();
     let handle = serve(registry, ServerConfig { workers: 2, ..ServerConfig::default() }).unwrap();
     let addr = handle.local_addr();
 
-    // `list` names the storage backend of every dataset.
+    // `list` names the storage kind of every dataset.
     let list = roundtrip(addr, r#"{"op":"list"}"#);
     assert_ok(&list, "list");
     let datasets = list.get("datasets").and_then(Json::as_array).unwrap();
@@ -793,50 +787,44 @@ fn paged_backend_serves_quality_and_appends() {
     assert_eq!(append.get("appended").and_then(Json::as_i128), Some(1), "{append}");
     assert_eq!(append.get("data_version").and_then(Json::as_i128), Some(1), "{append}");
 
-    // The storage gauges/counters flow through the shared registry: visible
-    // in the `metrics` op and in the Prometheus text exposition.
+    // Every dataset's resident-bytes gauge flows through the `metrics` op
+    // and the Prometheus text exposition, and equals the `resident_bytes`
+    // that `stats` reports for it, after the append too.
     let metrics = roundtrip(addr, r#"{"op":"metrics"}"#);
     assert_ok(&metrics, "metrics");
     let entries = metrics.get("metrics").and_then(Json::as_array).unwrap();
-    let storage_metric = |name: &str| {
-        entries.iter().find(|m| {
-            m.get("name").and_then(Json::as_str) == Some(name)
-                && m.get("labels").and_then(|l| l.get("dataset")).and_then(Json::as_str)
-                    == Some("bridges-paged")
-        })
+    let resident_gauge = |dataset: &str| {
+        entries
+            .iter()
+            .find(|m| {
+                m.get("name").and_then(Json::as_str) == Some("maimon_dataset_resident_bytes")
+                    && m.get("labels").and_then(|l| l.get("dataset")).and_then(Json::as_str)
+                        == Some(dataset)
+            })
+            .and_then(|m| m.get("value"))
+            .and_then(Json::as_i128)
+            .unwrap_or_else(|| panic!("no resident-bytes gauge for {dataset} in {metrics}"))
     };
-    let resident = storage_metric("maimon_dataset_resident_bytes")
-        .unwrap_or_else(|| panic!("no resident-bytes gauge in {metrics}"));
-    assert!(resident.get("value").and_then(Json::as_i128).unwrap() > 0, "{metrics}");
-    let hits = storage_metric("maimon_page_cache_hits_total")
-        .unwrap_or_else(|| panic!("no page-cache hit counter in {metrics}"));
-    let misses = storage_metric("maimon_page_cache_misses_total")
-        .unwrap_or_else(|| panic!("no page-cache miss counter in {metrics}"));
-    let total = hits.get("value").and_then(Json::as_i128).unwrap()
-        + misses.get("value").and_then(Json::as_i128).unwrap();
-    assert!(total > 0, "mounting must have read the page cache: {metrics}");
     let exposition = maimon::obs::render_prometheus(maimon::obs::global());
-    for needle in [
-        "maimon_dataset_resident_bytes{dataset=\"bridges-paged\"}",
-        "maimon_page_cache_hits_total{dataset=\"bridges-paged\"}",
-        "maimon_page_cache_misses_total{dataset=\"bridges-paged\"}",
-    ] {
-        assert!(exposition.contains(needle), "missing {needle} in exposition");
+    for dataset in ["bridges", "bridges-paged"] {
+        let needle = format!("maimon_dataset_resident_bytes{{dataset=\"{dataset}\"}}");
+        assert!(exposition.contains(&needle), "missing {needle} in exposition");
     }
 
-    // `stats` reports the backend kind and its resident footprint.
+    // `stats` reports the storage kind and its resident footprint.
     let stats = roundtrip(addr, r#"{"op":"stats"}"#);
     assert_ok(&stats, "stats");
     let stat_sets = stats.get("datasets").and_then(Json::as_array).unwrap();
-    let paged_stats = stat_sets
-        .iter()
-        .find(|d| d.get("name").and_then(Json::as_str) == Some("bridges-paged"))
-        .unwrap();
+    let stats_of = |name: &str| {
+        stat_sets.iter().find(|d| d.get("name").and_then(Json::as_str) == Some(name)).unwrap()
+    };
+    let paged_stats = stats_of("bridges-paged");
     assert_eq!(paged_stats.get("storage").and_then(Json::as_str), Some("paged"), "{stats}");
-    assert!(
-        paged_stats.get("resident_bytes").and_then(Json::as_i128).unwrap_or(-1) >= 0,
-        "{stats}"
-    );
+    for dataset in ["bridges", "bridges-paged"] {
+        let resident = stats_of(dataset).get("resident_bytes").and_then(Json::as_i128).unwrap();
+        assert!(resident > 0, "{stats}");
+        assert_eq!(resident_gauge(dataset), resident, "{dataset}: gauge vs stats");
+    }
 
     handle.shutdown();
 }

@@ -1,5 +1,5 @@
 //! Dependency-free CRC-32 (IEEE 802.3, the zlib/PNG polynomial), used to
-//! checksum spill-file pages, snapshot files and WAL records so that disk
+//! checksum snapshot files and WAL records so that disk
 //! corruption surfaces as a typed [`crate::StorageError::Corrupt`] instead of
 //! silently feeding garbage codes to the mining engine.
 

@@ -552,6 +552,7 @@ fn fsync_dir(dir: &Path) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> Relation {
         let schema = Schema::new(["A", "B", "C"]).unwrap();
@@ -735,5 +736,141 @@ mod tests {
         assert_eq!(info.replayed_records, 0, "the record's target is not above the snapshot");
         assert_same(&twin, &recovered);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The files of a durable dataset: its snapshot of [`sample`] and a WAL
+    /// holding two appended batches, plus the relation after each version.
+    struct Seeded {
+        snapshot: Vec<u8>,
+        wal: Vec<u8>,
+        versions: Vec<Relation>,
+    }
+
+    fn seeded() -> Seeded {
+        let dir = tmp_dir("fuzz-seed");
+        let mut twin = sample();
+        let mut versions = vec![twin.clone()];
+        let durable = DurableDataset::create(&dir, "fuzz-seed", &twin).unwrap();
+        for batch in
+            [vec![vec!["a3", "b3", "c3"], vec!["a1", "b1", "c1"]], vec![vec!["a4", "", "c4"]]]
+        {
+            let summary = twin.append_rows(&batch).unwrap();
+            durable.append(summary.data_version, &batch).unwrap();
+            versions.push(twin.clone());
+        }
+        drop(durable);
+        let snapshot = fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
+        let wal = fs::read(dir.join(WAL_FILE)).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        Seeded { snapshot, wal, versions }
+    }
+
+    /// Opens a durable dataset made of the given file images.
+    fn open_images(
+        tag: &str,
+        snapshot: &[u8],
+        wal: &[u8],
+    ) -> Result<(Relation, RecoveryInfo), StorageError> {
+        let dir = tmp_dir(tag);
+        fs::write(dir.join(SNAPSHOT_FILE), snapshot).unwrap();
+        fs::write(dir.join(WAL_FILE), wal).unwrap();
+        let opened = DurableDataset::open(&dir, tag).map(|(rel, info, _)| (rel, info));
+        fs::remove_dir_all(&dir).unwrap();
+        opened
+    }
+
+    /// `bytes` behind the snapshot magic, under a valid checksum, so the
+    /// body decoder sees them.
+    fn checksummed_snapshot(bytes: &[u8]) -> Vec<u8> {
+        let mut image = SNAPSHOT_MAGIC.to_vec();
+        image.extend_from_slice(bytes);
+        image.extend_from_slice(&crc32(&image).to_le_bytes());
+        image
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// Arbitrary bytes reach every decoder: the snapshot body, a WAL
+        /// record frame and a record payload directly, and recovery from
+        /// files holding them behind valid magics and checksums. Each
+        /// returns a value or a typed error; none panics.
+        #[test]
+        fn decoders_return_typed_errors_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..192),
+        ) {
+            let _ = parse_snapshot_body(&mut Cursor { bytes: &bytes, pos: 0 });
+            let _ = frame_record(&bytes, 0);
+            let _ = decode_payload(&bytes);
+            let mut wal = WAL_MAGIC.to_vec();
+            wal.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+            wal.extend_from_slice(&crc32(&bytes).to_le_bytes());
+            wal.extend_from_slice(&bytes);
+            match open_images("fuzz-bytes", &checksummed_snapshot(&bytes), &wal) {
+                Ok(_) | Err(StorageError::Corrupt(_)) | Err(StorageError::Relation(_)) => {}
+                Err(other) => prop_assert!(false, "unexpected error {other:?}"),
+            }
+            let seeded = seeded();
+            match open_images("fuzz-bytes-wal", &seeded.snapshot, &wal) {
+                Ok(_) | Err(StorageError::Corrupt(_)) | Err(StorageError::Relation(_)) => {}
+                Err(other) => prop_assert!(false, "unexpected error {other:?}"),
+            }
+        }
+
+        /// Every truncation of a valid snapshot is a typed corruption
+        /// error, and every truncation of a valid WAL is a torn tail:
+        /// recovery lands on the last whole record's version.
+        #[test]
+        fn truncations_are_corrupt_snapshots_or_torn_wal_tails(cut in 0usize..4096) {
+            let seeded = seeded();
+            let at = cut % seeded.snapshot.len();
+            let truncated = open_images("fuzz-cut-snap", &seeded.snapshot[..at], &seeded.wal);
+            prop_assert!(
+                matches!(truncated, Err(StorageError::Corrupt(_))),
+                "snapshot cut at {}: {:?}", at, truncated
+            );
+            let at = cut % seeded.wal.len();
+            let (rel, info) = open_images("fuzz-cut-wal", &seeded.snapshot, &seeded.wal[..at])
+                .expect("a torn WAL tail is truncated, not fatal");
+            // Only a cut inside the magic or inside a record leaves a tail.
+            let mut boundaries = vec![0, WAL_MAGIC.len()];
+            while let Some((_, next)) = frame_record(&seeded.wal, *boundaries.last().unwrap()) {
+                boundaries.push(next);
+            }
+            prop_assert_eq!(info.truncated_tail, !boundaries.contains(&at));
+            assert_same(&rel, &seeded.versions[info.data_version as usize]);
+            prop_assert_eq!(info.replayed_records, info.data_version);
+        }
+
+        /// A single flipped byte anywhere in the snapshot is a typed
+        /// corruption error, and anywhere in the WAL either a typed
+        /// corruption error (in its magic) or a torn tail.
+        #[test]
+        fn single_byte_flips_are_typed_errors_or_torn_tails(
+            at in any::<usize>(),
+            mask in 1u16..256,
+        ) {
+            let mask = mask as u8;
+            let seeded = seeded();
+            let mut snapshot = seeded.snapshot.clone();
+            let i = at % snapshot.len();
+            snapshot[i] ^= mask;
+            let flipped = open_images("fuzz-flip-snap", &snapshot, &seeded.wal);
+            prop_assert!(
+                matches!(flipped, Err(StorageError::Corrupt(_))),
+                "snapshot byte {} ^ {:#04x}: {:?}", i, mask, flipped
+            );
+            let mut wal = seeded.wal.clone();
+            let i = at % wal.len();
+            wal[i] ^= mask;
+            match open_images("fuzz-flip-wal", &seeded.snapshot, &wal) {
+                Err(StorageError::Corrupt(_)) => prop_assert!(i < WAL_MAGIC.len()),
+                Ok((rel, info)) => {
+                    prop_assert!(i >= WAL_MAGIC.len() && info.truncated_tail);
+                    assert_same(&rel, &seeded.versions[info.data_version as usize]);
+                }
+                Err(other) => prop_assert!(false, "WAL byte {}: {:?}", i, other),
+            }
+        }
     }
 }

@@ -1,10 +1,10 @@
 //! Failpoint-based fault injection for the chaos test suite.
 //!
 //! A [`FaultInjector`] holds named failpoints that storage and serve code
-//! consult at their I/O boundaries (spill-file page reads, WAL writes and
+//! consult at their I/O boundaries (CSV stream reads, WAL writes and
 //! fsyncs, connection teardown). Each failpoint counts down a number of
 //! *skipped* triggers and then fails a number of times — so a test can ask
-//! for "the third page read on dataset `flights` fails" and prove the error
+//! for "the third read of dataset `flights`'s stream fails" and prove the error
 //! propagates as a typed [`crate::StorageError`] instead of a process abort.
 //!
 //! Failpoints come from two places:
@@ -13,7 +13,7 @@
 //!   a comma-separated list of `name=skip` or `name=skip:fires` entries
 //!   (`fires` defaults to unlimited), where `name` may carry a
 //!   `@scope` suffix to target one dataset/op only
-//!   (e.g. `MAIMON_FAILPOINTS=paged_read@flights=2:1,wal_fsync=0`);
+//!   (e.g. `MAIMON_FAILPOINTS=csv_read@flights=2:1,wal_fsync=0`);
 //! * programmatic [`FaultInjector::arm`] / [`FaultInjector::disarm`] calls,
 //!   which in-process tests use so concurrently running tests can scope
 //!   their faults to their own dataset.

@@ -1,24 +1,13 @@
-//! # maimon-storage — pluggable columnar storage backends
+//! # maimon-storage — the streamed mount, durability and fault injection
 //!
-//! The mining engine (PLI construction, entropy grouping) consumes
-//! relations through a deliberately narrow interface: per-column dictionary
-//! code streams, per-column cardinalities and dictionaries, row count and a
-//! data version. [`RelationBackend`] captures exactly that surface, so the
-//! same oracle runs over
-//!
-//! * the existing in-memory [`Relation`](relation::Relation) (zero behavior
-//!   change — one whole-column chunk per scan), and
-//! * [`PagedColumnarRelation`] — each column stored as fixed-size code pages
-//!   spilled to a temp file behind a small LRU page cache, fed by a
-//!   streaming `BufRead` CSV ingester ([`ingest_csv`]) that
-//!   dictionary-encodes incrementally and never materializes the whole
-//!   file. This is what lets the paper's §9 row-scalability experiments
-//!   (Figs. 13–14) reach 10M-row inputs with RSS bounded by the page cache
-//!   plus the dictionaries.
-//!
-//! Chunked scans visit pages in ascending row order, so grouping built on
-//! top of them (first-occurrence group ids, ascending-first-row clusters) is
-//! bit-identical across backends and page sizes.
+//! A session holds every relation as a [`relation::TupleBag`]: its distinct
+//! tuples with their multiplicities (Eq. 5 needs only the bag). A
+//! file-backed dataset is mounted by [`stream_csv`], which reads a CSV
+//! stream once, straight into that bag: each value is interned into its
+//! column's dictionary as it arrives and each run of records is counted
+//! into the tuples, so the rows are never resident. This is what lets the
+//! paper's §9 row-scalability experiments (Figs. 13–14) reach 10M-row
+//! inputs with memory bounded by the dictionaries and the distinct tuples.
 //!
 //! The crate also carries the durability and fault-tolerance substrate:
 //!
@@ -26,36 +15,37 @@
 //!   plus a length-prefixed, fsync'd append WAL ([`DurableDataset`]), the
 //!   storage behind `maimon-served --data-dir` crash recovery;
 //! * [`fault`] — named failpoints ([`FaultInjector`]) that the chaos test
-//!   suite uses to inject page-read errors, WAL short writes, fsync failures
+//!   suite uses to inject stream-read errors, WAL short writes, fsync failures
 //!   and connection drops, proving every failure surfaces as a typed
 //!   [`StorageError`] instead of a process abort.
 
 #![warn(missing_docs)]
 
-mod backend;
 mod crc;
 pub mod durable;
 pub mod fault;
 mod ingest;
-mod paged;
+mod shim;
 
-pub use backend::RelationBackend;
 pub use durable::{DurableDataset, RecoveryInfo};
 pub use fault::FaultInjector;
-pub use ingest::{ingest_csv, ingest_csv_file, IngestOptions};
-pub use paged::{PageCacheStats, PagedColumnarRelation, PagedOptions};
+pub use ingest::stream_csv;
+pub use shim::{
+    ingest_csv_file, IngestOptions, PageCacheStats, PagedColumnarRelation, PagedOptions,
+    RelationBackend,
+};
 
 use std::fmt;
 
-/// Errors produced by the paged backend and the streaming ingester.
+/// Errors produced by the streamed mount and the durable store.
 #[derive(Debug)]
 pub enum StorageError {
     /// A malformed CSV stream or an invalid shape, with source position
     /// (the [`relation::RelationError::Csv`] variant carries line + byte
     /// offset).
     Relation(relation::RelationError),
-    /// An I/O failure on the input stream, the spill file, or the durable
-    /// snapshot/WAL files.
+    /// An I/O failure on the input stream or the durable snapshot/WAL
+    /// files.
     Io(std::io::Error),
     /// Stored bytes failed validation (checksum mismatch, bad magic, a
     /// truncated structure, or codes outside their dictionary) — the data

@@ -9,18 +9,20 @@
 //!
 //! A differential property then holds the two loaders to one behaviour on
 //! arbitrary, mostly malformed text: the in-memory `relation_from_csv` and
-//! the streaming `ingest_csv` (fed through tiny read buffers) must accept
-//! the same inputs with the same names and rows, and reject the rest with
-//! the same error at the same line and byte offset, the record size cap's
-//! error included.
+//! the streamed mount `stream_csv` (fed through tiny read buffers) must
+//! accept the same inputs with the same names, dictionaries, distinct
+//! tuples and weights, and reject the rest with the same error at the same
+//! line and byte offset, the record size cap's error included. The stream
+//! keeps no rows, so the comparison is of the bags, not of rows in order.
 
 use maimon::relation::{
-    relation_from_csv, relation_to_csv, CsvOptions, Relation, RelationError, Schema,
+    relation_from_csv, relation_to_csv, CsvOptions, Relation, RelationError, Schema, TupleBag,
     MAX_RECORD_BYTES,
 };
-use maimon::storage::{ingest_csv, IngestOptions, PagedOptions, RelationBackend, StorageError};
+use maimon::storage::{stream_csv, StorageError};
 use proptest::prelude::*;
 use std::io::BufReader;
+use std::sync::Arc;
 
 /// Characters the escaping logic has to get right, plus a few benign ones.
 const ALPHABET: &[char] = &['a', 'B', '7', ' ', ',', ';', '"', '\n', '\r', '\t'];
@@ -112,36 +114,38 @@ fn raw_text() -> impl Strategy<Value = String> {
         .prop_map(|indices| indices.into_iter().map(|i| RAW_ALPHABET[i]).collect())
 }
 
-/// What a loader made of its input: the names and rows, or the error.
-type Loaded = Result<(Vec<String>, Vec<Vec<String>>), RelationError>;
+/// A loaded bag: the names, the dictionaries, the distinct tuples in
+/// first-occurrence order and their weights.
+type Bag = (Vec<String>, Vec<Vec<String>>, Vec<Vec<String>>, Vec<u32>);
+
+/// What a loader made of its input: the bag, or the error.
+type Loaded = Result<Bag, RelationError>;
+
+fn bag_of(bag: &TupleBag) -> Bag {
+    let tuples = bag.tuples();
+    let dicts = (0..tuples.arity()).map(|c| tuples.column_values(c).to_vec()).collect();
+    let rows = (0..tuples.n_rows())
+        .map(|t| tuples.row(t).into_iter().map(str::to_string).collect())
+        .collect();
+    (tuples.schema().names().to_vec(), dicts, rows, bag.weights().to_vec())
+}
+
+fn csv_options(delimiter: char, has_header: bool) -> CsvOptions {
+    CsvOptions { delimiter, has_header, dedup: false }
+}
 
 fn load_in_memory(text: &str, delimiter: char, has_header: bool) -> Loaded {
-    let rel = relation_from_csv(text, CsvOptions { delimiter, has_header, dedup: false })?;
-    let rows =
-        (0..rel.n_rows()).map(|r| rel.row(r).into_iter().map(str::to_string).collect()).collect();
-    Ok((rel.schema().names().to_vec(), rows))
+    let rel = relation_from_csv(text, csv_options(delimiter, has_header))?;
+    Ok(bag_of(&TupleBag::of(&Arc::new(rel))))
 }
 
 fn load_streaming(text: &str, delimiter: char, has_header: bool, capacity: usize) -> Loaded {
-    let options = IngestOptions {
-        delimiter,
-        has_header,
-        paged: PagedOptions { page_rows: 2, cache_pages: 2, dataset: "csv-diff".to_string() },
-    };
-    let store = match ingest_csv(BufReader::with_capacity(capacity, text.as_bytes()), &options) {
-        Ok(store) => store,
-        Err(StorageError::Relation(e)) => return Err(e),
-        Err(other) => panic!("ingest failed outside the parser: {other}"),
-    };
-    let mut rows = vec![Vec::with_capacity(store.arity()); store.n_rows()];
-    for c in 0..store.arity() {
-        let mut codes = Vec::new();
-        store.scan_column(c, &mut |_, page| codes.extend_from_slice(page)).unwrap();
-        for (row, code) in rows.iter_mut().zip(codes) {
-            row.push(store.dict_value(c, code).to_string());
-        }
+    let reader = BufReader::with_capacity(capacity, text.as_bytes());
+    match stream_csv(reader, csv_options(delimiter, has_header), "csv-diff") {
+        Ok(bag) => Ok(bag_of(&bag)),
+        Err(StorageError::Relation(e)) => Err(e),
+        Err(other) => panic!("the stream failed outside the parser: {other}"),
     }
-    Ok((store.schema().names().to_vec(), rows))
 }
 
 proptest! {
@@ -177,9 +181,10 @@ fn both_loaders_cap_a_record_at_the_same_byte() {
     let at_cap = format!("A,B\n\"x\"\"{ys}\",b\n");
     assert_eq!(at_cap.len(), 4 + MAX_RECORD_BYTES + 1);
     for loaded in [load_in_memory(&at_cap, ',', true), load_streaming(&at_cap, ',', true, 4096)] {
-        let (names, rows) = loaded.expect("a record at the cap loads");
+        let (names, _, tuples, weights) = loaded.expect("a record at the cap loads");
         assert_eq!(names, ["A", "B"]);
-        assert_eq!(rows, [[format!("x\"{ys}"), "b".to_string()]]);
+        assert_eq!(tuples, [[format!("x\"{ys}"), "b".to_string()]]);
+        assert_eq!(weights, [1]);
     }
 
     // One byte over: the same typed error at the record's start (line 2,

@@ -1,28 +1,57 @@
-//! Property-based equivalence of the storage backends: a
-//! [`PagedColumnarRelation`] (any page size, tiny LRU cache, spilled pages)
-//! must be observationally identical to the in-memory [`Relation`] it was
-//! built from — bit-identical entropies over random attribute subsets,
-//! identical minimal-separator sets `M_ε`, identical mined schemas, and a
-//! session over it must measure quality, decompose and take appends exactly
-//! as an in-memory session does — plus the same guarantee for the streaming
-//! CSV ingest path, and a catalog-wide sweep over all twenty paper datasets.
+//! Property-based equivalence of the two ways a relation is mounted: a
+//! CSV stream read straight into its distinct tuples
+//! ([`maimon::storage::stream_csv`], the `--paged-dataset` mount) must be
+//! observationally identical to the in-memory [`Relation`] the text came
+//! from — the same names, dictionaries, distinct tuples and weights,
+//! bit-identical entropies over random attribute subsets, identical
+//! minimal-separator sets `M_ε`, identical mined schemas, and a session over
+//! it must measure quality, decompose and take appends exactly as an
+//! in-memory session does — plus a catalog-wide sweep over all twenty paper
+//! datasets.
 //!
-//! Page sizes cover the three interesting regimes: 64 (many pages, heavy
-//! cache eviction with a 2-page cache), 4096 (few pages), and `n_rows + 1`
-//! (single page, no eviction), plus 7 (odd chunk boundaries).
+//! The text is `relation_to_csv`'s, read through `BufReader`s of capacity
+//! 1 to 7 bytes (records split across reads at every offset) and one large
+//! capacity (the whole text in one read).
 
 use maimon::entropy::{EntropyOracle, PliEntropyOracle};
-use maimon::relation::{relation_to_csv, AttrSet, Relation, Schema};
-use maimon::storage::{
-    ingest_csv, IngestOptions, PagedColumnarRelation, PagedOptions, RelationBackend,
-};
+use maimon::relation::{relation_to_csv, AttrSet, CsvOptions, Relation, Schema, TupleBag};
+use maimon::storage::stream_csv;
 use maimon::{MaimonConfig, MaimonResult, MaimonSession};
 use proptest::prelude::*;
+use std::io::BufReader;
 use std::sync::Arc;
 
+/// Read-buffer capacities of the streamed mounts.
+const CAPACITIES: [usize; 8] = [1, 2, 3, 4, 5, 6, 7, 1 << 20];
+
+/// The streamed mounts of `rel`'s CSV text at every capacity, each checked
+/// to hold the same names, dictionaries, distinct tuples and weights as the
+/// in-memory count of `rel` (of its distinct rows, with `dedup`).
+fn streamed_mounts(rel: &Arc<Relation>, dedup: bool) -> Vec<(usize, TupleBag)> {
+    let text = relation_to_csv(rel, ',');
+    let expected = if dedup { TupleBag::of(&Arc::new(rel.distinct())) } else { TupleBag::of(rel) };
+    let options = CsvOptions { dedup, ..CsvOptions::default() };
+    CAPACITIES
+        .iter()
+        .map(|&capacity| {
+            let reader = BufReader::with_capacity(capacity, text.as_bytes());
+            let bag = stream_csv(reader, options, "prop-equivalence").unwrap();
+            let (tuples, reference) = (bag.tuples(), expected.tuples());
+            assert_eq!(tuples.schema().names(), reference.schema().names(), "names");
+            for c in 0..reference.arity() {
+                let what = format!("column {c} at capacity {capacity}");
+                assert_eq!(tuples.column_values(c), reference.column_values(c), "{what}");
+                assert_eq!(tuples.column_codes(c), reference.column_codes(c), "{what}");
+            }
+            assert_eq!(bag.weights(), expected.weights(), "weights at capacity {capacity}");
+            assert_eq!(bag.n_rows(), expected.n_rows(), "rows at capacity {capacity}");
+            (capacity, bag)
+        })
+        .collect()
+}
+
 /// Strategy: a random relation with 2–6 columns, 5–300 rows and small
-/// per-column domains, so page size 64 yields several pages and duplicate
-/// groups abound.
+/// per-column domains, so duplicate groups abound.
 fn relation_strategy() -> impl Strategy<Value = Relation> {
     (2usize..=6, 5usize..=300, 1u64..10_000).prop_map(|(cols, rows, seed)| {
         let mut state = seed | 1;
@@ -41,10 +70,6 @@ fn relation_strategy() -> impl Strategy<Value = Relation> {
             .collect();
         Relation::from_code_columns(schema, columns).unwrap()
     })
-}
-
-fn paged_options(page_rows: usize) -> PagedOptions {
-    PagedOptions { page_rows, cache_pages: 2, dataset: "prop-equivalence".to_string() }
 }
 
 /// All single- and pair-attribute entropies (enough to pin every PLI build
@@ -119,31 +144,31 @@ fn assert_same_sessions(session: &MaimonSession, reference: &MaimonSession, what
     }
 }
 
-fn assert_backend_matches(rel: &Arc<Relation>, backend: Arc<dyn RelationBackend>, what: &str) {
+fn assert_backend_matches(rel: &Arc<Relation>, tuples: TupleBag, what: &str) {
     let config = MaimonConfig::default();
     let mem = PliEntropyOracle::new(Arc::clone(rel), config.entropy);
-    let paged = PliEntropyOracle::from_backend(Arc::clone(&backend), config.entropy);
+    let streamed = PliEntropyOracle::from_tuples(tuples.clone(), config.entropy);
     for s in probe_subsets(rel.arity()) {
-        let (a, b) = (mem.entropy(s), paged.entropy(s));
+        let (a, b) = (mem.entropy(s), streamed.entropy(s));
         assert_eq!(a.to_bits(), b.to_bits(), "{what}: entropy over {s:?}: {a} vs {b}");
     }
 
     let mem_session = MaimonSession::new(Arc::clone(rel), config).unwrap();
-    let paged_session = MaimonSession::from_backend(backend, config).unwrap();
+    let streamed_session = MaimonSession::from_tuples(tuples, config).unwrap();
     for epsilon in [0.0, 0.05] {
         let m_mem = mem_session.mvds(epsilon).unwrap();
-        let m_paged = paged_session.mvds(epsilon).unwrap();
-        assert_eq!(m_mem.separators, m_paged.separators, "{what}: M_{epsilon} differs");
-        assert_eq!(m_mem.mvds, m_paged.mvds, "{what}: full MVD set differs at eps={epsilon}");
+        let m_streamed = streamed_session.mvds(epsilon).unwrap();
+        assert_eq!(m_mem.separators, m_streamed.separators, "{what}: M_{epsilon} differs");
+        assert_eq!(m_mem.mvds, m_streamed.mvds, "{what}: full MVD set differs at eps={epsilon}");
 
         let s_mem = mem_session.schemas(epsilon).unwrap();
-        let s_paged = paged_session.schemas(epsilon).unwrap();
+        let s_streamed = streamed_session.schemas(epsilon).unwrap();
         assert_eq!(
             s_mem.schemas.len(),
-            s_paged.schemas.len(),
+            s_streamed.schemas.len(),
             "{what}: schema count differs at eps={epsilon}"
         );
-        for (a, b) in s_mem.schemas.iter().zip(s_paged.schemas.iter()) {
+        for (a, b) in s_mem.schemas.iter().zip(s_streamed.schemas.iter()) {
             assert_eq!(a.schema.bags(), b.schema.bags(), "{what}: schema bags differ");
             assert_eq!(
                 a.j.map(f64::to_bits),
@@ -152,58 +177,54 @@ fn assert_backend_matches(rel: &Arc<Relation>, backend: Arc<dyn RelationBackend>
             );
         }
     }
-    assert_same_sessions(&paged_session, &mem_session, what);
+    assert_same_sessions(&streamed_session, &mem_session, what);
 
     // Two appends land identically on both, and equal a fresh session over
     // the concatenated rows.
     let batches = append_batches(rel);
     let mut all = rows_of(rel);
     for batch in &batches {
-        let summary = paged_session.append_rows(batch).unwrap();
+        let summary = streamed_session.append_rows(batch).unwrap();
         assert_eq!(summary, mem_session.append_rows(batch).unwrap(), "{what}: append summary");
         all.extend(batch.iter().cloned());
     }
-    assert_eq!(paged_session.n_rows(), all.len(), "{what}: rows after appends");
-    assert_eq!(paged_session.data_version(), mem_session.data_version(), "{what}");
+    assert_eq!(streamed_session.n_rows(), all.len(), "{what}: rows after appends");
+    assert_eq!(streamed_session.data_version(), mem_session.data_version(), "{what}");
     let fresh =
         MaimonSession::new(Relation::from_rows(rel.schema().clone(), &all).unwrap(), config)
             .unwrap();
     let what = format!("{what} after appends");
-    assert_same_sessions(&paged_session, &fresh, &what);
+    assert_same_sessions(&streamed_session, &fresh, &what);
     assert_same_sessions(&mem_session, &fresh, &what);
 }
 
 proptest! {
-    /// `PagedColumnarRelation::from_relation` ≡ the in-memory relation at
-    /// every page size, under a 2-page cache that forces constant eviction.
+    /// The streamed mount ≡ the in-memory relation at every read-buffer
+    /// capacity.
     #[test]
     fn paged_backend_is_observationally_identical(rel in relation_strategy()) {
         let rel = Arc::new(rel);
-        for page_rows in [7, 64, 4096, rel.n_rows() + 1] {
-            let store =
-                PagedColumnarRelation::from_relation(&rel, paged_options(page_rows)).unwrap();
-            assert_backend_matches(&rel, Arc::new(store), &format!("page_rows={page_rows}"));
+        for (capacity, tuples) in streamed_mounts(&rel, false) {
+            assert_backend_matches(&rel, tuples, &format!("capacity={capacity}"));
         }
     }
 
-    /// The streaming CSV ingester (CSV bytes → paged store) agrees with the
-    /// in-memory relation the bytes came from, despite re-encoding the
-    /// dictionaries by first appearance.
+    /// With `dedup`, the stream mounts the set of tuples, each of weight 1,
+    /// exactly as the in-memory loader's deduplicated relation.
     #[test]
     fn streamed_ingest_is_observationally_identical(rel in relation_strategy()) {
         let rel = Arc::new(rel);
-        let text = relation_to_csv(&rel, ',');
-        let options =
-            IngestOptions { paged: paged_options(64), ..IngestOptions::default() };
-        let store = ingest_csv(text.as_bytes(), &options).unwrap();
-        prop_assert_eq!(store.n_rows(), rel.n_rows());
-        assert_backend_matches(&rel, Arc::new(store), "csv-ingest page_rows=64");
+        let mounts = streamed_mounts(&rel, true);
+        prop_assert!(mounts.iter().all(|(_, bag)| bag.weights().iter().all(|&w| w == 1)));
+        let (capacity, tuples) = mounts.into_iter().next().unwrap();
+        let distinct = Arc::new(rel.distinct());
+        assert_backend_matches(&distinct, tuples, &format!("dedup capacity={capacity}"));
     }
 }
 
 /// Strategy: many more rows than distinct tuples — 2–5 columns of at most
-/// two values each, 200–1200 rows — so a page repeats the same few tuples
-/// and every tuple's multiplicity spans page boundaries.
+/// two values each, 200–1200 rows — so every tuple's multiplicity spans
+/// many reads.
 fn duplicate_heavy_strategy() -> impl Strategy<Value = Relation> {
     (2usize..=5, 200usize..=1200, 1u64..10_000).prop_map(|(cols, rows, seed)| {
         let mut state = seed | 1;
@@ -221,28 +242,26 @@ fn duplicate_heavy_strategy() -> impl Strategy<Value = Relation> {
     })
 }
 
-fn assert_same_tuple_table(rel: &Arc<Relation>, backend: Arc<dyn RelationBackend>, what: &str) {
+fn assert_same_tuple_table(rel: &Arc<Relation>, tuples: TupleBag, what: &str) {
     let config = MaimonConfig::default();
     let mem = PliEntropyOracle::new(Arc::clone(rel), config.entropy);
-    let paged = PliEntropyOracle::from_backend(Arc::clone(&backend), config.entropy);
-    assert_eq!(mem.distinct_tuples(), paged.distinct_tuples(), "{what}: distinct tuples");
+    let streamed = PliEntropyOracle::from_tuples(tuples.clone(), config.entropy);
+    assert_eq!(mem.distinct_tuples(), streamed.distinct_tuples(), "{what}: distinct tuples");
     for s in AttrSet::full(rel.arity()).subsets() {
-        let (a, b) = (mem.entropy(s), paged.entropy(s));
+        let (a, b) = (mem.entropy(s), streamed.entropy(s));
         assert_eq!(a.to_bits(), b.to_bits(), "{what}: entropy over {s:?}: {a} vs {b}");
     }
-    assert_backend_matches(rel, backend, what);
+    assert_backend_matches(rel, tuples, what);
 }
 
 proptest! {
-    /// Duplicate-heavy relations: the paged store's tuple table (built
-    /// across pages) matches the in-memory one, on every attribute subset.
+    /// Duplicate-heavy relations: the streamed tuple table (counted across
+    /// reads) matches the in-memory one, on every attribute subset.
     #[test]
     fn duplicate_heavy_relations_are_identical_across_backends(rel in duplicate_heavy_strategy()) {
         let rel = Arc::new(rel);
-        for page_rows in [7, 64, rel.n_rows() + 1] {
-            let store =
-                PagedColumnarRelation::from_relation(&rel, paged_options(page_rows)).unwrap();
-            assert_same_tuple_table(&rel, Arc::new(store), &format!("page_rows={page_rows}"));
+        for (capacity, tuples) in streamed_mounts(&rel, false) {
+            assert_same_tuple_table(&rel, tuples, &format!("capacity={capacity}"));
         }
     }
 }
@@ -258,21 +277,23 @@ fn all_distinct_and_all_identical_relations_are_identical_across_backends() {
     let identical = vec![vec!["x".to_string(), "y".to_string(), "z".to_string()]; 500];
     for (rows, what) in [(distinct, "all-distinct"), (identical, "all-identical")] {
         let rel = Arc::new(Relation::from_rows(schema.clone(), &rows).unwrap());
-        let store = PagedColumnarRelation::from_relation(&rel, paged_options(64)).unwrap();
-        assert_same_tuple_table(&rel, Arc::new(store), what);
+        for (capacity, tuples) in streamed_mounts(&rel, false) {
+            assert_same_tuple_table(&rel, tuples, &format!("{what} capacity={capacity}"));
+        }
     }
 }
 
-/// Catalog-wide sweep: every paper dataset (small scale), paged at 64-row
-/// pages with a 2-page cache, must reproduce the in-memory entropies and
-/// mined artifacts bit-for-bit.
+/// Catalog-wide sweep: every paper dataset (small scale), streamed at every
+/// read-buffer capacity, must reproduce the in-memory dictionaries, tuples
+/// and weights, and (at the largest capacity) its entropies and mined
+/// artifacts bit-for-bit.
 #[test]
 fn catalog_datasets_are_identical_across_backends() {
     for spec in maimon_datasets::metanome_catalog() {
         let rel = spec.generate(0.01);
         let rel = if rel.arity() > 8 { rel.column_prefix(8).unwrap() } else { rel };
         let rel = Arc::new(rel);
-        let store = PagedColumnarRelation::from_relation(&rel, paged_options(64)).unwrap();
-        assert_backend_matches(&rel, Arc::new(store), spec.name);
+        let (_, tuples) = streamed_mounts(&rel, false).pop().unwrap();
+        assert_backend_matches(&rel, tuples, spec.name);
     }
 }
