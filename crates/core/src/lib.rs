@@ -102,7 +102,7 @@ pub use mvd::Mvd;
 pub use progress::{CancelToken, RunControl};
 pub use quality::{
     evaluate_schema, evaluate_schema_checked, evaluate_schema_with, measure_schemas, pareto_front,
-    SchemaQuality,
+    storage_savings, SchemaQuality,
 };
 pub use schema::AcyclicSchema;
 pub use session::{

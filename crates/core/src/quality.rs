@@ -15,7 +15,8 @@
 use crate::asminer::DiscoveredSchema;
 use crate::error::MaimonError;
 use crate::schema::AcyclicSchema;
-use relation::{JoinCounter, Relation};
+use relation::{AttrSet, JoinCounter, Relation};
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Mutex;
 
 /// Schemas a worker of [`measure_schemas`] claims at a time. A pass of fewer
@@ -70,11 +71,7 @@ pub fn evaluate_schema_with(
     schema: &AcyclicSchema,
 ) -> Result<SchemaQuality, MaimonError> {
     let rel = counter.relation();
-    if !schema.covers(rel.schema().all_attrs()) {
-        return Err(MaimonError::InvalidSchema(
-            "schema does not cover the relation signature".into(),
-        ));
-    }
+    check_covers(schema, rel)?;
     let tree = schema
         .join_tree()
         .ok_or_else(|| MaimonError::InvalidSchema("cyclic schema has no join tree".into()))?;
@@ -88,11 +85,7 @@ pub fn evaluate_schema_with(
         let count = counter.distinct_count(bag)? as u128;
         decomposed_cells += count * bag.len() as u128;
     }
-    let storage_savings_pct = if original_cells == 0 {
-        0.0
-    } else {
-        100.0 * (1.0 - decomposed_cells as f64 / original_cells as f64)
-    };
+    let storage_savings_pct = savings_pct(original_cells, decomposed_cells);
     let spurious_tuples_pct = if original_distinct == 0 {
         0.0
     } else {
@@ -108,6 +101,63 @@ pub fn evaluate_schema_with(
         decomposed_cells,
         join_size,
     })
+}
+
+/// Refuses a schema whose bags miss an attribute of `rel`.
+fn check_covers(schema: &AcyclicSchema, rel: &Relation) -> Result<(), MaimonError> {
+    if schema.covers(rel.schema().all_attrs()) {
+        Ok(())
+    } else {
+        Err(MaimonError::InvalidSchema("schema does not cover the relation signature".into()))
+    }
+}
+
+/// Storage savings S as a percentage, the one formula both
+/// [`evaluate_schema_with`] and [`storage_savings`] use.
+fn savings_pct(original_cells: u128, decomposed_cells: u128) -> f64 {
+    if original_cells == 0 {
+        0.0
+    } else {
+        100.0 * (1.0 - decomposed_cells as f64 / original_cells as f64)
+    }
+}
+
+/// Each schema's storage savings S against `rel`, in `schemas` order: the
+/// `storage_savings_pct` [`measure_schemas`] reports, to the bit, without
+/// the join counts that spurious tuples E need.
+///
+/// S needs only `|R[Ωᵢ]|` per bag, and schemas of one enumeration share
+/// most of their bags, so each distinct bag is counted once per call
+/// (plus the full signature once) through one counter that keeps no
+/// labels between counts.
+///
+/// # Errors
+/// Returns an error if a schema does not cover the relation's signature or
+/// a projection fails.
+pub fn storage_savings(
+    rel: &Relation,
+    schemas: &[DiscoveredSchema],
+) -> Result<Vec<f64>, MaimonError> {
+    let mut counter = JoinCounter::with_memo_budget(rel, 0);
+    let all = rel.schema().all_attrs();
+    let original_cells = counter.distinct_count(all)? as u128 * rel.arity() as u128;
+    let mut counts: HashMap<AttrSet, u128> = HashMap::new();
+    schemas
+        .iter()
+        .map(|discovered| {
+            let schema = &discovered.schema;
+            check_covers(schema, rel)?;
+            let mut decomposed_cells: u128 = 0;
+            for &bag in schema.bags() {
+                let count = match counts.entry(bag) {
+                    Entry::Occupied(known) => *known.get(),
+                    Entry::Vacant(slot) => *slot.insert(counter.distinct_count(bag)? as u128),
+                };
+                decomposed_cells += count * bag.len() as u128;
+            }
+            Ok(savings_pct(original_cells, decomposed_cells))
+        })
+        .collect()
 }
 
 /// Measures every schema against `rel`, in `schemas` order, over up to
@@ -368,6 +418,41 @@ mod tests {
         evaluate_schema_checked(&rel, &trivial).unwrap();
         let shredded = AcyclicSchema::new((0..6).map(AttrSet::singleton).collect()).unwrap();
         evaluate_schema_checked(&rel, &shredded).unwrap();
+    }
+
+    #[test]
+    fn storage_savings_match_the_full_report_bit_for_bit() {
+        let schemas: Vec<DiscoveredSchema> = [
+            paper_schema(),
+            AcyclicSchema::trivial(AttrSet::full(6)).unwrap(),
+            AcyclicSchema::new((0..6).map(AttrSet::singleton).collect()).unwrap(),
+            // Shares three of its bags with the paper schema.
+            AcyclicSchema::new(vec![
+                attrs(&[0, 1, 3]),
+                attrs(&[0, 2, 3]),
+                attrs(&[1, 3, 4]),
+                attrs(&[5]),
+            ])
+            .unwrap(),
+        ]
+        .into_iter()
+        .map(|schema| DiscoveredSchema { schema, mvds: Vec::new(), j: None })
+        .collect();
+        for rel in [running_example(false), running_example(true)] {
+            let savings = storage_savings(&rel, &schemas).unwrap();
+            assert_eq!(savings.len(), schemas.len());
+            for (s, discovered) in savings.iter().zip(&schemas) {
+                let full = evaluate_schema(&rel, &discovered.schema).unwrap();
+                assert_eq!(s.to_bits(), full.storage_savings_pct.to_bits());
+            }
+        }
+        let partial = DiscoveredSchema {
+            schema: AcyclicSchema::new(vec![attrs(&[0, 1])]).unwrap(),
+            mvds: Vec::new(),
+            j: None,
+        };
+        assert!(storage_savings(&running_example(false), &[partial]).is_err());
+        assert!(storage_savings(&running_example(false), &[]).unwrap().is_empty());
     }
 
     #[test]

@@ -87,7 +87,7 @@ use crate::fd::{mine_fds, FdMiningResult};
 use crate::measure::{j_mvd, within_epsilon};
 use crate::miner::{mine_mvds_with, MvdMiningResult};
 use crate::progress::{CancelToken, RunControl};
-use crate::quality::{measure_schemas, pareto_front, SchemaQuality};
+use crate::quality::{measure_schemas, pareto_front, storage_savings, SchemaQuality};
 use crate::schema::AcyclicSchema;
 use crate::wire::ToJson;
 use decompose::DecomposedInstance;
@@ -978,12 +978,19 @@ impl MaimonSession {
         schema.decompose(self.state().tuples())
     }
 
-    /// Stage four, driven by the pipeline: mines at `epsilon`, picks the
-    /// discovered schema with the best *positive* storage savings, and
-    /// materializes its store. When no discovered schema actually saves
+    /// Stage four, driven by the pipeline: enumerates the schemas at
+    /// `epsilon`, picks the one with the best *positive* storage savings S,
+    /// and materializes its store. When no discovered schema actually saves
     /// storage (savings can be negative on small or irreducible instances)
     /// the trivial single-bag schema is materialized instead — its store is
-    /// never larger than the original relation.
+    /// never larger than the original relation. Ties go to the last best
+    /// schema in enumeration order.
+    ///
+    /// The choice reads the schema enumeration ([`MaimonSession::schemas`])
+    /// and S alone, counting each distinct bag once
+    /// ([`crate::storage_savings`]). It never computes spurious tuples E, so
+    /// it runs no join count and needs no [`MaimonSession::quality`] pass;
+    /// the S values are the bits `quality(ε)` reports.
     ///
     /// # Errors
     /// Propagates mining/evaluation/store errors.
@@ -996,24 +1003,26 @@ impl MaimonSession {
     }
 
     /// [`MaimonSession::decompose_best`] plus the data version it was mined
-    /// and materialized against (one snapshot covers both).
+    /// and materialized against (one snapshot covers both). Like it, this
+    /// chooses from the schema enumeration by storage savings S only and
+    /// never computes spurious tuples E.
     pub fn decompose_best_stamped(
         &self,
         epsilon: f64,
     ) -> Result<(u64, AcyclicSchema, DecomposedInstance), MaimonError> {
         let state = self.state();
-        let result = self.quality_at(&state, epsilon)?;
-        let schema = result
+        let schemas = self.schemas_at(&state, epsilon)?;
+        let savings = {
+            let _span = Span::enter(Stage::Measure, self.stages.as_deref());
+            storage_savings(state.tuples(), &schemas.schemas)?
+        };
+        let schema = schemas
             .schemas
             .iter()
-            .filter(|ranked| ranked.quality.storage_savings_pct > 0.0)
-            .max_by(|a, b| {
-                a.quality
-                    .storage_savings_pct
-                    .partial_cmp(&b.quality.storage_savings_pct)
-                    .expect("savings are finite")
-            })
-            .map(|ranked| ranked.discovered.schema.clone())
+            .zip(savings)
+            .filter(|&(_, savings)| savings > 0.0)
+            .max_by(|(_, a), (_, b)| a.partial_cmp(b).expect("savings are finite"))
+            .map(|(discovered, _)| discovered.schema.clone())
             .map_or_else(|| AcyclicSchema::trivial(state.tuples().schema().all_attrs()), Ok)?;
         let instance = {
             let _span = Span::enter(Stage::Decompose, self.stages.as_deref());

@@ -14,10 +14,11 @@
 //! ```
 //!
 //! `--paged-dataset` streams a CSV straight into the session's distinct
-//! tuples and their multiplicities: the rows are never resident, only the
-//! dictionaries and the tuples. Repeated rows keep their multiplicity.
-//! Such datasets then serve every op, `mine`, `decompose` and `append`
-//! included, like an in-memory dataset.
+//! tuples: the rows are never resident, only the dictionaries and the
+//! tuples. Both flags read a file the same way (header, `,`, duplicate rows
+//! removed), so a file serves the same data under either. Such datasets
+//! then serve every op, `mine`, `decompose` and `append` included, like an
+//! in-memory dataset.
 //!
 //! `--demo` registers the paper's running example plus the `Bridges`
 //! synthetic catalog dataset, so the server is probe-able with no files at

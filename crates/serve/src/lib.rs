@@ -73,4 +73,4 @@ pub use admission::{
 };
 pub use protocol::{error_response, ok_response, ErrorKind, Request, MAX_TENANT_BYTES};
 pub use registry::DatasetRegistry;
-pub use server::{serve, ServerConfig, ServerHandle, MAX_LINE_BYTES};
+pub use server::{serve, ServerConfig, ServerHandle, MAX_APPEND_ROWS, MAX_LINE_BYTES};

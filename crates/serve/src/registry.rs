@@ -58,12 +58,14 @@ impl DatasetRegistry {
         Ok(())
     }
 
-    /// Streams the CSV in `reader` under `name`, straight into a session's
-    /// distinct tuples and their multiplicities (repeated rows keep theirs):
-    /// the rows are never resident. The session then serves every operation
-    /// exactly like an in-memory dataset. Appends live in the session only,
-    /// like appends to any dataset without durable state. `name` scopes the
-    /// stream's `csv_read` failpoint.
+    /// Streams the CSV in `reader` under `name`, read with
+    /// `CsvOptions::default()` (header, `,`, duplicate rows removed),
+    /// straight into a session's distinct tuples: the rows are never
+    /// resident. The session serves the same data as [`Self::register`]
+    /// over `relation_from_csv(text, CsvOptions::default())`, and every
+    /// operation exactly like an in-memory dataset. Appends live in the
+    /// session only, like appends to any dataset without durable state.
+    /// `name` scopes the stream's `csv_read` failpoint.
     ///
     /// # Errors
     /// Returns [`MaimonError::Storage`] when reading or parsing the stream
@@ -77,8 +79,7 @@ impl DatasetRegistry {
         config: MaimonConfig,
     ) -> Result<(), MaimonError> {
         let name = name.into();
-        let options = CsvOptions { dedup: false, ..CsvOptions::default() };
-        let tuples = stream_csv(reader, options, &name)?;
+        let tuples = stream_csv(reader, CsvOptions::default(), &name)?;
         self.insert(name, MaimonSession::from_tuples(tuples, config)?);
         Ok(())
     }

@@ -75,6 +75,10 @@ const SERVER_SERIES: &[(&str, &str)] = &[
         "maimon_request_lines_too_long_total",
         "Request lines refused for exceeding the line-length cap",
     ),
+    (
+        "maimon_append_batches_too_large_total",
+        "Append batches refused for exceeding the rows-per-append cap",
+    ),
     ("maimon_rows_appended_total", "Rows appended through the append operation"),
     ("maimon_reducer_semijoins_total", "Semijoins run by decompose's full reducer"),
     ("maimon_reducer_bottom_up_removed_total", "Tuples the reducer's bottom-up pass removed"),
@@ -330,6 +334,11 @@ fn worker_loop(shared: &Arc<Shared>, queue: &Arc<ConnQueue>) {
 /// `maimon_request_lines_too_long_total`, and is skipped through its
 /// newline, after which the connection reads requests as before.
 pub const MAX_LINE_BYTES: usize = 4 << 20;
+
+/// Most rows one `append` may carry. A larger batch gets one `bad_request`
+/// response and bumps `maimon_append_batches_too_large_total`; none of its
+/// rows is applied or logged. Larger loads go in several batches.
+pub const MAX_APPEND_ROWS: usize = 10_000;
 
 /// Answers a request line longer than [`MAX_LINE_BYTES`].
 fn reject_long_line(shared: &Arc<Shared>, stream: &mut TcpStream) -> std::io::Result<()> {
@@ -653,8 +662,16 @@ fn handle_mine(
 
 /// Appends rows to a registered dataset's session. Appends go through the
 /// same per-tenant admission as mining: an oracle delta-refresh is real work,
-/// and a tenant should not dodge its in-flight cap by reshaping writes.
+/// and a tenant should not dodge its in-flight cap by reshaping writes. A
+/// batch over [`MAX_APPEND_ROWS`] is refused before anything else.
 fn handle_append(shared: &Arc<Shared>, dataset: &str, rows: &[Vec<String>], tenant: &str) -> Json {
+    if rows.len() > MAX_APPEND_ROWS {
+        shared.metrics.counter("maimon_append_batches_too_large_total", &[]).inc();
+        return error_response(
+            ErrorKind::BadRequest,
+            format!("append carries {} rows; at most {MAX_APPEND_ROWS} per batch", rows.len()),
+        );
+    }
     let Some(session) = shared.lookup(dataset) else {
         return error_response(ErrorKind::NotFound, format!("unknown dataset {dataset:?}"));
     };

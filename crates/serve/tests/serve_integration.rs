@@ -4,7 +4,7 @@
 //! the `stats` counters add up to the requests actually sent.
 
 use maimon::json::Json;
-use maimon::relation::Relation;
+use maimon::relation::{relation_from_csv, CsvOptions, Relation};
 use maimon::wire::FromJson;
 use maimon::{decompose::ReducerStats, MaimonConfig, MaimonResult, MaimonSession};
 use maimon_datasets::{dataset_by_name, running_example, running_example_with_red_tuple};
@@ -746,12 +746,51 @@ fn over_cap_line_without_newline_is_a_bad_request_and_the_server_keeps_serving()
 }
 
 #[test]
+fn append_batches_over_the_row_cap_are_refused_and_never_logged() {
+    let dir = std::env::temp_dir().join(format!("maimon-append-cap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let registry = Arc::new(DatasetRegistry::new());
+    registry.register_durable("running", running_example(), MaimonConfig::default(), &dir).unwrap();
+    let handle = serve(registry, ServerConfig { workers: 2, ..ServerConfig::default() }).unwrap();
+    let addr = handle.local_addr();
+    let wal = dir.join("running").join("wal.bin");
+    let batch = |n: usize| {
+        let rows = vec![r#"["a1","b2","c1","d2","e2","f1"]"#; n].join(",");
+        format!(r#"{{"op":"append","dataset":"running","rows":[{rows}]}}"#)
+    };
+
+    // A batch at the cap is applied and logged.
+    let at_cap = roundtrip(addr, &batch(serve::MAX_APPEND_ROWS));
+    assert_ok(&at_cap, "append");
+    assert_eq!(at_cap.get("data_version").and_then(Json::as_i128), Some(1), "{at_cap}");
+    let logged = std::fs::metadata(&wal).unwrap().len();
+
+    // One row more is a typed bad_request: nothing applied, nothing logged.
+    let over = roundtrip(addr, &batch(serve::MAX_APPEND_ROWS + 1));
+    assert_eq!(over.get("ok").and_then(Json::as_bool), Some(false), "{over}");
+    assert_eq!(over.get("kind").and_then(Json::as_str), Some("bad_request"), "{over}");
+    assert_eq!(std::fs::metadata(&wal).unwrap().len(), logged, "the WAL grew");
+    let mine = roundtrip(addr, r#"{"op":"mine","dataset":"running","epsilon":0.0}"#);
+    assert_eq!(mine.get("data_version").and_then(Json::as_i128), Some(1), "{mine}");
+
+    let metrics = roundtrip(addr, r#"{"op":"metrics"}"#);
+    assert_eq!(series_total(&metrics, "maimon_append_batches_too_large_total", &[]), 1);
+    assert_eq!(
+        series_total(&metrics, "maimon_rows_appended_total", &[]),
+        serve::MAX_APPEND_ROWS as i128
+    );
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn paged_backend_serves_quality_and_appends() {
     let rel = bridges();
     let registry = Arc::new(DatasetRegistry::new());
     let text = maimon::relation::relation_to_csv(&rel, ',');
     registry.register_csv("bridges-paged", text.as_bytes(), MaimonConfig::default()).unwrap();
-    registry.register("bridges", rel.clone(), MaimonConfig::default()).unwrap();
+    registry.register("bridges", rel, MaimonConfig::default()).unwrap();
     let handle = serve(registry, ServerConfig { workers: 2, ..ServerConfig::default() }).unwrap();
     let addr = handle.local_addr();
 
@@ -771,11 +810,12 @@ fn paged_backend_serves_quality_and_appends() {
     assert_eq!(storage_of("bridges-paged"), Some("paged".to_string()), "{list}");
 
     // `mine` serves the full quality result, identical to a direct
-    // in-memory session's.
+    // in-memory session's over the same file read with duplicates removed.
     let mine = roundtrip(addr, r#"{"op":"mine","dataset":"bridges-paged","epsilon":0.0}"#);
     assert_ok(&mine, "mine");
     let served = MaimonResult::from_json(mine.get("result").unwrap()).unwrap();
-    let direct = MaimonSession::new(rel, MaimonConfig::default()).unwrap();
+    let distinct = relation_from_csv(&text, CsvOptions::default()).unwrap();
+    let direct = MaimonSession::new(distinct, MaimonConfig::default()).unwrap();
     assert_same_mining(&served, &direct.quality(0.0).unwrap(), "paged mine");
 
     // Appends are accepted and land in the session.

@@ -5,9 +5,11 @@
 #![cfg(unix)]
 
 use maimon::json::Json;
+use maimon::wire::FromJson;
+use maimon::MaimonResult;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
 
 fn roundtrip(addr: &str, line: &str) -> Json {
@@ -42,32 +44,57 @@ fn http_get(addr: &str) -> String {
     response
 }
 
+/// A running `maimon-served`, killed on drop so that a failing assertion
+/// does not leave it listening.
+struct Served {
+    child: Child,
+    stdout: BufReader<ChildStdout>,
+}
+
+impl Served {
+    /// Boots `maimon-served` on a loopback port with `args`. Once bound it
+    /// prints `maimon-served metrics on ADDR` (with `--metrics-addr`) then
+    /// `maimon-served listening on ADDR`; returns the server, its address
+    /// and the metrics address, if any.
+    fn boot(args: &[&str]) -> (Served, String, Option<String>) {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_maimon-served"))
+            .args(["--addr", "127.0.0.1:0"])
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("maimon-served spawns");
+        let stdout = BufReader::new(child.stdout.take().unwrap());
+        let mut served = Served { child, stdout };
+        let metrics_addr =
+            args.contains(&"--metrics-addr").then(|| served.banner("maimon-served metrics on "));
+        let addr = served.banner("maimon-served listening on ");
+        (served, addr, metrics_addr)
+    }
+
+    /// Reads one stdout line and returns what follows `prefix` in it.
+    fn banner(&mut self, prefix: &str) -> String {
+        let mut line = String::new();
+        self.stdout.read_line(&mut line).unwrap();
+        line.trim()
+            .strip_prefix(prefix)
+            .unwrap_or_else(|| panic!("expected {prefix:?}, got {line:?}"))
+            .to_string()
+    }
+}
+
+impl Drop for Served {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
 #[test]
 fn served_binary_boots_serves_and_stops_on_sigterm() {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_maimon-served"))
-        .args(["--addr", "127.0.0.1:0", "--metrics-addr", "127.0.0.1:0", "--demo"])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("maimon-served spawns");
-
-    // The binary prints `maimon-served metrics on ADDR` then
-    // `maimon-served listening on ADDR` once bound.
-    let mut stdout = BufReader::new(child.stdout.take().unwrap());
-    let mut metrics_banner = String::new();
-    stdout.read_line(&mut metrics_banner).unwrap();
-    let metrics_addr = metrics_banner
-        .trim()
-        .strip_prefix("maimon-served metrics on ")
-        .unwrap_or_else(|| panic!("unexpected metrics banner {metrics_banner:?}"))
-        .to_string();
-    let mut banner = String::new();
-    stdout.read_line(&mut banner).unwrap();
-    let addr = banner
-        .trim()
-        .strip_prefix("maimon-served listening on ")
-        .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
-        .to_string();
+    let (mut served, addr, metrics_addr) =
+        Served::boot(&["--metrics-addr", "127.0.0.1:0", "--demo"]);
+    let metrics_addr = metrics_addr.unwrap();
 
     // Liveness, a real mine, and the stats counters over the live socket.
     let pong = roundtrip(&addr, r#"{"op":"ping"}"#);
@@ -109,20 +136,64 @@ fn served_binary_boots_serves_and_stops_on_sigterm() {
     assert!(scrape.contains(r#"op="mine""#), "{scrape}");
 
     // SIGTERM → clean shutdown: exit code 0 and the farewell line.
-    let kill =
-        Command::new("kill").args(["-TERM", &child.id().to_string()]).status().expect("kill runs");
+    let pid = served.child.id().to_string();
+    let kill = Command::new("kill").args(["-TERM", &pid]).status().expect("kill runs");
     assert!(kill.success());
 
-    let status = match wait_for_exit(&mut child, Duration::from_secs(10)) {
-        Some(status) => status,
-        None => {
-            let _ = child.kill();
-            panic!("maimon-served did not exit within 10s of SIGTERM");
-        }
-    };
+    let status = wait_for_exit(&mut served.child, Duration::from_secs(10))
+        .expect("maimon-served exits within 10s of SIGTERM");
     assert!(status.success(), "expected clean exit, got {status:?}");
 
     let mut rest = String::new();
-    std::io::Read::read_to_string(&mut stdout, &mut rest).unwrap();
+    served.stdout.read_to_string(&mut rest).unwrap();
     assert!(rest.contains("maimon-served stopped"), "missing farewell, got {rest:?}");
+}
+
+#[test]
+fn both_mount_flags_serve_the_same_data() {
+    // Fig. 1 with its red tuple, two of its rows repeated: kept as a bag,
+    // the repeats would change every entropy and so every J.
+    let path = std::env::temp_dir().join(format!("maimon-mounts-{}.csv", std::process::id()));
+    let mut text = String::from("A,B,C,D,E,F\n");
+    for row in [
+        "a1,b1,c1,d1,e1,f1",
+        "a2,b2,c1,d1,e2,f2",
+        "a2,b2,c2,d2,e3,f2",
+        "a1,b2,c1,d2,e3,f1",
+        "a1,b2,c1,d2,e2,f1",
+        "a1,b1,c1,d1,e1,f1",
+        "a2,b2,c2,d2,e3,f2",
+        "a2,b2,c2,d2,e3,f2",
+    ] {
+        text.push_str(row);
+        text.push('\n');
+    }
+    std::fs::write(&path, text).unwrap();
+    let file = path.to_str().unwrap();
+    let (_served, addr, _) = Served::boot(&[
+        "--dataset",
+        &format!("flat={file}"),
+        "--paged-dataset",
+        &format!("streamed={file}"),
+    ]);
+
+    for epsilon in [0.0, 0.1, 0.3] {
+        let mine = |dataset: &str| {
+            let line = format!(r#"{{"op":"mine","dataset":"{dataset}","epsilon":{epsilon}}}"#);
+            let response = roundtrip(&addr, &line);
+            assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true), "{response}");
+            MaimonResult::from_json(response.get("result").unwrap()).unwrap()
+        };
+        let (flat, streamed) = (mine("flat"), mine("streamed"));
+        assert_eq!(flat.mvds.mvds, streamed.mvds.mvds, "ε = {epsilon}");
+        assert_eq!(flat.mvds.separators, streamed.mvds.separators, "ε = {epsilon}");
+        assert_eq!(flat.schemas, streamed.schemas, "ε = {epsilon}");
+        assert_eq!(flat.pareto, streamed.pareto, "ε = {epsilon}");
+        assert_eq!(flat.truncated, streamed.truncated, "ε = {epsilon}");
+    }
+    let list = roundtrip(&addr, r#"{"op":"list"}"#);
+    let datasets = list.get("datasets").and_then(Json::as_array).unwrap();
+    let rows: Vec<_> = datasets.iter().map(|d| d.get("rows").and_then(Json::as_i128)).collect();
+    assert_eq!(rows, vec![Some(5), Some(5)], "{list}");
+    std::fs::remove_file(&path).unwrap();
 }
